@@ -79,8 +79,7 @@ def three_term_split(result: CalculusResult):
 
 
 def lift(factors, cap: int = KRON_CAP, cluster_tol: float | None = None,
-         tol_dec: float | None = None, tol_nil: float | None = None,
-         nodes: int = 128) -> LiftedSystem:
+         tol_dec: float | None = None, tol_nil: float | None = None) -> LiftedSystem:
     """Materialize the lifts of `factors` and decompose each factor.
 
     The lifted matrices are assembled explicitly (desk scale); pairwise
@@ -127,7 +126,7 @@ def lift(factors, cap: int = KRON_CAP, cluster_tol: float | None = None,
         dec_kwargs["tol_dec"] = tol_dec
     if tol_nil is not None:
         dec_kwargs["tol_nil"] = tol_nil
-    decs = [decompose(m, nodes=nodes, **dec_kwargs) for m in mats]
+    decs = [decompose(m, **dec_kwargs) for m in mats]
     return LiftedSystem(mats, lifted, decs, tensor_dim)
 
 

@@ -32,6 +32,11 @@ from .errors import ConfigError, DomainError, QuadratureError
 CAUCHY_NODES = 128
 _CAUCHY_DOUBLING_TOL = 1e-8
 _DEN_FLOOR = 1e-250
+# A product box whose sparser factor has at most this many nonzero
+# coefficients is convolved exactly, by summing shifted copies of the other
+# factor; FFT convolution leaves a coefficient floor near 1e-17 that stops
+# the power-series tail bound from decaying.
+SPARSE_CONVOLVE_NONZEROS = 8
 
 
 def as_multi_index(alpha, arity: int) -> tuple[int, ...]:
@@ -388,8 +393,18 @@ class Product(_Binary):
     def taylor_box(self, center, cap):
         a = self.left.taylor_box(center, cap)
         b = self.right.taylor_box(center, cap)
-        full = fftconvolve(a, b)
-        return np.ascontiguousarray(full[(slice(0, cap + 1),) * self.arity])
+        if np.count_nonzero(a) < np.count_nonzero(b):
+            a, b = b, a
+        nonzero = np.nonzero(b)
+        if nonzero[0].size > SPARSE_CONVOLVE_NONZEROS:
+            full = fftconvolve(a, b)
+            return np.ascontiguousarray(full[(slice(0, cap + 1),) * self.arity])
+        out = np.zeros(a.shape, dtype=complex)
+        for shift in zip(*nonzero):
+            dst = tuple(slice(s, None) for s in shift)
+            src = tuple(slice(0, cap + 1 - s) for s in shift)
+            out[dst] += b[shift] * a[src]
+        return out
 
     def max_degree(self):
         a, b = self.left.max_degree(), self.right.max_degree()

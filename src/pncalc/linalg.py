@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernel: kron, norms, resolvents, eigen data.
+"""Dense complex linear algebra kernel: kron, norms, resolvents, eigen and Schur data.
 
 Everything downstream funnels through these few operations so that their
 accuracy contracts are checked in exactly one place.  Matrices are plain
@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, DimensionCapError, NearSingularError, ToleranceError
 
@@ -22,6 +23,7 @@ COND_LIMIT = 1e14
 
 _RESIDUAL_TOL = 1e-12
 _EIG_BACKWARD_TOL = 1e-10
+_SCHUR_BACKWARD_TOL = 1e-10
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -134,6 +136,49 @@ def eig(x) -> EigenResult:
     return EigenResult(w, v, err)
 
 
+@dataclass
+class SchurResult:
+    """Complex Schur form X = Q T Q^H with its measured backward error.
+
+    t is upper triangular with the eigenvalues on its diagonal, q unitary;
+    backward_error is ||X Q - Q T||_F / ||X||.
+    """
+    t: np.ndarray
+    q: np.ndarray
+    backward_error: float
+
+
+def schur(x) -> SchurResult:
+    """Complex Schur decomposition with a backward-error certificate (1e-10)."""
+    x = as_matrix(x, square=True)
+    t, q = scipy.linalg.schur(x, output="complex")
+    scale = op_norm(x)
+    if scale == 0.0:
+        return SchurResult(t, q, 0.0)
+    err = float(np.linalg.norm(x @ q - q @ t)) / scale
+    if err > _SCHUR_BACKWARD_TOL:
+        raise ToleranceError(f"Schur decomposition backward error {err:.3e} above 1e-10")
+    return SchurResult(t, q, err)
+
+
+# one cmat entry: real and imaginary part with 17 significant digits
+_ENTRY_FORMAT = "%.16e %.16e\n"
+
+
+def format_entries(m: np.ndarray) -> str:
+    """Row-major `re im` lines of a complex matrix, the cmat entry body."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return _ENTRY_FORMAT * m.size % tuple(m.view(float).ravel().tolist())
+
+
+def parse_entries(tokens) -> np.ndarray:
+    """Flat complex array from alternating `re im` number tokens.
+
+    Raises ValueError on a non-numeric token; callers map it to ConfigError.
+    """
+    return np.array(tokens, dtype=float).view(complex)
+
+
 def write_cmat(path, m) -> None:
     """Write a matrix in the cmat v1 text format.
 
@@ -141,11 +186,8 @@ def write_cmat(path, m) -> None:
     notation with 17 significant digits, row major.
     """
     m = as_matrix(m)
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    for v in m.ravel():
-        lines.append(f"{v.real:.16e} {v.imag:.16e}")
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{m.shape[0]} {m.shape[1]}\n" + format_entries(m))
 
 
 def read_cmat(path) -> np.ndarray:
@@ -164,8 +206,7 @@ def read_cmat(path) -> np.ndarray:
             f"{path}: expected {2 * rows * cols} numbers for a {rows}x{cols} cmat, "
             f"got {len(body)}")
     try:
-        vals = np.array([float(t) for t in body])
+        m = parse_entries(body)
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric cmat entry") from exc
-    m = vals[0::2] + 1j * vals[1::2]
     return m.reshape(rows, cols)

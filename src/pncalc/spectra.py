@@ -1,9 +1,12 @@
-"""Spectral resolution into projector + nilpotent parts via contour quadrature.
+"""Spectral resolution into projector + nilpotent parts.
 
 A matrix X is split as X = sum_k (lambda_k P_k + N_k) with one component per
-*distinct* eigenvalue: P_k the spectral projector from a trapezoidal contour
-integral of the resolvent, N_k = (X - lambda_k I) P_k the aggregated nilpotent
-part, and nu_k its nilpotency index.
+*distinct* eigenvalue: P_k the spectral projector, taken from one complex
+Schur form of X by reordering and Sylvester block-diagonalisation,
+N_k = (X - lambda_k I) P_k the aggregated nilpotent part, and nu_k its
+nilpotency index.  `riesz_projector` computes the same projector by a
+trapezoidal contour integral of the resolvent; it stays as the independent
+quadrature route.
 
 The one knob that decides everything here is `cluster_tol`: eigenvalues closer
 than it (single linkage) are treated as one multiple eigenvalue.  Defective
@@ -15,9 +18,11 @@ problems and must be widened deliberately for deeper chains.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import (
     ClusterSeparationError,
@@ -25,7 +30,16 @@ from .errors import (
     ContourTooCloseError,
     DecompositionError,
 )
-from .linalg import as_matrix, eig, eye_like, op_norm, resolvent_at_nodes
+from .linalg import (
+    as_matrix,
+    eig,
+    eye_like,
+    format_entries,
+    op_norm,
+    parse_entries,
+    resolvent_at_nodes,
+    schur,
+)
 
 DEFAULT_NODES = 128
 DEFAULT_TOL_NIL = 1e-8
@@ -84,6 +98,9 @@ class Decomposition:
     tol_dec: float
     tol_nil: float
     components: list[SpectralComponent] = field(default_factory=list)
+    # verify_decomposition's {invariant: (measured, bound)} from decompose;
+    # empty for a decomposition read back from a pndec file
+    report: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -174,24 +191,44 @@ def _cluster_geometry(values, clusters, k):
     return rep, members, float(spread), float(gap)
 
 
+def _schur_projector(t, q, select) -> np.ndarray:
+    """Spectral projector of X = Q T Q^H onto the selected diag(T) entries.
+
+    The selected eigenvalues are moved to the leading block (ztrsen), the
+    Sylvester equation T11 R - R T22 = -T12 removes the coupling block
+    (ztrsyl), and P = Q1 (Q1^H - R Q2^H) (Bavely & Stewart 1979).
+    """
+    ts, qs, _, m, _, _, _ = lapack.ztrsen(select, t, q, job="N")
+    q1, q2 = qs[:, :m], qs[:, m:]
+    w = q1.conj().T
+    if m < t.shape[0]:
+        r, s, info = lapack.ztrsyl(ts[:m, :m], ts[m:, m:], -ts[:m, m:], isgn=-1)
+        if info:
+            raise ClusterSeparationError(
+                "Sylvester separation of a cluster is singular to working "
+                "precision; its eigenvalues nearly coincide with another cluster")
+        w = w - (r / s) @ q2.conj().T
+    return q1 @ w
+
+
 def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_DEC,
-              tol_nil: float = DEFAULT_TOL_NIL, nodes: int = DEFAULT_NODES) -> Decomposition:
+              tol_nil: float = DEFAULT_TOL_NIL) -> Decomposition:
     """Full projector-nilpotent resolution of a dense matrix.
 
-    Eigenvalues are clustered at `cluster_tol` (default 1e-6 * ||X||); each
-    cluster gets a contour sized from its separation gap (radius = gap/3,
-    floored for enclosure; scale-based for a sole cluster), a quadrature
-    projector, a refined representative trace(X P)/trace(P), and the
-    aggregated nilpotent part.  All residual invariants are verified before
-    returning; DecompositionError names the ones that failed.
+    The eigenvalues diag(T) of one complex Schur form X = Q T Q^H are
+    clustered at `cluster_tol` (default 1e-6 * ||X||); each cluster gets its
+    projector from the Schur form (`_schur_projector`), a refined
+    representative trace(X P)/m, and the aggregated nilpotent part.  All
+    residual invariants are verified before returning; DecompositionError
+    names the ones that failed, and the report is kept on the result.
     """
     x = as_matrix(x, square=True)
     dim = x.shape[0]
     scale = op_norm(x)
     if cluster_tol is None:
         cluster_tol = 1e-6 * max(scale, 1e-300)
-    er = eig(x)
-    values = er.eigenvalues
+    sf = schur(x)
+    values = np.diag(sf.t)
     clusters = cluster_eigenvalues(values, cluster_tol)
 
     # separability precondition: clusters pairwise farther than 4 * cluster_tol
@@ -207,25 +244,14 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
     comps = []
     for k in range(len(clusters)):
         rep, members, spread, gap = _cluster_geometry(values, clusters, k)
-        if np.isfinite(gap):
-            radius = gap / 3.0
-            floor = 3.0 * spread + cluster_tol
-            if floor > radius:
-                radius = floor
-            if radius > 0.45 * gap:
-                raise ClusterSeparationError(
-                    f"cluster at {rep:.6g}: spread {spread:.3e} too large for gap {gap:.3e}")
-        else:
-            radius = 0.5 * max(1.0, scale) + 10.0 * spread
-        contour = Contour(rep, radius, nodes)
-        p = riesz_projector(x, contour, eigenvalues=values)
-        tr_p = np.trace(p)
-        mult = int(round(tr_p.real))
-        if mult < 1 or abs(tr_p - mult) > 0.1:
-            raise DecompositionError(
-                f"projector trace {tr_p:.6g} for cluster at {rep:.6g} is not a "
-                f"positive integer; enlarge cluster_tol or check conditioning")
-        lam = complex(np.trace(x @ p) / tr_p)
+        if 3.0 * spread + cluster_tol > 0.45 * gap:
+            raise ClusterSeparationError(
+                f"cluster at {rep:.6g}: spread {spread:.3e} too large for gap {gap:.3e}")
+        select = np.zeros(dim, dtype=np.int32)
+        select[members] = 1
+        p = _schur_projector(sf.t, sf.q, select)
+        mult = len(members)
+        lam = complex(np.trace(x @ p) / mult)
         n_mat = nilpotent_part(x, p, lam)
         nu = nilpotency_index(n_mat, scale, tol_nil)
         if nu > mult:
@@ -237,10 +263,11 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
     comps.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     dec = Decomposition(dim, scale, float(cluster_tol), tol_dec, tol_nil, comps)
 
-    report = verify_decomposition(x, dec)
-    failed = [name for name, (value, bound) in report.items() if value > bound]
+    dec.report = verify_decomposition(x, dec)
+    failed = [name for name, (value, bound) in dec.report.items() if value > bound]
     if failed:
-        detail = ", ".join(f"{n}={report[n][0]:.3e}>{report[n][1]:.3e}" for n in failed)
+        detail = ", ".join(f"{n}={dec.report[n][0]:.3e}>{dec.report[n][1]:.3e}"
+                           for n in failed)
         raise DecompositionError(f"decomposition residuals out of tolerance: {detail}")
     return dec
 
@@ -318,8 +345,7 @@ def write_decomposition(path, dec: Decomposition) -> None:
         buf.write(f"index {c.index}\n")
         for tag, m in (("projector", c.projector), ("nilpotent", c.nilpotent)):
             buf.write(f"{tag} {m.shape[0]} {m.shape[1]}\n")
-            for v in m.ravel():
-                buf.write(f"{v.real:.16e} {v.imag:.16e}\n")
+            buf.write(format_entries(m))
     with open(path, "w", newline="\n") as fh:
         fh.write(buf.getvalue())
 
@@ -353,10 +379,14 @@ def read_decomposition(path) -> Decomposition:
         mats = {}
         for tag in ("projector", "nilpotent"):
             r, c = (int(t) for t in expect(tag))
-            vals = []
-            for _ in range(r * c):
-                a, b = next(it).split()
-                vals.append(complex(float(a), float(b)))
-            mats[tag] = np.array(vals).reshape(r, c)
+            tokens = " ".join(itertools.islice(it, r * c)).split()
+            if len(tokens) != 2 * r * c:
+                raise ConfigError(
+                    f"{path}: expected {2 * r * c} numbers for a {r}x{c} {tag}, "
+                    f"got {len(tokens)}")
+            try:
+                mats[tag] = parse_entries(tokens).reshape(r, c)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: non-numeric {tag} entry") from exc
         comps.append(SpectralComponent(lam, mult, mats["projector"], mats["nilpotent"], nu))
     return Decomposition(dim, scale, cluster_tol, tol_dec, tol_nil, comps)

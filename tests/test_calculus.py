@@ -224,3 +224,17 @@ def test_power_series_agrees_on_entire_functions():
     series = calculus.power_series_apply(f, system)
     spectral = calculus.func_multivariate(f, system).value
     assert np.linalg.norm(series - spectral, 2) <= 1e-10 * max(1.0, np.linalg.norm(spectral, 2))
+
+
+def test_power_series_certifies_product_beyond_unit_radius():
+    # ||X1 - c1 I|| > 1: an FFT coefficient floor near 1e-17 would grow like
+    # radius^k and stall the tail bound
+    x1 = np.array([[-1.0, 1.0], [0.0, 1.5]], dtype=complex)
+    x2 = np.array([[0.5, 1.0], [0.0, -0.5]], dtype=complex)
+    system = calculus.lift([x1, x2])
+    center = [complex(np.mean(d.eigenvalues)) for d in system.decompositions]
+    assert linalg.op_norm(x1 - center[0] * np.eye(2)) > 1.0
+    f = parse("prod(exp(z1),poly{(0,0):1,(0,1):1})")
+    series = calculus.power_series_apply(f, system)
+    expect = np.kron(expm(x1), np.eye(2) + x2)
+    assert np.linalg.norm(series - expect, 2) <= 1e-10 * np.linalg.norm(expect, 2)

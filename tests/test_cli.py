@@ -52,6 +52,20 @@ def test_decompose_golden(tmp_path, mats, capsys):
     assert all(r[3] == "true" for r in rows[1:])
 
 
+def test_decompose_residuals_are_the_decompose_report(tmp_path, mats):
+    cfg = write_config(tmp_path, "dec.ini", {"input": {"matrix": mats[0]}})
+    out = tmp_path / "out"
+    assert cli.main(["decompose", "--config", str(cfg), "--out", str(out)]) == 0
+    # the pndec record round-trips bitwise, so verifying the read-back
+    # decomposition reproduces the report decompose wrote
+    dec = spectra.read_decomposition(out / "decomposition.txt")
+    report = spectra.verify_decomposition(X1, dec)
+    rows = read_csv(out / "residuals.csv")[1:]
+    assert [r[0] for r in rows] == sorted(report)
+    for name, measured, bound, _ in rows:
+        assert (float(measured), float(bound)) == report[name]
+
+
 def test_manifest_checksums(tmp_path, mats):
     cfg = write_config(tmp_path, "dec.ini", {"input": {"matrix": mats[0]}})
     out = tmp_path / "out"
@@ -240,10 +254,24 @@ def test_missing_required_key_exit2(tmp_path, mats, capsys):
 def test_bad_value_type_exit2(tmp_path, mats):
     cfg = write_config(tmp_path, "dec.ini", {
         "input": {"matrix": mats[0]},
-        "params": {"nodes": "plenty"},
+        "params": {"tol_dec": "plenty"},
     })
     assert cli.main(["decompose", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+def test_decompose_and_lift_calc_have_no_nodes_key(tmp_path, mats, capsys):
+    # projectors come from the Schur form; no quadrature node count is read
+    configs = {
+        "decompose": {"input": {"matrix": mats[0]}, "params": {"nodes": 128}},
+        "lift-calc": {"input": {"matrix_1": mats[0]},
+                      "function": {"spec": "exp(z1)"}, "params": {"nodes": 128}},
+    }
+    for command, sections in configs.items():
+        cfg = write_config(tmp_path, f"{command}.ini", sections)
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(tmp_path / command)]) == 2
+        assert "unknown key 'nodes'" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit2(tmp_path, capsys):

@@ -121,6 +121,22 @@ def test_taylor_coefficients_product_convolution():
     assert np.max(np.abs(coeffs - expect)) <= 1e-12
 
 
+def test_taylor_box_product_with_sparse_factor_is_exact():
+    # exp(z1) * (1 + z2) about c: a[i, 0] = e^c1 (1 + c2) / i!, a[i, 1] = e^c1 / i!
+    f = parse("prod(exp(z1),poly{(0,0):1,(0,1):1})")
+    c1, c2 = 0.3 + 0.2j, -0.5 + 0.1j
+    cap = 40
+    box = functions.taylor_coefficients(f, (c1, c2), cap)
+    from math import factorial
+    expect = np.zeros((cap + 1, cap + 1), dtype=complex)
+    for i in range(cap + 1):
+        expect[i, 0] = np.exp(c1) * (1.0 + c2) / factorial(i)
+        expect[i, 1] = np.exp(c1) / factorial(i)
+    assert np.all(box[:, 2:] == 0.0)
+    rel = np.abs(box[:, :2] - expect[:, :2]) / np.abs(expect[:, :2])
+    assert np.max(rel) <= 1e-14
+
+
 def test_assert_analytic_on_detects_pole():
     f = parse("ratio(poly{0:1},poly{0:1,1:-1})")  # pole at z = 1
     f.assert_analytic_on([3.0], [1.0])  # disk around 3 misses it

@@ -92,6 +92,53 @@ def test_eig_backward_error():
     assert abs(np.sum(res.eigenvalues) - np.trace(x)) <= 1e-10 * max(1.0, abs(np.trace(x)))
 
 
+def test_schur_backward_error():
+    rng = _rng(3)
+    x = _random_complex(rng, 8)
+    res = linalg.schur(x)
+    assert res.backward_error <= 1e-10
+    assert np.array_equal(res.t, np.triu(res.t))
+    assert np.linalg.norm(res.q.conj().T @ res.q - np.eye(8), 2) <= 1e-13
+    assert abs(np.sum(np.diag(res.t)) - np.trace(x)) <= 1e-10 * max(1.0, abs(np.trace(x)))
+    zero = linalg.schur(np.zeros((3, 3), dtype=complex))
+    assert zero.backward_error == 0.0
+
+
+# signed zero, the smallest subnormal, huge and negative entries
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, 1.0 / 3.0,
+               2.2250738585072014e-308, -123456.789]
+
+
+def edge_matrix(rng, rows, cols):
+    """Random complex matrix with EDGE_VALUES planted in both parts."""
+    m = _random_complex(rng, rows, cols)
+    k = len(EDGE_VALUES)
+    # assigned part by part: re + 1j * im would turn an imaginary -0.0 into 0.0
+    m.real.flat[:k] = EDGE_VALUES
+    m.imag.flat[-k:] = EDGE_VALUES[::-1]
+    return m
+
+
+def reference_cmat_text(m):
+    # the per-entry f-string loop that the batched cmat writer replaced
+    lines = [f"{m.shape[0]} {m.shape[1]}"]
+    for v in m.ravel():
+        lines.append(f"{v.real:.16e} {v.imag:.16e}")
+    return "\n".join(lines) + "\n"
+
+
+def test_cmat_writer_matches_per_entry_reference(tmp_path):
+    m = edge_matrix(_rng(5), 4, 6)
+    path = tmp_path / "m.cmat"
+    for mat in (m, m.T):  # the transpose is a non-contiguous view
+        linalg.write_cmat(path, mat)
+        assert path.read_bytes() == reference_cmat_text(mat).encode()
+        back = linalg.read_cmat(path)
+        assert np.array_equal(back, mat)
+        assert np.array_equal(np.signbit(back.real), np.signbit(mat.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(mat.imag))
+
+
 def test_cmat_round_trip(tmp_path):
     rng = _rng(4)
     m = _random_complex(rng, 5, 3)
@@ -109,6 +156,9 @@ def test_cmat_rejects_malformed(tmp_path):
         linalg.read_cmat(path)
     path.write_text("not-a-header\n")
     with pytest.raises(ConfigError):
+        linalg.read_cmat(path)
+    path.write_text("1 1\n1.0 x\n")
+    with pytest.raises(ConfigError, match="non-numeric cmat entry"):
         linalg.read_cmat(path)
 
 

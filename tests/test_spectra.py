@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncalc import linalg, spectra, synth
+from test_linalg import edge_matrix
 from pncalc.errors import (
     ClusterSeparationError,
     ConfigError,
@@ -14,6 +15,41 @@ from pncalc.errors import (
 
 def _jordan(lam, size, nil=1.0):
     return synth.jordan_block(lam, size, nil)
+
+
+def _quadrature_matches(x, dec):
+    """Each projector equals the Riesz quadrature on a circle around it."""
+    values = linalg.eig(x).eigenvalues
+    lams = dec.eigenvalues
+    for k, c in enumerate(dec.components):
+        others = np.delete(lams, k)
+        if others.size:
+            radius = 0.5 * float(np.min(np.abs(others - c.eigenvalue)))
+        else:
+            radius = 1.0 + float(np.max(np.abs(values - c.eigenvalue)))
+        contour = spectra.Contour(c.eigenvalue, radius)
+        quad = spectra.riesz_projector(x, contour, eigenvalues=values)
+        size = max(1.0, linalg.op_norm(c.projector))
+        err = linalg.op_norm(c.projector - quad)
+        assert err <= 1e-10 * size, f"component at {c.eigenvalue}: {err:.3e}"
+
+
+def test_decompose_projectors_match_quadrature():
+    golden = synth.block_diag([_jordan(0.0, 2), _jordan(2.0, 3)])
+    _quadrature_matches(golden, spectra.decompose(golden))
+
+    rng = np.random.default_rng(21)
+    x, truth = synth.random_jordan_matrix(rng, 9, max_index=4, cond=8.0)
+    assert max(size for _, size in truth) >= 3
+    dec = spectra.decompose(x, cluster_tol=1e-3 * max(1.0, linalg.op_norm(x)))
+    assert [(c.multiplicity, c.index) for c in dec.components] == \
+        [(size, size) for _, size in truth]
+    _quadrature_matches(x, dec)
+
+    h = synth.random_hermitian(rng, 6)
+    _quadrature_matches(h, spectra.decompose(h))
+    d = synth.random_diagonalizable(rng, 6, cond=5.0)
+    _quadrature_matches(d, spectra.decompose(d))
 
 
 def test_contour_validation():
@@ -120,9 +156,18 @@ def test_decompose_cluster_separation_guard():
         spectra.decompose(x, cluster_tol=1e-6)
 
 
+def test_decompose_refuses_a_singular_sylvester_separation():
+    # with cluster_tol = 0 two eigenvalues one ulp apart pass the separability
+    # margin, but the Sylvester equation between them is singular
+    x = np.array([[1.0, 1.0], [0.0, 1.0 + 2.2e-16]], dtype=complex)
+    with pytest.raises(ClusterSeparationError, match="Sylvester"):
+        spectra.decompose(x, cluster_tol=0.0)
+
+
 def test_decompose_scatter_without_widened_tol():
     # a defective similarity scatters eigenvalues ~ (eps * cond)^(1/nu);
-    # the default cluster_tol splits the cluster and integrality fails
+    # the default cluster_tol splits the cluster into simple eigenvalues whose
+    # nilpotent parts do not die at index 1
     rng = np.random.default_rng(14)
     s = synth.conditioned_similarity(rng, 4, 50.0)
     x = s @ _jordan(1.0, 4) @ np.linalg.inv(s)
@@ -141,6 +186,64 @@ def test_decompose_reconstruction_property(seed):
     recon = sum(c.eigenvalue * c.projector + c.nilpotent for c in dec.components)
     assert np.linalg.norm(recon - x, 2) <= 1e-7 * max(1.0, linalg.op_norm(x))
     assert sum(c.multiplicity for c in dec.components) == 5
+
+
+def test_decompose_keeps_its_verification_report(tmp_path):
+    rng = np.random.default_rng(11)
+    x, _ = synth.random_jordan_matrix(rng, 6, max_index=3, cond=8.0)
+    dec = spectra.decompose(x, cluster_tol=1e-3 * max(1.0, linalg.op_norm(x)))
+    assert dec.report == spectra.verify_decomposition(x, dec)
+    path = tmp_path / "dec.txt"
+    spectra.write_decomposition(path, dec)
+    assert spectra.read_decomposition(path).report == {}
+
+
+def reference_pndec_text(dec):
+    # the per-entry f-string loop that the batched pndec writer replaced
+    lines = ["pndec v1", f"dim {dec.dim}", f"scale {dec.scale!r}",
+             f"cluster_tol {dec.cluster_tol!r}", f"tol_dec {dec.tol_dec!r}",
+             f"tol_nil {dec.tol_nil!r}", f"components {len(dec.components)}"]
+    for c in dec.components:
+        lines.append(f"eigenvalue {c.eigenvalue.real!r} {c.eigenvalue.imag!r}")
+        lines.append(f"multiplicity {c.multiplicity}")
+        lines.append(f"index {c.index}")
+        for tag, m in (("projector", c.projector), ("nilpotent", c.nilpotent)):
+            lines.append(f"{tag} {m.shape[0]} {m.shape[1]}")
+            for v in m.ravel():
+                lines.append(f"{v.real:.16e} {v.imag:.16e}")
+    return "\n".join(lines) + "\n"
+
+
+def test_pndec_writer_matches_per_entry_reference(tmp_path):
+    rng = np.random.default_rng(6)
+    x = synth.block_diag([_jordan(0.5j, 2), _jordan(-2.0, 2)])
+    dec = spectra.decompose(x)
+    # plant signed zeros, a subnormal, huge and negative entries
+    dec.components[0].projector = edge_matrix(rng, 4, 4)
+    dec.components[1].nilpotent = edge_matrix(rng, 4, 4).T
+    path = tmp_path / "dec.txt"
+    spectra.write_decomposition(path, dec)
+    assert path.read_bytes() == reference_pndec_text(dec).encode()
+    back = spectra.read_decomposition(path)
+    for ca, cb in zip(dec.components, back.components):
+        for a, b in ((ca.projector, cb.projector), (ca.nilpotent, cb.nilpotent)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+def test_read_decomposition_rejects_malformed_entries(tmp_path):
+    dec = spectra.decompose(np.diag([1.0, 2.0]).astype(complex))
+    path = tmp_path / "dec.txt"
+    spectra.write_decomposition(path, dec)
+    lines = path.read_text().splitlines()
+    row = lines.index("projector 2 2") + 1
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines[:row] + ["1.0 x"] + lines[row + 1:]) + "\n")
+    with pytest.raises(ConfigError, match="non-numeric projector entry"):
+        spectra.read_decomposition(bad)
+    bad.write_text("\n".join(lines[:row + 2]) + "\n")
+    with pytest.raises(ConfigError, match="expected 8 numbers"):
+        spectra.read_decomposition(bad)
 
 
 def test_decomposition_round_trip(tmp_path):
