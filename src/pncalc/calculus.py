@@ -1,8 +1,10 @@
 """Functional calculus for tuples of commuting tensor lifts.
 
 A tuple of square factors X_1..X_r is lifted to X~_j = I x..x X_j x..x I on
-the tensor space; lifted factors always commute, so f(X~_1,..,X~_r) is well
-defined for analytic f.  Three independent routes compute it:
+the tensor space; lifted factors commute by construction, so f(X~_1,..,X~_r)
+is well defined for analytic f.  No route forms the lifts: each works on the
+factors and folds the result onto the tensor space with Kronecker products.
+Three independent routes compute it:
 
 * func_multivariate: the spectral assembly
     sum over eigenvalue tuples and multi-indices alpha of
@@ -20,6 +22,7 @@ internal consistency check.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,13 +33,11 @@ from .errors import (
     PreconditionError,
     QuadratureError,
     TailBoundError,
-    ToleranceError,
 )
 from .functions import AnalyticFunction, taylor_coefficients
 from .linalg import KRON_CAP, as_matrix, eig, eye_like, op_norm, resolvent_at_nodes
 from .spectra import Contour, Decomposition, decompose
 
-_COMMUTATOR_TOL = 1e-12
 _DOUBLING_TOL = 1e-10
 NODE_BUDGET = 300_000
 TAIL_TOL = 1e-12
@@ -45,15 +46,34 @@ _MAX_SERIES_CAP = 64
 
 @dataclass
 class LiftedSystem:
-    """Factors, their explicit lifts, and per-factor spectral decompositions."""
+    """Factors of a lifted family, with their decompositions made on first use.
+
+    The lifts are implicit; `lifted_matrix(j)` builds one on demand.  Each
+    factor is decomposed at most once, with the tolerances given to `lift`.
+    """
     factors: list[np.ndarray]
-    lifted: list[np.ndarray]
-    decompositions: list[Decomposition]
     tensor_dim: int
+    cluster_tol: float | None = None
+    tol_dec: float | None = None
+    tol_nil: float | None = None
 
     @property
     def rank(self) -> int:
         return len(self.factors)
+
+    @functools.cached_property
+    def decompositions(self) -> list[Decomposition]:
+        tols = {"cluster_tol": self.cluster_tol, "tol_dec": self.tol_dec,
+                "tol_nil": self.tol_nil}
+        kwargs = {k: v for k, v in tols.items() if v is not None}
+        return [decompose(m, **kwargs) for m in self.factors]
+
+    def lifted_matrix(self, j: int) -> np.ndarray:
+        """The dense lift I x..x X_j x..x I of factor j."""
+        dims = [m.shape[0] for m in self.factors]
+        left = int(np.prod(dims[:j], dtype=int))
+        right = int(np.prod(dims[j + 1:], dtype=int))
+        return np.kron(np.kron(eye_like(left), self.factors[j]), eye_like(right))
 
 
 @dataclass
@@ -80,54 +100,21 @@ def three_term_split(result: CalculusResult):
 
 def lift(factors, cap: int = KRON_CAP, cluster_tol: float | None = None,
          tol_dec: float | None = None, tol_nil: float | None = None) -> LiftedSystem:
-    """Materialize the lifts of `factors` and decompose each factor.
+    """Validate `factors` as a lifted system with tensor dimension at most `cap`.
 
-    The lifted matrices are assembled explicitly (desk scale); pairwise
-    commutation is verified on seeded probe vectors,
-    ||[L_i, L_j] v|| <= 1e-12 ||L_i|| ||L_j|| ||v||, which catches mis-built
-    lifts at matvec cost instead of a tensor-space matmul + norm per pair.
-    Tensor dimension is capped at `cap`.
+    The tolerances are passed to `decompose` when a route first reads
+    `decompositions`.
     """
     mats = [as_matrix(x, square=True) for x in factors]
     if not mats:
         raise ConfigError("lift needs at least one factor")
-    dims = [m.shape[0] for m in mats]
     tensor_dim = 1
-    for d in dims:
-        tensor_dim *= d
+    for m in mats:
+        tensor_dim *= m.shape[0]
     if tensor_dim > cap:
         raise DimensionCapError(
             f"tensor dimension {tensor_dim} exceeds the cap {cap}")
-
-    lifted = []
-    for j, m in enumerate(mats):
-        left = int(np.prod(dims[:j], dtype=int)) if j else 1
-        right = int(np.prod(dims[j + 1:], dtype=int)) if j + 1 < len(dims) else 1
-        lifted.append(np.kron(np.kron(eye_like(left), m), eye_like(right)))
-
-    # ||I ox X ox I|| = ||X||, so factor norms price the commutator bound
-    norms = [op_norm(m) for m in mats]
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=(tensor_dim, 4)) + 1j * rng.normal(size=(tensor_dim, 4))
-    v /= np.linalg.norm(v, axis=0)
-    for i in range(len(lifted)):
-        for j in range(i + 1, len(lifted)):
-            comm = float(np.max(np.linalg.norm(
-                lifted[i] @ (lifted[j] @ v) - lifted[j] @ (lifted[i] @ v), axis=0)))
-            bound = _COMMUTATOR_TOL * max(norms[i] * norms[j], 1e-300)
-            if comm > bound:
-                raise ToleranceError(
-                    f"lifted factors {i} and {j} fail to commute: {comm:.3e} > {bound:.3e}")
-
-    dec_kwargs = {}
-    if cluster_tol is not None:
-        dec_kwargs["cluster_tol"] = cluster_tol
-    if tol_dec is not None:
-        dec_kwargs["tol_dec"] = tol_dec
-    if tol_nil is not None:
-        dec_kwargs["tol_nil"] = tol_nil
-    decs = [decompose(m, **dec_kwargs) for m in mats]
-    return LiftedSystem(mats, lifted, decs, tensor_dim)
+    return LiftedSystem(mats, tensor_dim, cluster_tol, tol_dec, tol_nil)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +191,7 @@ def func_univariate(f: AnalyticFunction, dec: Decomposition) -> CalculusResult:
     """f(X) = sum_k [f(lambda_k) P_k + sum_q f^(q)(lambda_k)/q! N_k^q]."""
     if f.arity != 1:
         raise ConfigError(f"func_univariate needs arity 1, got {f.arity}")
-    system = LiftedSystem([np.zeros((dec.dim, dec.dim), dtype=complex)], [], [dec], dec.dim)
-    return _assemble(f, system, "func_univariate")
+    return _assemble(f, [dec], dec.dim, "func_univariate")
 
 
 def func_multivariate(f: AnalyticFunction, system: LiftedSystem) -> CalculusResult:
@@ -213,25 +199,24 @@ def func_multivariate(f: AnalyticFunction, system: LiftedSystem) -> CalculusResu
     if f.arity != system.rank:
         raise ConfigError(
             f"function arity {f.arity} does not match system rank {system.rank}")
-    return _assemble(f, system, "func_multivariate")
+    return _assemble(f, system.decompositions, system.tensor_dim, "func_multivariate")
 
 
-def _assemble(f, system: LiftedSystem, method: str) -> CalculusResult:
-    terms = [_component_terms(dec) for dec in system.decompositions]
+def _assemble(f, decompositions: list[Decomposition], dim: int,
+              method: str) -> CalculusResult:
+    terms = [_component_terms(dec) for dec in decompositions]
     lams = [t[0] for t in terms]
     qs = [t[1] for t in terms]
     stacks = [t[2] for t in terms]
     norms = [t[3] for t in terms]
     coeffs = _coefficient_tensor(f, lams, qs)
-    dim = system.tensor_dim
 
     zero = [q == 0 for q in qs]
     pos = [~z for z in zero]
     every = [np.ones_like(z, dtype=bool) for z in zero]
 
     s0 = _masked_fold(coeffs, stacks, zero, dim)
-    s_full = (_masked_fold(coeffs, stacks, pos, dim)
-              if len(stacks) >= 1 else np.zeros_like(s0))
+    s_full = _masked_fold(coeffs, stacks, pos, dim)
     if len(stacks) == 1:
         s_mixed = np.zeros_like(s0)
     else:
@@ -336,6 +321,11 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
     if r > 3:
         raise PreconditionError("iterated quadrature supports at most 3 factors")
 
+    for j, c in enumerate(contours):
+        _screen_contour(c, eig(system.factors[j]).eigenvalues, require_full,
+                        f"factor {j + 1}")
+    f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
+
     def run(scale_nodes):
         node_counts = [c.nodes * scale_nodes for c in contours]
         total = 1
@@ -346,19 +336,16 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
                 f"quadrature cost guard: {total} node tuples exceed budget {budget}")
         stacks, weights, points = [], [], []
         for j, c in enumerate(contours):
-            values = eig(system.factors[j]).eigenvalues
-            _screen_contour(c, values, require_full, f"factor {j + 1}")
             zs = c.points(node_counts[j])
             stacks.append(resolvent_at_nodes(system.factors[j], zs))
             weights.append(c.weights(node_counts[j]))
             points.append(zs)
-        f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
-        grid = np.meshgrid(*points, indexing="ij")
-        coeffs = np.asarray(f(*grid), dtype=complex)
+        grid = np.meshgrid(*points, indexing="ij", sparse=True)
+        coeffs = np.array(f(*grid), dtype=complex)
         for j, w in enumerate(weights):
             shape = [1] * r
             shape[j] = w.size
-            coeffs = coeffs * w.reshape(shape)
+            coeffs *= w.reshape(shape)
         return _kron_fold(coeffs, stacks)
 
     value = run(1)

@@ -19,7 +19,6 @@ Multi-indices are plain int tuples throughout.
 """
 from __future__ import annotations
 
-import copy
 import itertools
 import re
 from math import comb, factorial
@@ -166,13 +165,6 @@ class AnalyticFunction:
                 raise DomainError(
                     f"pole along z{j + 1} inside or near the polydisk "
                     f"(radius {radii[j]:g})")
-
-    def using_strategy(self, strategy: str) -> "AnalyticFunction":
-        if strategy not in ("closed_form", "cauchy_contour", "polynomial_table"):
-            raise ConfigError(f"unknown derivative strategy {strategy!r}")
-        clone = copy.copy(self)
-        clone.derivative_strategy = strategy
-        return clone
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.to_spec()}>"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from pncalc import calculus, functions, linalg, spectra, synth
+from pncalc import approx, calculus, functions, linalg, spectra, synth
 from pncalc.errors import (
     ConfigError,
     DimensionCapError,
@@ -124,7 +124,7 @@ def test_linearity_in_the_function():
 def test_coordinate_and_constant_functions():
     system = calculus.lift([X1, X2])
     z1 = calculus.func_multivariate(parse("poly{(1,0):1}"), system).value
-    assert np.linalg.norm(z1 - system.lifted[0], 2) <= 1e-12
+    assert np.linalg.norm(z1 - system.lifted_matrix(0), 2) <= 1e-12
     one = calculus.func_multivariate(parse("poly{(0,0):1}"), system).value
     assert np.linalg.norm(one - np.eye(4), 2) <= 1e-12
 
@@ -161,7 +161,8 @@ def test_lifts_commute_exactly():
     system = calculus.lift(factors, cluster_tol=1e-4 * 4)
     for i in range(3):
         for j in range(i + 1, 3):
-            comm = system.lifted[i] @ system.lifted[j] - system.lifted[j] @ system.lifted[i]
+            li, lj = system.lifted_matrix(i), system.lifted_matrix(j)
+            comm = li @ lj - lj @ li
             assert np.max(np.abs(comm)) == 0.0  # bitwise, by kron structure
 
 
@@ -238,3 +239,56 @@ def test_power_series_certifies_product_beyond_unit_radius():
     series = calculus.power_series_apply(f, system)
     expect = np.kron(expm(x1), np.eye(2) + x2)
     assert np.linalg.norm(series - expect, 2) <= 1e-10 * np.linalg.norm(expect, 2)
+
+
+def test_dunford_multivariate_broadcasts_constant_and_one_variable_specs():
+    # the node grid is sparse; each spec must still fill the full 3-axis shape
+    system = calculus.lift([X1, X2, X2])
+    contours = [spectra.Contour(center=1.0, radius=1.0, nodes=32),
+                spectra.Contour(center=0.0, radius=1.0, nodes=32),
+                spectra.Contour(center=0.0, radius=1.0, nodes=32)]
+    for spec in ("poly{(0,0,0):2}", "sin(z3)"):
+        f = parse(spec)
+        spectral = calculus.func_multivariate(f, system).value
+        quad = calculus.dunford_multivariate(f, system, contours)
+        assert quad.shape == (8, 8)
+        assert np.linalg.norm(quad - spectral, 2) <= 1e-12, spec
+
+
+def _refuse_decompose(*args, **kwargs):
+    raise AssertionError("decompose called")
+
+
+def test_quadrature_routes_decompose_nothing(monkeypatch):
+    monkeypatch.setattr(calculus, "decompose", _refuse_decompose)
+    system = calculus.lift([X1, X2])
+    contours = [spectra.Contour(center=1.0, radius=1.0, nodes=64),
+                spectra.Contour(center=0.0, radius=1.0, nodes=64)]
+    f = parse("exp(z1+z2)")
+    gold = _golden_pair_values()["exp(z1+z2)"]
+    quad = calculus.dunford_multivariate(f, system, contours)
+    assert np.linalg.norm(quad - gold, 2) <= 1e-9
+    m1 = approx.build_model("harmonic", 16)
+    m2 = approx.build_model("harmonic", 16)
+    c1 = approx.lowest_cluster_contour(m1, 2)
+    c2 = approx.lowest_cluster_contour(m2, 2)
+    rep = approx.multivariate_experiment([m1, m2], parse("exp(-z1-z2)"),
+                                         [-1.0, -1.0], [c1, c2], [2, 3])
+    assert rep.level2_pass
+
+
+def test_each_factor_decomposed_once(monkeypatch):
+    seen = []
+
+    def counting(x, **kwargs):
+        seen.append(x)
+        return spectra.decompose(x, **kwargs)
+
+    monkeypatch.setattr(calculus, "decompose", counting)
+    system = calculus.lift([X1, X2])
+    assert seen == []
+    f = parse("exp(z1+z2)")
+    calculus.func_multivariate(f, system)
+    calculus.power_series_apply(f, system)
+    assert len(seen) == 2
+    assert all(a is b for a, b in zip(seen, system.factors))
