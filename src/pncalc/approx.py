@@ -33,7 +33,7 @@ from .errors import (
 )
 from .functions import AnalyticFunction
 from .linalg import as_matrix, eye_like, op_norm, read_cmat, resolvent, resolvent_at_nodes
-from .spectra import Contour, riesz_projector
+from .spectra import CIRCLE_GUARD, Contour, riesz_projector
 
 MODEL_KINDS = ("harmonic", "anharmonic_x4", "complex_harmonic", "jordan_toy", "custom_file")
 _OSCILLATORS = ("harmonic", "anharmonic_x4", "complex_harmonic")
@@ -268,7 +268,7 @@ def error_constant(f: AnalyticFunction, model: OperatorModel, contour: Contour,
 
 def _screen(contour: Contour, x: np.ndarray) -> None:
     evs = np.linalg.eigvals(x)
-    if float(np.min(contour.circle_distance(evs))) < 0.05 * contour.radius:
+    if float(np.min(contour.circle_distance(evs))) < CIRCLE_GUARD * contour.radius:
         raise PreconditionError("eigenvalue within the contour guard band")
 
 

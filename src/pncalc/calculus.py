@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .functions import AnalyticFunction, taylor_coefficients
 from .linalg import KRON_CAP, as_matrix, eig, eye_like, op_norm, resolvent_at_nodes
-from .spectra import Contour, Decomposition, decompose
+from .spectra import CIRCLE_GUARD, Contour, Decomposition, decompose
 
 _DOUBLING_TOL = 1e-10
 NODE_BUDGET = 300_000
@@ -139,28 +140,24 @@ def _component_terms(dec: Decomposition):
 
 
 def _coefficient_tensor(f: AnalyticFunction, lams, qs):
-    """C[t_1..t_r] = d^alpha f(lambda) / alpha! over flattened factor terms."""
-    r = len(lams)
-    shape = tuple(len(x) for x in lams)
-    c = np.zeros(shape, dtype=complex)
-    max_q = [int(np.max(q)) for q in qs]
-    # one closed-form derivative evaluation per distinct alpha, vectorized
-    # over the eigenvalue grid
-    for alpha in np.ndindex(*(m + 1 for m in max_q)):
-        masks = [qs[j] == alpha[j] for j in range(r)]
-        if not all(m.any() for m in masks):
-            continue
-        fn = f
-        fact = 1.0
-        for j, q in enumerate(alpha):
-            for _ in range(q):
-                fn = fn.partial(j)
-            for k in range(2, q + 1):
-                fact *= k
-        sub = [lams[j][masks[j]] for j in range(r)]
-        grid = np.meshgrid(*sub, indexing="ij")
-        vals = np.asarray(fn(*grid), dtype=complex) / fact
-        c[np.ix_(*masks)] = vals
+    """C[t_1..t_r] = d^alpha f(lambda) / alpha! over flattened factor terms.
+
+    The alpha = 0 entries are one vectorized evaluation over the eigenvalue
+    grid.  Each tuple of components with a nilpotent part reads its other
+    entries from one Taylor box at its eigenvalues.
+    """
+    zero = [q == 0 for q in qs]
+    grid = np.meshgrid(*[l[z] for l, z in zip(lams, zero)], indexing="ij")
+    values = np.asarray(f(*grid), dtype=complex)
+    c = np.zeros(tuple(len(x) for x in lams), dtype=complex)
+    # a component's terms are contiguous, q = 0 .. index - 1
+    comps = [np.split(np.arange(q.size), np.flatnonzero(z)[1:]) for q, z in zip(qs, zero)]
+    for block in itertools.product(*comps):
+        cap = max(b.size for b in block) - 1
+        if cap:
+            box = taylor_coefficients(f, [l[b[0]] for l, b in zip(lams, block)], cap)
+            c[np.ix_(*block)] = box[tuple(slice(0, b.size) for b in block)]
+    c[np.ix_(*zero)] = values
     return c
 
 
@@ -263,17 +260,17 @@ def write_term_ledger(path, result: CalculusResult) -> None:
 
 def _screen_contour(contour: Contour, values, require_full: bool, label: str):
     dist = contour.circle_distance(values)
-    if dist.size and float(np.min(dist)) < 0.05 * contour.radius:
+    if dist.size and float(np.min(dist)) < CIRCLE_GUARD * contour.radius:
         raise PreconditionError(
-            f"{label}: eigenvalue within 0.05*radius of the quadrature circle")
+            f"{label}: eigenvalue within {CIRCLE_GUARD:.2f}*radius of the quadrature circle")
     if require_full and not np.all(contour.encloses(values)):
         raise PreconditionError(
             f"{label}: contour must enclose the whole spectrum "
             f"(an eigenvalue lies outside)")
 
 
-def dunford(f: AnalyticFunction, x, contour: Contour, nodes: int | None = None,
-            require_full: bool = True, verify: bool = False) -> np.ndarray:
+def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
+            verify: bool = False) -> np.ndarray:
     """(1/2pi i) contour integral of f(z) (zI - x)^{-1} dz.
 
     With `require_full` the contour must enclose the whole spectrum, giving
@@ -293,9 +290,9 @@ def dunford(f: AnalyticFunction, x, contour: Contour, nodes: int | None = None,
         w = contour.weights(m) * np.asarray(f(zs), dtype=complex)
         return np.tensordot(w, rs, axes=1)
 
-    value = run(nodes or contour.nodes)
+    value = run(contour.nodes)
     if verify:
-        fine = run(2 * (nodes or contour.nodes))
+        fine = run(2 * contour.nodes)
         gap = op_norm(fine - value)
         if gap > _DOUBLING_TOL * (1.0 + op_norm(fine)):
             raise QuadratureError(

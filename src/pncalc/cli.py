@@ -396,9 +396,10 @@ def _oracle_case(f, factors: list[np.ndarray], nodes: int, tol: float,
     d_sd = linalg.op_norm(spectral - quad)
     d_ss = linalg.op_norm(spectral - series)
     d_ds = linalg.op_norm(quad - series)
-    threshold = tol * (1.0 + linalg.op_norm(spectral))
+    norm = linalg.op_norm(spectral)
+    threshold = tol * (1.0 + norm)
     ok = max(d_sd, d_ss, d_ds) <= threshold
-    return linalg.op_norm(spectral), d_sd, d_ss, d_ds, threshold, ok
+    return norm, d_sd, d_ss, d_ds, threshold, ok
 
 
 def cmd_oracle_check(cfg: dict, out_dir: str, seed: int | None) -> int:

@@ -6,14 +6,16 @@ polynomials with declared (per-variable) pole sets, plus sums and products.
 Every node knows three things the calculus needs:
 
 * vectorized evaluation,
-* exact mixed partials (each node differentiates to another node, so
-  derivative trees stay closed form; polynomials differentiate by table),
 * Taylor coefficient boxes at a center (series algebra: shift, convolution,
-  series division), used by the power-series oracle.
+  series division); entry alpha is d^alpha f / alpha!, the one source of
+  derivative coefficients for the spectral assembly, the power-series
+  oracle and `mixed_partial`,
+* declared poles along each variable, for the analyticity checks.
 
-A Cauchy-integral fallback computes mixed partials by iterated contour
-quadrature with a node-doubling certificate; it exists so the closed forms
-can be cross-checked and so externally supplied strategies stay honest.
+A Cauchy-integral route computes mixed partials by iterated contour
+quadrature with a node-doubling certificate; it exists so the Taylor boxes
+can be cross-checked.  `partial` (each node differentiates to another node)
+is kept as public API; the calculus does not use it.
 
 Multi-indices are plain int tuples throughout.
 """
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 from scipy.signal import fftconvolve
@@ -57,7 +59,6 @@ class AnalyticFunction:
     """Base node: arity, evaluation, partials, Taylor boxes, spec string."""
 
     arity: int
-    derivative_strategy = "closed_form"
 
     def __init__(self, arity: int):
         if arity < 1:
@@ -102,21 +103,17 @@ class AnalyticFunction:
                       nodes: int = CAUCHY_NODES) -> complex:
         """d^alpha f at `point`.
 
-        strategy: None uses the node's own derivative_strategy;
+        strategy: None reads alpha! * a_alpha from the Taylor box at `point`;
         "cauchy_contour" forces iterated contour quadrature (per-variable
         circles of radius 0.3 * distance-to-singularity, 1 for entire
         directions) with a node-doubling stability certificate.
         """
         alpha = as_multi_index(alpha, self.arity)
         pt = _broadcast_point(point, self.arity)
-        chosen = strategy or self.derivative_strategy
-        if chosen in ("closed_form", "polynomial_table"):
-            fn = self
-            for j, q in enumerate(alpha):
-                for _ in range(q):
-                    fn = fn.partial(j)
-            return complex(fn._eval(pt))
-        if chosen == "cauchy_contour":
+        if strategy is None:
+            box = taylor_coefficients(self, pt, max(alpha))
+            return complex(prod(factorial(q) for q in alpha) * box[alpha])
+        if strategy == "cauchy_contour":
             coarse = self._cauchy_partial(pt, alpha, nodes)
             fine = self._cauchy_partial(pt, alpha, 2 * nodes)
             if abs(fine - coarse) > _CAUCHY_DOUBLING_TOL * (1.0 + abs(fine)):
@@ -124,7 +121,7 @@ class AnalyticFunction:
                     f"cauchy derivative for alpha={alpha} unstable under node doubling "
                     f"({abs(fine - coarse):.3e} relative to {abs(fine):.3e})")
             return fine
-        raise ConfigError(f"unknown derivative strategy {chosen!r}")
+        raise ConfigError(f"unknown derivative strategy {strategy!r}")
 
     def _cauchy_partial(self, pt, alpha, nodes):
         support = [j for j, q in enumerate(alpha) if q > 0]
@@ -176,8 +173,6 @@ def _empty_box(arity, cap):
 
 class Polynomial(AnalyticFunction):
     """Coefficient table {multi-index: coefficient}."""
-
-    derivative_strategy = "polynomial_table"
 
     def __init__(self, table: dict, arity: int):
         super().__init__(arity)

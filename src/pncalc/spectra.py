@@ -140,7 +140,7 @@ def cluster_eigenvalues(values, tol: float) -> list[tuple[complex, list[int]]]:
     return out
 
 
-def riesz_projector(x, contour: Contour, eigenvalues=None, nodes: int | None = None) -> np.ndarray:
+def riesz_projector(x, contour: Contour, eigenvalues=None) -> np.ndarray:
     """Spectral projector (1/2pi i) of the resolvent around `contour`.
 
     Trapezoidal quadrature on the circle, spectrally accurate for the
@@ -156,8 +156,8 @@ def riesz_projector(x, contour: Contour, eigenvalues=None, nodes: int | None = N
         raise ContourTooCloseError(
             f"eigenvalue within {CIRCLE_GUARD:.2f}*radius of the contour "
             f"(min distance {np.min(dist):.3e}, radius {contour.radius:.3e})")
-    rs = resolvent_at_nodes(x, contour.points(nodes))
-    return np.tensordot(contour.weights(nodes), rs, axes=1)
+    rs = resolvent_at_nodes(x, contour.points())
+    return np.tensordot(contour.weights(), rs, axes=1)
 
 
 def nilpotent_part(x, projector, eigenvalue: complex) -> np.ndarray:

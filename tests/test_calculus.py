@@ -1,4 +1,5 @@
 import csv
+import time
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ def _golden_pair_values():
         "exp(z1+z2)": e * (i4 + n1 + n2 + n1 @ n2),
         "prod(exp(z1),poly{(0,0):1,(0,1):1})": e * (i4 + n1 + n2 + n1 @ n2),
         "poly{(0,1):1,(1,1):2,(2,1):1}": 4 * n2 + 4 * n1 @ n2,
+        # 1/(4 - z1 - z2): d^alpha f(1, 0) = |alpha|! / 3^(|alpha| + 1)
+        "ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1,(0,1):-1})":
+            i4 / 3 + n1 / 9 + n2 / 9 + 2 * n1 @ n2 / 27,
     }
 
 
@@ -51,6 +55,26 @@ def test_golden_pair_all_routes():
         series = calculus.power_series_apply(f, system)
         for val in (spectral, quad, series):
             assert np.linalg.norm(val - gold, 2) <= 1e-9, spec
+
+
+def test_jordan_index_sweep_matches_expm():
+    # f(J) for a nu x nu Jordan block needs d^k f(lambda)/k! up to k = nu - 1
+    # (Higham, Functions of Matrices, ch. 1); on a pair of blocks the
+    # assembly reads mixed orders up to (nu - 1, nu - 1)
+    rng = np.random.default_rng(12)
+    f = parse("exp(z1+z2)")
+    t0 = time.perf_counter()
+    for nu in range(2, 13):
+        blocks = []
+        for _ in range(2):
+            lam = complex(*rng.uniform(-0.5, 0.5, size=2))
+            q, _ = np.linalg.qr(rng.normal(size=(nu, nu)))
+            blocks.append(q @ (lam * np.eye(nu) + 0.3 * np.eye(nu, k=1)) @ q.T)
+        system = calculus.lift(blocks, cluster_tol=0.5)
+        val = calculus.func_multivariate(f, system).value
+        ref = np.kron(expm(blocks[0]), expm(blocks[1]))
+        assert np.linalg.norm(val - ref, 2) <= 1e-12 * np.linalg.norm(ref, 2), nu
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_dunford_reproduces_nilpotent_jordan():

@@ -90,6 +90,8 @@ def test_cauchy_contour_matches_closed_form():
         ("exp(z1+z2)", (0.1, -0.2), (2, 1)),
         ("sin(0.5*z1)", (0.4,), (3,)),
         ("ratio(poly{0:1},poly{0:3,1:-1})", (0.0,), (2,)),  # 1/(3-z)
+        ("prod(exp(z1),sin(z2))", (0.2, -0.3), (3, 2)),
+        ("ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1,(0,1):-1})", (0.1, 0.2), (2, 1)),
     ]
     for spec, pt, alpha in cases:
         f = parse(spec)
