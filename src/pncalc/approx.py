@@ -15,23 +15,28 @@ spectral cluster enclosed by a contour:
 
 Both f(.) evaluations run through the contour integral restricted to the
 enclosed cluster, which is what makes the comparison meaningful for
-truncations that destroy the spectrum far above the cluster.
+truncations that destroy the spectrum far above the cluster.  The
+reference's cluster projector and f come from one resolvent stack.  A
+truncation is integrated at its own size n: its zero-padding to ref_dim only
+adds the eigenvalue 0, whose block of the integral is one scalar quadrature
+times the identity.
 """
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import dunford, dunford_multivariate, lift
+from .calculus import _resolvent_integrals, dunford, dunford_multivariate, lift
 from .errors import (
     ClusterSeparationError,
     ConfigError,
     PreconditionError,
     ToleranceError,
 )
-from .functions import AnalyticFunction
+from .functions import AnalyticFunction, Polynomial
 from .linalg import as_matrix, eye_like, op_norm, read_cmat, resolvent, resolvent_at_nodes
 from .spectra import CIRCLE_GUARD, Contour, riesz_projector
 
@@ -46,6 +51,8 @@ _MIN_REF_DIM = 16
 # more nodes than the contour declares for eps / C_f
 _MEAS_NODES = 256
 _MEAS_FLOOR = 1e-14
+# f = 1: its cluster integral is the Riesz projector
+_ONE = Polynomial({0: 1.0}, 1)
 
 
 def _meas_contour(contour: Contour) -> Contour:
@@ -58,6 +65,11 @@ class OperatorModel:
     ref_dim: int
     guard: int
     matrix_ref: np.ndarray
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of matrix_ref (unsorted), computed once per model."""
+        return np.linalg.eigvals(self.matrix_ref)
 
 
 @dataclass
@@ -201,8 +213,9 @@ def resolvent_error(model: OperatorModel, point: TruncationPoint | int,
     if isinstance(point, (int, np.integer)):
         point = compress(model, int(point))
     ref = model.matrix_ref
-    for label, m in (("reference", ref), ("truncation", point.x_n_padded)):
-        d = float(np.min(np.abs(np.linalg.eigvals(m) - complex(z0))))
+    padded = np.append(np.linalg.eigvals(point.x_n), 0.0)
+    for label, evs in (("reference", model.eigenvalues), ("truncation", padded)):
+        d = float(np.min(np.abs(evs - complex(z0))))
         if d < 1.0 - 1e-9:
             raise PreconditionError(
                 f"z0={z0} is at distance {d:.3f} < 1 from the {label} spectrum")
@@ -210,7 +223,7 @@ def resolvent_error(model: OperatorModel, point: TruncationPoint | int,
 
 
 def reference_eigenvalues(model: OperatorModel) -> np.ndarray:
-    return np.sort_complex(np.linalg.eigvals(model.matrix_ref))
+    return np.sort_complex(model.eigenvalues)
 
 
 def lowest_cluster_contour(model: OperatorModel, k: int,
@@ -221,8 +234,7 @@ def lowest_cluster_contour(model: OperatorModel, k: int,
     spectrum; the padding eigenvalue 0 is always treated as excluded, so the
     same contour is valid for every truncation.
     """
-    evs = np.array(sorted(np.linalg.eigvals(model.matrix_ref),
-                          key=lambda z: (z.real, z.imag)))
+    evs = np.array(sorted(model.eigenvalues, key=lambda z: (z.real, z.imag)))
     if not 1 <= k < evs.size:
         raise ConfigError(f"cluster size {k} out of range for dim {evs.size}")
     cluster, rest = evs[:k], list(evs[k:])
@@ -260,14 +272,13 @@ def error_constant(f: AnalyticFunction, model: OperatorModel, contour: Contour,
     sup_trunc = 0.0
     for n in n_range:
         tp = compress(model, int(n))
-        _screen(contour, tp.x_n)
+        _screen(contour, np.linalg.eigvals(tp.x_n))
         sup_trunc = max(sup_trunc, _sup_resolvent_norm(tp.x_n, zs))
-    _screen(contour, model.matrix_ref)
+    _screen(contour, model.eigenvalues)
     return contour.radius * m_f * sup_trunc * sup_ref
 
 
-def _screen(contour: Contour, x: np.ndarray) -> None:
-    evs = np.linalg.eigvals(x)
+def _screen(contour: Contour, evs: np.ndarray) -> None:
     if float(np.min(contour.circle_distance(evs))) < CIRCLE_GUARD * contour.radius:
         raise PreconditionError("eigenvalue within the contour guard band")
 
@@ -280,12 +291,12 @@ def error_constant_multi(f: AnalyticFunction, models, contours, n_range) -> floa
     sup_ref, sup_trunc = [], []
     for j in range(r):
         zs = contours[j].points()
-        _screen(contours[j], models[j].matrix_ref)
+        _screen(contours[j], models[j].eigenvalues)
         sup_ref.append(_sup_resolvent_norm(models[j].matrix_ref, zs))
         worst = 0.0
         for n in n_range:
             tp = compress(models[j], int(n))
-            _screen(contours[j], tp.x_n)
+            _screen(contours[j], np.linalg.eigvals(tp.x_n))
             worst = max(worst, _sup_resolvent_norm(tp.x_n, zs))
         sup_trunc.append(worst)
     prod_radius = 1.0
@@ -324,6 +335,23 @@ def _relative_change(a: float, b: float) -> float:
     return abs(a - b) / max(a, 1e-12)
 
 
+def _truncation_integral(f: AnalyticFunction, tp: TruncationPoint,
+                         contour: Contour) -> np.ndarray:
+    """dunford(f, tp.x_n_padded, contour, require_full=False), solved at size n.
+
+    blockdiag(X_n, 0) has the resolvent blockdiag((zI - X_n)^{-1}, z^{-1} I),
+    so the padding block is s I, with s the same quadrature of the 1 x 1 zero
+    matrix: f(0) when the contour encloses 0, about 0 otherwise.  The two
+    guard-band screens together see the padded spectrum, eig(X_n) and 0.
+    """
+    n = tp.n
+    g = np.zeros_like(tp.x_n_padded)
+    g[:n, :n] = dunford(f, tp.x_n, contour, require_full=False)
+    pad = np.arange(n, g.shape[0])
+    g[pad, pad] = dunford(f, np.zeros((1, 1)), contour, require_full=False)[0, 0]
+    return g
+
+
 def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
                      contour: Contour, n_list, probes=None,
                      stability_check: bool = True) -> ConvergenceReport:
@@ -339,8 +367,7 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
         probes = default_probes(model.ref_dim)
     ref = model.matrix_ref
     meas = _meas_contour(contour)
-    p_c = riesz_projector(ref, meas)
-    g_ref = dunford(f, ref, meas, require_full=False)
+    p_c, g_ref = _resolvent_integrals([_ONE, f], ref, meas, require_full=False)
     r0 = resolvent(ref, z0)
     c_f = error_constant(f, model, contour, n_list)
     # measurement allowance: comparisons against the bound cannot resolve
@@ -353,8 +380,7 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
         eps_global = resolvent_error(model, tp, z0)
         diff_op = (tp.x_n_padded - ref) @ r0
         eps_cluster = op_norm(diff_op @ p_c)
-        g_n = dunford(f, tp.x_n_padded, meas, require_full=False)
-        d = g_n - g_ref
+        d = _truncation_integral(f, tp, meas) - g_ref
         func_err = op_norm(d)
         p_err = [float(np.linalg.norm(d @ u)) for u in probes]
         bound = c_f * eps_cluster * (1.0 + _BOUND_SLACK) + floor
@@ -403,7 +429,7 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     mats = []
     for d in deltas:
         xd = x + float(d) * e_mat
-        _screen(contour, xd)
+        _screen(contour, np.linalg.eigvals(xd))
         mats.append(xd)
         sup_fam = max(sup_fam, _sup_resolvent_norm(xd, zs))
     c_f = contour.radius * m_f * sup_fam * sup_ref

@@ -269,6 +269,42 @@ def _screen_contour(contour: Contour, values, require_full: bool, label: str):
             f"(an eigenvalue lies outside)")
 
 
+def _resolvent_integrals(fs, x, contour: Contour, require_full: bool,
+                         verify: bool = False) -> list[np.ndarray]:
+    """(1/2pi i) contour integral of f(z) (zI - x)^{-1} dz for every f in `fs`.
+
+    eig, the guard-band screen and each analyticity check run once; every
+    integral contracts the same resolvent stack with its own weight row
+    w * f(nodes).  `verify` repeats the quadrature on doubled nodes and
+    demands 1e-10 relative agreement for every f.
+    """
+    for f in fs:
+        if f.arity != 1:
+            raise ConfigError(f"dunford needs a univariate function, got arity {f.arity}")
+    x = as_matrix(x, square=True)
+    _screen_contour(contour, eig(x).eigenvalues, require_full, "dunford")
+    for f in fs:
+        f.assert_analytic_on([contour.center], [contour.radius])
+
+    def run(m):
+        zs = contour.points(m)
+        rs = resolvent_at_nodes(x, zs)
+        w = contour.weights(m)
+        return [np.tensordot(w * np.asarray(f(zs), dtype=complex), rs, axes=1)
+                for f in fs]
+
+    values = run(contour.nodes)
+    if verify:
+        fine = run(2 * contour.nodes)
+        for coarse, refined in zip(values, fine):
+            gap = op_norm(refined - coarse)
+            if gap > _DOUBLING_TOL * (1.0 + op_norm(refined)):
+                raise QuadratureError(
+                    f"dunford quadrature unstable under node doubling ({gap:.3e})")
+        values = fine
+    return values
+
+
 def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
             verify: bool = False) -> np.ndarray:
     """(1/2pi i) contour integral of f(z) (zI - x)^{-1} dz.
@@ -277,28 +313,7 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
     f(x); without it the integral restricts f to the enclosed cluster.
     `verify` doubles the node count and demands 1e-10 relative agreement.
     """
-    if f.arity != 1:
-        raise ConfigError(f"dunford needs a univariate function, got arity {f.arity}")
-    x = as_matrix(x, square=True)
-    values = eig(x).eigenvalues
-    _screen_contour(contour, values, require_full, "dunford")
-    f.assert_analytic_on([contour.center], [contour.radius])
-
-    def run(m):
-        zs = contour.points(m)
-        rs = resolvent_at_nodes(x, zs)
-        w = contour.weights(m) * np.asarray(f(zs), dtype=complex)
-        return np.tensordot(w, rs, axes=1)
-
-    value = run(contour.nodes)
-    if verify:
-        fine = run(2 * contour.nodes)
-        gap = op_norm(fine - value)
-        if gap > _DOUBLING_TOL * (1.0 + op_norm(fine)):
-            raise QuadratureError(
-                f"dunford quadrature unstable under node doubling ({gap:.3e})")
-        value = fine
-    return value
+    return _resolvent_integrals([f], x, contour, require_full, verify)[0]
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,

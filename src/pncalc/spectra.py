@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import (
     ClusterSeparationError,
@@ -167,14 +167,21 @@ def nilpotent_part(x, projector, eigenvalue: complex) -> np.ndarray:
 
 
 def nilpotency_index(n_mat, scale: float, tol: float = DEFAULT_TOL_NIL) -> int:
-    """Smallest nu >= 1 with op_norm(N^nu) <= tol * scale^nu, capped at dim."""
+    """Smallest nu >= 1 with op_norm(N^nu) <= tol * scale^nu, capped at dim.
+
+    The Frobenius norm bounds op_norm from above, so a power that passes it
+    passes op_norm too; the SVD is taken only when the Frobenius test fails.
+    BLAS nrm2 scales as it sums, so tiny entries do not underflow to 0.
+    """
     n_mat = as_matrix(n_mat, square=True)
     if scale <= 0:
         scale = 1.0
     dim = n_mat.shape[0]
     power = n_mat.copy()
     for nu in range(1, dim + 1):
-        if op_norm(power) <= tol * scale ** nu:
+        bound = tol * scale ** nu
+        frobenius = blas.dznrm2(power.ravel())
+        if frobenius <= bound or op_norm(power) <= bound:
             return nu
         power = power @ n_mat
     return dim

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from pncalc import approx, functions, linalg, spectra
+from pncalc import approx, calculus, functions, linalg, spectra
 from pncalc.errors import ConfigError, PreconditionError
 
 parse = functions.parse_function
@@ -137,6 +137,61 @@ def test_level_experiment_harmonic():
     assert rep.reference_stability == 0.0
     for r in rep.rows:
         assert r.func_error_norm <= r.bound_rhs
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "anharmonic_x4", "complex_harmonic"])
+@pytest.mark.parametrize("ref_dim", [32, 64])
+def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
+    # the padded truncation solved at size n equals the ref_dim-sized integral
+    m = approx.build_model(kind, ref_dim)
+    f = parse("exp(-z1)")
+    cluster = approx._meas_contour(approx.lowest_cluster_contour(m, 3))
+    around_zero = approx._meas_contour(spectra.Contour(0.0, 2.0))
+    for n in (3, 8, 16):
+        tp = approx.compress(m, n)
+        for contour in (cluster, around_zero):
+            got = approx._truncation_integral(f, tp, contour)
+            want = calculus.dunford(f, tp.x_n_padded, contour, require_full=False)
+            assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
+        # the padding eigenvalue 0 is enclosed: its block is f(0) I
+        pad = got[n:, n:]
+        assert np.allclose(pad, np.eye(ref_dim - n), rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(got[:n, n:])) == 0.0 and np.max(np.abs(got[n:, :n])) == 0.0
+
+
+def test_level_experiment_refuses_contour_on_padding_eigenvalue():
+    # the circle passes 0.05 from 0, inside the guard band 0.05 * 2.05, while
+    # every eigenvalue of the reference and of X_n stays clear of it
+    m = approx.build_model("harmonic", 32)
+    contour = spectra.Contour(2.0, 2.05, 64)
+    lams = approx.reference_eigenvalues(m)
+    assert np.min(contour.circle_distance(lams)) > spectra.CIRCLE_GUARD * contour.radius
+    with pytest.raises(PreconditionError, match="quadrature circle"):
+        approx.level_experiment(m, parse("exp(-z1)"), -1.0, contour, [2, 4])
+
+
+def test_level_experiment_solves_truncations_at_their_own_size(monkeypatch):
+    m = approx.build_model("complex_harmonic", 64)
+    f = parse("exp(-z1)")
+    contour = approx.lowest_cluster_contour(m, 3)
+    meas_nodes = approx._meas_contour(contour).nodes
+    stacks = []
+
+    def spy(x, zs):
+        stacks.append((x.shape[0], np.size(zs), np.array_equal(x, m.matrix_ref)))
+        return linalg.resolvent_at_nodes(x, zs)
+
+    for module in (approx, calculus, spectra):
+        monkeypatch.setattr(module, "resolvent_at_nodes", spy)
+    n_list = [3, 4, 8, 16, 32]
+    approx.level_experiment(m, f, -1.0, contour, n_list)
+    full = [s for s in stacks if s[0] == 64]
+    # one measurement stack gives both P_c and f on the reference ...
+    assert [s for s in full if s[1] == meas_nodes] == [(64, meas_nodes, True)]
+    # ... and no truncation is solved at ref_dim
+    assert all(is_ref for _, _, is_ref in full)
+    for n in n_list:
+        assert (n, meas_nodes, False) in stacks
 
 
 def test_level_experiment_monotone_on_banded_model():

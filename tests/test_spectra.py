@@ -102,6 +102,46 @@ def test_nilpotency_index_shift_matrix():
     assert spectra.nilpotency_index(np.zeros((3, 3), dtype=complex), scale=1.0) == 1
 
 
+def _svd_only_index(n_mat, scale, tol=spectra.DEFAULT_TOL_NIL):
+    """nilpotency_index without the Frobenius pre-test: one SVD per power."""
+    scale = scale if scale > 0 else 1.0
+    power = n_mat.copy()
+    for nu in range(1, n_mat.shape[0] + 1):
+        if np.linalg.norm(power, 2) <= tol * scale ** nu:
+            return nu
+        power = power @ n_mat
+    return n_mat.shape[0]
+
+
+def test_nilpotency_index_frobenius_pretest_matches_svd(monkeypatch):
+    rng = np.random.default_rng(55)
+    decs = []
+    for _ in range(4):
+        x, _ = synth.random_jordan_matrix(rng, 10, max_index=4, cond=8.0)
+        decs.append(spectra.decompose(x, cluster_tol=1e-3 * max(1.0, linalg.op_norm(x))))
+        decs.append(spectra.decompose(synth.random_hermitian(rng, 8)))
+        decs.append(spectra.decompose(synth.random_diagonalizable(rng, 8, cond=5.0)))
+    indices = set()
+    for dec in decs:
+        for c in dec.components:
+            nu = spectra.nilpotency_index(c.nilpotent, dec.scale)
+            assert nu == _svd_only_index(c.nilpotent, dec.scale)
+            indices.add(nu)
+    assert indices == {1, 2, 3, 4}
+
+    # ||N||_2 = 0.8e-8 <= tol < ||N||_F = 1.13e-8: only the SVD accepts nu = 1
+    calls = []
+    monkeypatch.setattr(spectra, "op_norm",
+                        lambda a: calls.append(1) or linalg.op_norm(a))
+    n = synth.block_diag([_jordan(0.0, 2, 0.8e-8)] * 2)
+    assert spectra.nilpotency_index(n, scale=1.0) == _svd_only_index(n, 1.0) == 1
+    assert calls == [1]
+    # a power that passes the Frobenius test takes no SVD
+    calls.clear()
+    assert spectra.nilpotency_index(_jordan(0.0, 3), scale=1.0) == 3
+    assert calls == [1, 1]
+
+
 def test_decompose_golden_block_diag():
     # blkdiag(J_2(0), J_3(2)): components (0, m=2, nu=2) and (2, m=3, nu=3)
     x = synth.block_diag([_jordan(0.0, 2), _jordan(2.0, 3)])
