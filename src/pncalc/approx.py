@@ -16,7 +16,8 @@ spectral cluster enclosed by a contour:
 Both f(.) evaluations run through the contour integral restricted to the
 enclosed cluster, which is what makes the comparison meaningful for
 truncations that destroy the spectrum far above the cluster.  The
-reference's cluster projector and f come from one resolvent stack.  A
+reference's cluster projector and f come from one resolvent stack per factor,
+and C_f from one implementation for truncations and perturbed families.  A
 truncation is integrated at its own size n: its zero-padding to ref_dim only
 adds the eigenvalue 0, whose block of the integral is one scalar quadrature
 times the identity.
@@ -29,7 +30,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import _resolvent_integrals, dunford, dunford_multivariate, lift
+from .calculus import (
+    _check_node_tuples,
+    _node_fold,
+    _resolvent_integrals,
+    dunford,
+    dunford_multivariate,
+    lift,
+)
 from .errors import (
     ClusterSeparationError,
     ConfigError,
@@ -37,8 +45,8 @@ from .errors import (
     ToleranceError,
 )
 from .functions import AnalyticFunction, Polynomial
-from .linalg import as_matrix, eye_like, op_norm, read_cmat, resolvent, resolvent_at_nodes
-from .spectra import CIRCLE_GUARD, Contour, riesz_projector
+from .linalg import as_matrix, op_norm, read_cmat, resolvent
+from .spectra import Contour, _resolvent_stacks
 
 MODEL_KINDS = ("harmonic", "anharmonic_x4", "complex_harmonic", "jordan_toy", "custom_file")
 _OSCILLATORS = ("harmonic", "anharmonic_x4", "complex_harmonic")
@@ -212,14 +220,19 @@ def resolvent_error(model: OperatorModel, point: TruncationPoint | int,
     """
     if isinstance(point, (int, np.integer)):
         point = compress(model, int(point))
+    _check_z0(model, point, z0)
     ref = model.matrix_ref
+    return op_norm((point.x_n_padded - ref) @ resolvent(ref, z0))
+
+
+def _check_z0(model: OperatorModel, point: TruncationPoint, z0: complex) -> None:
+    """The precondition of eps_n (see resolvent_error)."""
     padded = np.append(np.linalg.eigvals(point.x_n), 0.0)
     for label, evs in (("reference", model.eigenvalues), ("truncation", padded)):
         d = float(np.min(np.abs(evs - complex(z0))))
         if d < 1.0 - 1e-9:
             raise PreconditionError(
                 f"z0={z0} is at distance {d:.3f} < 1 from the {label} spectrum")
-    return op_norm((point.x_n_padded - ref) @ resolvent(ref, z0))
 
 
 def reference_eigenvalues(model: OperatorModel) -> np.ndarray:
@@ -253,63 +266,54 @@ def default_probes(dim: int, count: int = DEFAULT_PROBES) -> list[np.ndarray]:
     return [np.eye(dim, dtype=complex)[:, i] for i in range(min(count, dim))]
 
 
-def _sup_resolvent_norm(x: np.ndarray, zs: np.ndarray) -> float:
-    rs = resolvent_at_nodes(x, zs)
-    return float(max(np.linalg.norm(r, 2) for r in rs))
+def _sup_resolvent_norm(x: np.ndarray, contour: Contour, eigenvalues) -> float:
+    [(_, _, rs)] = _resolvent_stacks(x, contour, eigenvalues=eigenvalues,
+                                     label="error constant")
+    return float(np.max(np.linalg.norm(rs, 2, axis=(1, 2))))
+
+
+def _error_constant(f: AnalyticFunction, contours, families) -> float:
+    """prod radii * max|f| * r * worst telescoping product of resolvent sups.
+
+    families[j] lists factor j's (matrix, eigenvalues) pairs: its reference
+    first, then the truncations or perturbed matrices compared with it.  Each
+    spectrum is screened before that matrix's contour nodes are solved.
+    """
+    r = len(contours)
+    grids = np.meshgrid(*[c.points() for c in contours], indexing="ij")
+    m_f = float(np.max(np.abs(np.asarray(f(*grids), dtype=complex))))
+    sups = [[_sup_resolvent_norm(x, c, evs) for x, evs in family]
+            for family, c in zip(families, contours)]
+    sup_ref = [s[0] for s in sups]
+    sup_fam = [max(s[1:], default=0.0) for s in sups]
+    scale = m_f * r * float(np.prod([c.radius for c in contours]))
+    worst_term = 0.0
+    for j in range(r):
+        term = scale * sup_fam[j] * sup_ref[j]
+        for i in range(r):
+            if i != j:
+                term *= max(sup_ref[i], sup_fam[i])
+        worst_term = max(worst_term, term)
+    return worst_term
 
 
 def error_constant(f: AnalyticFunction, model: OperatorModel, contour: Contour,
                    n_range) -> float:
     """C_f = radius * max|f on contour| * sup_n sup_z ||R_n(z)|| * sup_z ||R(z)||.
 
-    The truncation resolvents use the unpadded n x n blocks (the truncation
-    acts on its own range); the contour must stay clear of every spectrum
-    involved.
+    error_constant_multi with one factor.  The truncation resolvents use the
+    unpadded n x n blocks (the truncation acts on its own range); the contour
+    must stay clear of every spectrum involved.
     """
-    zs = contour.points()
-    m_f = float(np.max(np.abs(np.asarray(f(zs), dtype=complex))))
-    sup_ref = _sup_resolvent_norm(model.matrix_ref, zs)
-    sup_trunc = 0.0
-    for n in n_range:
-        tp = compress(model, int(n))
-        _screen(contour, np.linalg.eigvals(tp.x_n))
-        sup_trunc = max(sup_trunc, _sup_resolvent_norm(tp.x_n, zs))
-    _screen(contour, model.eigenvalues)
-    return contour.radius * m_f * sup_trunc * sup_ref
-
-
-def _screen(contour: Contour, evs: np.ndarray) -> None:
-    if float(np.min(contour.circle_distance(evs))) < CIRCLE_GUARD * contour.radius:
-        raise PreconditionError("eigenvalue within the contour guard band")
+    return error_constant_multi(f, [model], [contour], n_range)
 
 
 def error_constant_multi(f: AnalyticFunction, models, contours, n_range) -> float:
     """Multivariate constant: prod radii * max|f| * r * worst telescoping product."""
-    r = len(models)
-    grids = np.meshgrid(*[c.points() for c in contours], indexing="ij")
-    m_f = float(np.max(np.abs(np.asarray(f(*grids), dtype=complex))))
-    sup_ref, sup_trunc = [], []
-    for j in range(r):
-        zs = contours[j].points()
-        _screen(contours[j], models[j].eigenvalues)
-        sup_ref.append(_sup_resolvent_norm(models[j].matrix_ref, zs))
-        worst = 0.0
-        for n in n_range:
-            tp = compress(models[j], int(n))
-            _screen(contours[j], np.linalg.eigvals(tp.x_n))
-            worst = max(worst, _sup_resolvent_norm(tp.x_n, zs))
-        sup_trunc.append(worst)
-    prod_radius = 1.0
-    for c in contours:
-        prod_radius *= c.radius
-    worst_term = 0.0
-    for j in range(r):
-        term = sup_trunc[j] * sup_ref[j]
-        for i in range(r):
-            if i != j:
-                term *= max(sup_ref[i], sup_trunc[i])
-        worst_term = max(worst_term, term)
-    return prod_radius * m_f * r * worst_term
+    families = [[(m.matrix_ref, m.eigenvalues)]
+                + [(tp.x_n, np.linalg.eigvals(tp.x_n))
+                   for tp in (compress(m, int(n)) for n in n_range)] for m in models]
+    return _error_constant(f, contours, families)
 
 
 def _level1_pass(sequences: list[list[float]]) -> bool:
@@ -329,6 +333,25 @@ def _level1_pass(sequences: list[list[float]]) -> bool:
     return True
 
 
+def _report_row(n, eps_global: float, eps_cluster: float, d: np.ndarray, probes,
+                c_f: float, floor: float) -> ReportRow:
+    """One row's errors of d = f(X_n) - f(X) and its level-2 check
+    ||d|| <= C_f * eps_cluster, with slack and the measurement floor."""
+    func_err = op_norm(d)
+    p_err = [float(np.linalg.norm(d @ u)) for u in probes]
+    bound = c_f * eps_cluster * (1.0 + _BOUND_SLACK) + floor
+    return ReportRow(n, eps_global, eps_cluster, func_err, p_err, bound, func_err <= bound)
+
+
+def _report(kind: str, f: AnalyticFunction, z0: complex, c_f: float,
+            rows: list[ReportRow], n_probes: int) -> ConvergenceReport:
+    report = ConvergenceReport(kind, f.to_spec(), complex(z0), c_f, rows)
+    report.level1_pass = _level1_pass(
+        [[row.probe_errors[i] for row in rows] for i in range(n_probes)])
+    report.level2_pass = all(row.level2_ok for row in rows)
+    return report
+
+
 def _relative_change(a: float, b: float) -> float:
     if a <= 1e-12 and b <= 1e-12:
         return 0.0
@@ -336,19 +359,19 @@ def _relative_change(a: float, b: float) -> float:
 
 
 def _truncation_integral(f: AnalyticFunction, tp: TruncationPoint,
-                         contour: Contour) -> np.ndarray:
+                         contour: Contour, pad: complex) -> np.ndarray:
     """dunford(f, tp.x_n_padded, contour, require_full=False), solved at size n.
 
     blockdiag(X_n, 0) has the resolvent blockdiag((zI - X_n)^{-1}, z^{-1} I),
-    so the padding block is s I, with s the same quadrature of the 1 x 1 zero
-    matrix: f(0) when the contour encloses 0, about 0 otherwise.  The two
-    guard-band screens together see the padded spectrum, eig(X_n) and 0.
+    so the padding block is pad * I, with pad the same quadrature of the 1 x 1
+    zero matrix: f(0) when the contour encloses 0, about 0 otherwise.  The
+    two guard-band screens together see the padded spectrum, eig(X_n) and 0.
     """
     n = tp.n
     g = np.zeros_like(tp.x_n_padded)
     g[:n, :n] = dunford(f, tp.x_n, contour, require_full=False)
-    pad = np.arange(n, g.shape[0])
-    g[pad, pad] = dunford(f, np.zeros((1, 1)), contour, require_full=False)[0, 0]
+    idx = np.arange(n, g.shape[0])
+    g[idx, idx] = pad
     return g
 
 
@@ -368,6 +391,7 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
     ref = model.matrix_ref
     meas = _meas_contour(contour)
     p_c, g_ref = _resolvent_integrals([_ONE, f], ref, meas, require_full=False)
+    pad = dunford(f, np.zeros((1, 1)), meas, require_full=False)[0, 0]
     r0 = resolvent(ref, z0)
     c_f = error_constant(f, model, contour, n_list)
     # measurement allowance: comparisons against the bound cannot resolve
@@ -377,20 +401,13 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
     rows = []
     for n in n_list:
         tp = compress(model, n)
-        eps_global = resolvent_error(model, tp, z0)
+        _check_z0(model, tp, z0)
         diff_op = (tp.x_n_padded - ref) @ r0
+        eps_global = op_norm(diff_op)
         eps_cluster = op_norm(diff_op @ p_c)
-        d = _truncation_integral(f, tp, meas) - g_ref
-        func_err = op_norm(d)
-        p_err = [float(np.linalg.norm(d @ u)) for u in probes]
-        bound = c_f * eps_cluster * (1.0 + _BOUND_SLACK) + floor
-        rows.append(ReportRow(n, eps_global, eps_cluster, func_err, p_err,
-                              bound, func_err <= bound))
-
-    report = ConvergenceReport(model.kind, f.to_spec(), complex(z0), c_f, rows)
-    report.level1_pass = _level1_pass(
-        [[row.probe_errors[i] for row in rows] for i in range(len(probes))])
-    report.level2_pass = all(row.level2_ok for row in rows)
+        d = _truncation_integral(f, tp, meas, pad) - g_ref
+        rows.append(_report_row(n, eps_global, eps_cluster, d, probes, c_f, floor))
+    report = _report(model.kind, f, z0, c_f, rows, len(probes))
 
     if stability_check and model.kind in _OSCILLATORS and model.ref_dim // 2 >= _MIN_REF_DIM:
         half = build_model(model.kind, model.ref_dim // 2, model.guard)
@@ -422,17 +439,8 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     e_mat = as_matrix(e_mat, square=True)
     if probes is None:
         probes = default_probes(x.shape[0])
-    zs = contour.points()
-    m_f = float(np.max(np.abs(np.asarray(f(zs), dtype=complex))))
-    sup_ref = _sup_resolvent_norm(x, zs)
-    sup_fam = 0.0
-    mats = []
-    for d in deltas:
-        xd = x + float(d) * e_mat
-        _screen(contour, np.linalg.eigvals(xd))
-        mats.append(xd)
-        sup_fam = max(sup_fam, _sup_resolvent_norm(xd, zs))
-    c_f = contour.radius * m_f * sup_fam * sup_ref
+    mats = [x + float(d) * e_mat for d in deltas]
+    c_f = _error_constant(f, [contour], [[(m, np.linalg.eigvals(m)) for m in [x] + mats]])
 
     meas = _meas_contour(contour)
     g_ref = dunford(f, x, meas)
@@ -442,16 +450,8 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     for d, xd in zip(deltas, mats):
         eps = op_norm(float(d) * e_mat @ r0)
         diff = dunford(f, xd, meas) - g_ref
-        func_err = op_norm(diff)
-        p_err = [float(np.linalg.norm(diff @ u)) for u in probes]
-        bound = c_f * eps * (1.0 + _BOUND_SLACK) + floor
-        rows.append(ReportRow(float(d), eps, eps, func_err, p_err, bound,
-                              func_err <= bound))
-    report = ConvergenceReport("perturbation", f.to_spec(), complex(z0), c_f, rows)
-    report.level2_pass = all(r.level2_ok for r in rows)
-    report.level1_pass = _level1_pass(
-        [[row.probe_errors[i] for row in rows] for i in range(len(probes))])
-    return report
+        rows.append(_report_row(float(d), eps, eps, diff, probes, c_f, floor))
+    return _report("perturbation", f, z0, c_f, rows, len(probes))
 
 
 def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
@@ -472,10 +472,13 @@ def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
         probes = default_probes(tensor_dim)
 
     meas = [_meas_contour(c) for c in contours]
-    p_cs = [riesz_projector(refs[j], meas[j]) for j in range(r)]
+    _check_node_tuples(f, meas)
+    # one stack per reference factor gives its P_c and its part of g_ref
+    stacks = [_resolvent_stacks(refs[j], meas[j], eigenvalues=models[j].eigenvalues,
+                                label=f"factor {j + 1}")[0] for j in range(r)]
+    p_cs = [np.tensordot(w, rs, axes=1) for _, w, rs in stacks]
     r0s = [resolvent(refs[j], z0s[j]) for j in range(r)]
-    sys_ref = lift(refs)
-    g_ref = dunford_multivariate(f, sys_ref, meas, require_full=False)
+    g_ref = _node_fold(f, stacks)
     c_f = error_constant_multi(f, models, contours, n_list)
     floor = _MEAS_FLOOR * (1.0 + op_norm(g_ref))
 
@@ -484,23 +487,14 @@ def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
         tps = [compress(models[j], n) for j in range(r)]
         eps_g, eps_c = 0.0, 0.0
         for j in range(r):
-            eps_g += resolvent_error(models[j], tps[j], z0s[j])
-            eps_c += op_norm((tps[j].x_n_padded - refs[j]) @ r0s[j] @ p_cs[j])
-        sys_n = lift([tp.x_n_padded for tp in tps])
-        g_n = dunford_multivariate(f, sys_n, meas, require_full=False)
-        d = g_n - g_ref
-        func_err = op_norm(d)
-        p_err = [float(np.linalg.norm(d @ u)) for u in probes]
-        bound = c_f * eps_c * (1.0 + _BOUND_SLACK) + floor
-        rows.append(ReportRow(n, eps_g, eps_c, func_err, p_err, bound,
-                              func_err <= bound))
-
-    report = ConvergenceReport("+".join(m.kind for m in models), f.to_spec(),
-                               complex(z0s[0]), c_f, rows)
-    report.level1_pass = _level1_pass(
-        [[row.probe_errors[i] for row in rows] for i in range(len(probes))])
-    report.level2_pass = all(row.level2_ok for row in rows)
-    return report
+            _check_z0(models[j], tps[j], z0s[j])
+            diff_op = (tps[j].x_n_padded - refs[j]) @ r0s[j]
+            eps_g += op_norm(diff_op)
+            eps_c += op_norm(diff_op @ p_cs[j])
+        g_n = dunford_multivariate(f, lift([tp.x_n_padded for tp in tps]), meas,
+                                   require_full=False)
+        rows.append(_report_row(n, eps_g, eps_c, g_n - g_ref, probes, c_f, floor))
+    return _report("+".join(m.kind for m in models), f, z0s[0], c_f, rows, len(probes))
 
 
 @dataclass

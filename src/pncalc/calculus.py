@@ -12,7 +12,8 @@ Three independent routes compute it:
   with the terms ledgered and split into s0 (alpha = 0), s_mixed
   (partial support) and s_full (full support) parts;
 * dunford_multivariate: iterated contour quadrature of
-  f(z_1..z_r) kron_j (z_j I - X_j)^{-1};
+  f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened resolvent stack
+  per factor and node count;
 * power_series_apply: a truncated lifted Taylor series about a factor-wise
   center, with a certified tail bound.
 
@@ -36,8 +37,8 @@ from .errors import (
     TailBoundError,
 )
 from .functions import AnalyticFunction, taylor_coefficients
-from .linalg import KRON_CAP, as_matrix, eig, eye_like, op_norm, resolvent_at_nodes
-from .spectra import CIRCLE_GUARD, Contour, Decomposition, decompose
+from .linalg import KRON_CAP, as_matrix, eye_like, op_norm
+from .spectra import Contour, Decomposition, _resolvent_stacks, decompose
 
 _DOUBLING_TOL = 1e-10
 NODE_BUDGET = 300_000
@@ -258,17 +259,6 @@ def write_term_ledger(path, result: CalculusResult) -> None:
 # contour quadrature
 
 
-def _screen_contour(contour: Contour, values, require_full: bool, label: str):
-    dist = contour.circle_distance(values)
-    if dist.size and float(np.min(dist)) < CIRCLE_GUARD * contour.radius:
-        raise PreconditionError(
-            f"{label}: eigenvalue within {CIRCLE_GUARD:.2f}*radius of the quadrature circle")
-    if require_full and not np.all(contour.encloses(values)):
-        raise PreconditionError(
-            f"{label}: contour must enclose the whole spectrum "
-            f"(an eigenvalue lies outside)")
-
-
 def _resolvent_integrals(fs, x, contour: Contour, require_full: bool,
                          verify: bool = False) -> list[np.ndarray]:
     """(1/2pi i) contour integral of f(z) (zI - x)^{-1} dz for every f in `fs`.
@@ -281,27 +271,19 @@ def _resolvent_integrals(fs, x, contour: Contour, require_full: bool,
     for f in fs:
         if f.arity != 1:
             raise ConfigError(f"dunford needs a univariate function, got arity {f.arity}")
-    x = as_matrix(x, square=True)
-    _screen_contour(contour, eig(x).eigenvalues, require_full, "dunford")
-    for f in fs:
         f.assert_analytic_on([contour.center], [contour.radius])
-
-    def run(m):
-        zs = contour.points(m)
-        rs = resolvent_at_nodes(x, zs)
-        w = contour.weights(m)
-        return [np.tensordot(w * np.asarray(f(zs), dtype=complex), rs, axes=1)
-                for f in fs]
-
-    values = run(contour.nodes)
+    counts = (contour.nodes, 2 * contour.nodes) if verify else (contour.nodes,)
+    stacks = _resolvent_stacks(x, contour, counts, require_full=require_full,
+                               label="dunford")
+    runs = [[np.tensordot(w * np.asarray(f(zs), dtype=complex), rs, axes=1)
+             for f in fs] for zs, w, rs in stacks]
+    values = runs[-1]
     if verify:
-        fine = run(2 * contour.nodes)
-        for coarse, refined in zip(values, fine):
+        for coarse, refined in zip(runs[0], values):
             gap = op_norm(refined - coarse)
             if gap > _DOUBLING_TOL * (1.0 + op_norm(refined)):
                 raise QuadratureError(
                     f"dunford quadrature unstable under node doubling ({gap:.3e})")
-        values = fine
     return values
 
 
@@ -314,6 +296,28 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
     `verify` doubles the node count and demands 1e-10 relative agreement.
     """
     return _resolvent_integrals([f], x, contour, require_full, verify)[0]
+
+
+def _check_node_tuples(f: AnalyticFunction, contours: list[Contour], scale: int = 1,
+                       budget: int = NODE_BUDGET) -> None:
+    """Analyticity on the polydisk, and the cost guard on node tuples."""
+    f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
+    total = int(np.prod([c.nodes * scale for c in contours]))
+    if total > budget:
+        raise PreconditionError(
+            f"quadrature cost guard: {total} node tuples exceed budget {budget}")
+
+
+def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
+    """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
+    (nodes, weights, resolvent stack) per factor."""
+    grid = np.meshgrid(*[zs for zs, _, _ in stacks], indexing="ij", sparse=True)
+    coeffs = np.array(f(*grid), dtype=complex)
+    for j, (_, w, _) in enumerate(stacks):
+        shape = [1] * len(stacks)
+        shape[j] = w.size
+        coeffs *= w.reshape(shape)
+    return _kron_fold(coeffs, [rs for _, _, rs in stacks])
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
@@ -332,42 +336,18 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
         raise ConfigError(f"need {r} contours, got {len(contours)}")
     if r > 3:
         raise PreconditionError("iterated quadrature supports at most 3 factors")
-
-    for j, c in enumerate(contours):
-        _screen_contour(c, eig(system.factors[j]).eigenvalues, require_full,
-                        f"factor {j + 1}")
-    f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
-
-    def run(scale_nodes):
-        node_counts = [c.nodes * scale_nodes for c in contours]
-        total = 1
-        for m in node_counts:
-            total *= m
-        if total > budget:
-            raise PreconditionError(
-                f"quadrature cost guard: {total} node tuples exceed budget {budget}")
-        stacks, weights, points = [], [], []
-        for j, c in enumerate(contours):
-            zs = c.points(node_counts[j])
-            stacks.append(resolvent_at_nodes(system.factors[j], zs))
-            weights.append(c.weights(node_counts[j]))
-            points.append(zs)
-        grid = np.meshgrid(*points, indexing="ij", sparse=True)
-        coeffs = np.array(f(*grid), dtype=complex)
-        for j, w in enumerate(weights):
-            shape = [1] * r
-            shape[j] = w.size
-            coeffs *= w.reshape(shape)
-        return _kron_fold(coeffs, stacks)
-
-    value = run(1)
+    scales = (1, 2) if verify else (1,)
+    _check_node_tuples(f, contours, scales[-1], budget)
+    per_factor = [_resolvent_stacks(x, c, [c.nodes * s for s in scales],
+                                    require_full=require_full, label=f"factor {j + 1}")
+                  for j, (x, c) in enumerate(zip(system.factors, contours))]
+    runs = [_node_fold(f, stacks) for stacks in zip(*per_factor)]
+    value = runs[-1]
     if verify:
-        fine = run(2)
-        gap = op_norm(fine - value)
-        if gap > 1e-9 * (1.0 + op_norm(fine)):
+        gap = op_norm(value - runs[0])
+        if gap > 1e-9 * (1.0 + op_norm(value)):
             raise QuadratureError(
                 f"multivariate quadrature unstable under node doubling ({gap:.3e})")
-        value = fine
     return value
 
 

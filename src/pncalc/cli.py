@@ -16,6 +16,7 @@ import configparser
 import csv
 import hashlib
 import os
+import pathlib
 import re
 import sys
 
@@ -232,7 +233,7 @@ class ArtifactWriter:
         return final
 
     def emit_text(self, name: str, text: str) -> str:
-        return self.emit(name, lambda p: open(p, "w", newline="\n").write(text))
+        return self.emit(name, lambda p: pathlib.Path(p).write_text(text, newline="\n"))
 
     def finalize(self) -> str:
         rows = []

@@ -6,7 +6,9 @@ Schur form of X by reordering and Sylvester block-diagonalisation,
 N_k = (X - lambda_k I) P_k the aggregated nilpotent part, and nu_k its
 nilpotency index.  `riesz_projector` computes the same projector by a
 trapezoidal contour integral of the resolvent; it stays as the independent
-quadrature route.
+quadrature route.  Every contour quadrature of the package takes its
+resolvents from `_resolvent_stacks`, which refuses a circle too close to the
+spectrum (ContourTooCloseError) before it solves.
 
 The one knob that decides everything here is `cluster_tol`: eigenvalues closer
 than it (single linkage) are treated as one multiple eigenvalue.  Defective
@@ -29,6 +31,7 @@ from .errors import (
     ConfigError,
     ContourTooCloseError,
     DecompositionError,
+    PreconditionError,
 )
 from .linalg import (
     as_matrix,
@@ -140,6 +143,33 @@ def cluster_eigenvalues(values, tol: float) -> list[tuple[complex, list[int]]]:
     return out
 
 
+def _resolvent_stacks(x, contour: Contour, node_counts=(None,), eigenvalues=None,
+                      require_full: bool = False, label: str = "quadrature"):
+    """[(nodes, weights, (zI - x)^{-1} stack)] per node count (None: the contour's).
+
+    The spectrum (`eigenvalues`, computed when not supplied) is screened once,
+    before any solve: trapezoid leakage grows as an eigenvalue nears the circle
+    (Trefethen & Weideman 2014), so one within CIRCLE_GUARD * radius of it is
+    refused, and with `require_full` so is one outside it.
+    """
+    x = as_matrix(x, square=True)
+    if eigenvalues is None:
+        eigenvalues = eig(x).eigenvalues
+    dist = contour.circle_distance(eigenvalues)
+    if dist.size and float(np.min(dist)) < CIRCLE_GUARD * contour.radius:
+        raise ContourTooCloseError(
+            f"{label}: eigenvalue within {CIRCLE_GUARD:.2f}*radius of the quadrature "
+            f"circle (min distance {np.min(dist):.3e}, radius {contour.radius:.3e})")
+    if require_full and not np.all(contour.encloses(eigenvalues)):
+        raise PreconditionError(
+            f"{label}: contour must enclose the whole spectrum (an eigenvalue lies outside)")
+    out = []
+    for m in node_counts:
+        zs = contour.points(m)
+        out.append((zs, contour.weights(m), resolvent_at_nodes(x, zs)))
+    return out
+
+
 def riesz_projector(x, contour: Contour, eigenvalues=None) -> np.ndarray:
     """Spectral projector (1/2pi i) of the resolvent around `contour`.
 
@@ -148,16 +178,9 @@ def riesz_projector(x, contour: Contour, eigenvalues=None) -> np.ndarray:
     CIRCLE_GUARD * radius of the circle (measured against `eigenvalues`,
     computed here when not supplied).
     """
-    x = as_matrix(x, square=True)
-    if eigenvalues is None:
-        eigenvalues = eig(x).eigenvalues
-    dist = contour.circle_distance(eigenvalues)
-    if dist.size and float(np.min(dist)) < CIRCLE_GUARD * contour.radius:
-        raise ContourTooCloseError(
-            f"eigenvalue within {CIRCLE_GUARD:.2f}*radius of the contour "
-            f"(min distance {np.min(dist):.3e}, radius {contour.radius:.3e})")
-    rs = resolvent_at_nodes(x, contour.points())
-    return np.tensordot(contour.weights(), rs, axes=1)
+    [(_, w, rs)] = _resolvent_stacks(x, contour, eigenvalues=eigenvalues,
+                                     label="riesz_projector")
+    return np.tensordot(w, rs, axes=1)
 
 
 def nilpotent_part(x, projector, eigenvalue: complex) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pncalc import approx, calculus, functions, linalg, spectra
-from pncalc.errors import ConfigError, PreconditionError
+from pncalc.errors import ConfigError, ContourTooCloseError, PreconditionError
 
 parse = functions.parse_function
 
@@ -150,7 +150,8 @@ def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
     for n in (3, 8, 16):
         tp = approx.compress(m, n)
         for contour in (cluster, around_zero):
-            got = approx._truncation_integral(f, tp, contour)
+            pad = calculus.dunford(f, np.zeros((1, 1)), contour, require_full=False)[0, 0]
+            got = approx._truncation_integral(f, tp, contour, pad)
             want = calculus.dunford(f, tp.x_n_padded, contour, require_full=False)
             assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
         # the padding eigenvalue 0 is enclosed: its block is f(0) I
@@ -181,8 +182,7 @@ def test_level_experiment_solves_truncations_at_their_own_size(monkeypatch):
         stacks.append((x.shape[0], np.size(zs), np.array_equal(x, m.matrix_ref)))
         return linalg.resolvent_at_nodes(x, zs)
 
-    for module in (approx, calculus, spectra):
-        monkeypatch.setattr(module, "resolvent_at_nodes", spy)
+    monkeypatch.setattr(spectra, "resolvent_at_nodes", spy)
     n_list = [3, 4, 8, 16, 32]
     approx.level_experiment(m, f, -1.0, contour, n_list)
     full = [s for s in stacks if s[0] == 64]
@@ -192,6 +192,60 @@ def test_level_experiment_solves_truncations_at_their_own_size(monkeypatch):
     assert all(is_ref for _, _, is_ref in full)
     for n in n_list:
         assert (n, meas_nodes, False) in stacks
+
+
+def test_error_family_refuses_contour_node_on_eigenvalue():
+    # node 0 of the circle is 3, an eigenvalue of the reference: every C_f
+    # route screens before it solves, so none reaches a singular solve
+    m = approx.build_model("harmonic", 32)
+    f = parse("exp(-z1)")
+    contour = spectra.Contour(2.0, 1.0, 64)
+    assert contour.points()[0] == 3.0
+    with pytest.raises(ContourTooCloseError, match="quadrature circle"):
+        approx.error_constant(f, m, contour, [4, 8])
+    with pytest.raises(ContourTooCloseError, match="quadrature circle"):
+        approx.perturbation_experiment(m.matrix_ref, np.eye(32, dtype=complex),
+                                       [1e-2, 1e-3], f, -1.0, contour)
+    with pytest.raises(ContourTooCloseError, match="quadrature circle"):
+        approx.error_constant_multi(parse("exp(-z1-z2)"), [m, m], [contour, contour],
+                                    [4, 8])
+
+
+def test_one_stack_per_matrix_and_node_count(monkeypatch):
+    calls = []
+
+    def spy(x, zs):
+        calls.append((x.shape, x.tobytes(), np.size(zs)))
+        return linalg.resolvent_at_nodes(x, zs)
+
+    monkeypatch.setattr(spectra, "resolvent_at_nodes", spy)
+    f = parse("exp(-z1)")
+    m = approx.build_model("harmonic", 32)
+    n_list = [2, 3, 4, 8, 16]
+    approx.level_experiment(m, f, -1.0, approx.lowest_cluster_contour(m, 3), n_list,
+                            stability_check=False)
+    # the reference and each X_n at the contour's and the measurement node
+    # counts, plus the 1 x 1 padding integral
+    assert len(calls) == len(set(calls)) == 2 + 2 * len(n_list) + 1
+    assert sum(1 for shape, _, _ in calls if shape == (1, 1)) == 1
+
+    calls.clear()
+    models = [m, approx.build_model("complex_harmonic", 32)]
+    contours = [approx.lowest_cluster_contour(mod, 2) for mod in models]
+    n_list = [2, 4, 8]
+    approx.multivariate_experiment(models, parse("exp(-z1-z2)"), [-1.0, -1.0],
+                                   contours, n_list)
+    # per factor: the reference at both node counts, X_n for C_f, and the
+    # padded X_n for the measurement
+    assert len(calls) == len(set(calls)) == 2 * (2 + 2 * len(n_list))
+    meas = approx._meas_contour(contours[0]).nodes
+    for mod in models:
+        assert (mod.matrix_ref.shape, mod.matrix_ref.tobytes(), meas) in calls
+
+    calls.clear()
+    x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
+    calculus.dunford(f, x, spectra.Contour(1.5, 2.0, 32), verify=True)
+    assert calls == [((2, 2), x.tobytes(), 32), ((2, 2), x.tobytes(), 64)]
 
 
 def test_level_experiment_monotone_on_banded_model():
