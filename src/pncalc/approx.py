@@ -15,12 +15,14 @@ spectral cluster enclosed by a contour:
 
 Both f(.) evaluations run through the contour integral restricted to the
 enclosed cluster, which is what makes the comparison meaningful for
-truncations that destroy the spectrum far above the cluster.  The
-reference's cluster projector and f come from one resolvent stack per factor,
-and C_f from one implementation for truncations and perturbed families.  A
-truncation is integrated at its own size n: its zero-padding to ref_dim only
-adds the eigenvalue 0, whose block of the integral is one scalar quadrature
-times the identity.
+truncations that destroy the spectrum far above the cluster.  Every matrix
+of a study (each reference and each X_n) is solved once, at its own size, on
+the measurement contour.  That one resolvent stack gives the reference's
+cluster projector, the matrix's share of f, and its C_f sup, read at every
+k-th node: the measurement node count is a power-of-two multiple of the
+declared one, so those are the declared nodes bitwise.  A truncation's
+zero-padding to ref_dim only adds the eigenvalue 0, so its padded stack is
+blockdiag((zI - X_n)^{-1}, z^{-1} I).
 """
 from __future__ import annotations
 
@@ -30,22 +32,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import (
-    _check_node_tuples,
-    _node_fold,
-    _resolvent_integrals,
-    dunford,
-    dunford_multivariate,
-    lift,
-)
+from .calculus import _check_node_tuples, _node_fold
 from .errors import (
     ClusterSeparationError,
     ConfigError,
     PreconditionError,
     ToleranceError,
 )
-from .functions import AnalyticFunction, Polynomial
-from .linalg import as_matrix, op_norm, read_cmat, resolvent
+from .functions import AnalyticFunction
+from .linalg import as_matrix, eig, op_norm, read_cmat, resolvent
 from .spectra import Contour, _resolvent_stacks
 
 MODEL_KINDS = ("harmonic", "anharmonic_x4", "complex_harmonic", "jordan_toy", "custom_file")
@@ -59,12 +54,16 @@ _MIN_REF_DIM = 16
 # more nodes than the contour declares for eps / C_f
 _MEAS_NODES = 256
 _MEAS_FLOOR = 1e-14
-# f = 1: its cluster integral is the Riesz projector
-_ONE = Polynomial({0: 1.0}, 1)
 
 
 def _meas_contour(contour: Contour) -> Contour:
-    return replace(contour, nodes=max(_MEAS_NODES, 2 * contour.nodes))
+    """The smallest power-of-two refinement of `contour` with at least
+    max(256, 2 * nodes) nodes: every k-th of its nodes is a declared node,
+    bitwise, because 2 pi (k j) / (k m) rounds as 2 pi j / m for k = 2^p."""
+    nodes = contour.nodes
+    while nodes < max(_MEAS_NODES, 2 * contour.nodes):
+        nodes *= 2
+    return replace(contour, nodes=nodes)
 
 
 @dataclass
@@ -76,8 +75,8 @@ class OperatorModel:
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of matrix_ref (unsorted), computed once per model."""
-        return np.linalg.eigvals(self.matrix_ref)
+        """Certified spectrum of matrix_ref (unsorted), computed once per model."""
+        return eig(self.matrix_ref).eigenvalues
 
 
 @dataclass
@@ -85,6 +84,11 @@ class TruncationPoint:
     n: int
     x_n: np.ndarray
     x_n_padded: np.ndarray
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Spectrum of x_n_padded: the certified eig(x_n) and the padding 0."""
+        return np.append(eig(self.x_n).eigenvalues, 0.0)
 
 
 @dataclass
@@ -227,8 +231,7 @@ def resolvent_error(model: OperatorModel, point: TruncationPoint | int,
 
 def _check_z0(model: OperatorModel, point: TruncationPoint, z0: complex) -> None:
     """The precondition of eps_n (see resolvent_error)."""
-    padded = np.append(np.linalg.eigvals(point.x_n), 0.0)
-    for label, evs in (("reference", model.eigenvalues), ("truncation", padded)):
+    for label, evs in (("reference", model.eigenvalues), ("truncation", point.eigenvalues)):
         d = float(np.min(np.abs(evs - complex(z0))))
         if d < 1.0 - 1e-9:
             raise PreconditionError(
@@ -266,24 +269,21 @@ def default_probes(dim: int, count: int = DEFAULT_PROBES) -> list[np.ndarray]:
     return [np.eye(dim, dtype=complex)[:, i] for i in range(min(count, dim))]
 
 
-def _sup_resolvent_norm(x: np.ndarray, contour: Contour, eigenvalues) -> float:
-    [(_, _, rs)] = _resolvent_stacks(x, contour, eigenvalues=eigenvalues,
-                                     label="error constant")
-    return float(np.max(np.linalg.norm(rs, 2, axis=(1, 2))))
+def _sup_resolvent_norm(stack, stride: int = 1) -> float:
+    """max ||R(z)|| over every `stride`-th node of one (nodes, weights, stack)."""
+    return float(np.max(np.linalg.norm(stack[2][::stride], 2, axis=(1, 2))))
 
 
-def _error_constant(f: AnalyticFunction, contours, families) -> float:
+def _error_constant(f: AnalyticFunction, contours, sups) -> float:
     """prod radii * max|f| * r * worst telescoping product of resolvent sups.
 
-    families[j] lists factor j's (matrix, eigenvalues) pairs: its reference
-    first, then the truncations or perturbed matrices compared with it.  Each
-    spectrum is screened before that matrix's contour nodes are solved.
+    sups[j] lists factor j's sup_z ||R(z)|| on its declared contour nodes:
+    its reference first, then the truncations or perturbed matrices compared
+    with it.
     """
     r = len(contours)
     grids = np.meshgrid(*[c.points() for c in contours], indexing="ij")
     m_f = float(np.max(np.abs(np.asarray(f(*grids), dtype=complex))))
-    sups = [[_sup_resolvent_norm(x, c, evs) for x, evs in family]
-            for family, c in zip(families, contours)]
     sup_ref = [s[0] for s in sups]
     sup_fam = [max(s[1:], default=0.0) for s in sups]
     scale = m_f * r * float(np.prod([c.radius for c in contours]))
@@ -303,17 +303,21 @@ def error_constant(f: AnalyticFunction, model: OperatorModel, contour: Contour,
 
     error_constant_multi with one factor.  The truncation resolvents use the
     unpadded n x n blocks (the truncation acts on its own range); the contour
-    must stay clear of every spectrum involved.
+    must stay clear of every spectrum involved, the padding eigenvalue 0
+    included.
     """
     return error_constant_multi(f, [model], [contour], n_range)
 
 
 def error_constant_multi(f: AnalyticFunction, models, contours, n_range) -> float:
     """Multivariate constant: prod radii * max|f| * r * worst telescoping product."""
-    families = [[(m.matrix_ref, m.eigenvalues)]
-                + [(tp.x_n, np.linalg.eigvals(tp.x_n))
-                   for tp in (compress(m, int(n)) for n in n_range)] for m in models]
-    return _error_constant(f, contours, families)
+    sups = []
+    for m, c in zip(models, contours):
+        family = [(m.matrix_ref, m.eigenvalues)] + [
+            (tp.x_n, tp.eigenvalues) for tp in (compress(m, int(n)) for n in n_range)]
+        sups.append([_sup_resolvent_norm(_resolvent_stacks(
+            x, c, eigenvalues=evs, label="error constant")[0]) for x, evs in family])
+    return _error_constant(f, contours, sups)
 
 
 def _level1_pass(sequences: list[list[float]]) -> bool:
@@ -333,18 +337,21 @@ def _level1_pass(sequences: list[list[float]]) -> bool:
     return True
 
 
-def _report_row(n, eps_global: float, eps_cluster: float, d: np.ndarray, probes,
-                c_f: float, floor: float) -> ReportRow:
-    """One row's errors of d = f(X_n) - f(X) and its level-2 check
-    ||d|| <= C_f * eps_cluster, with slack and the measurement floor."""
-    func_err = op_norm(d)
-    p_err = [float(np.linalg.norm(d @ u)) for u in probes]
-    bound = c_f * eps_cluster * (1.0 + _BOUND_SLACK) + floor
-    return ReportRow(n, eps_global, eps_cluster, func_err, p_err, bound, func_err <= bound)
+def _errors(d: np.ndarray, probes) -> tuple[float, list[float]]:
+    """||d|| and the probe errors ||d u|| of one d = f(X_n) - f(X)."""
+    return op_norm(d), [float(np.linalg.norm(d @ u)) for u in probes]
 
 
-def _report(kind: str, f: AnalyticFunction, z0: complex, c_f: float,
-            rows: list[ReportRow], n_probes: int) -> ConvergenceReport:
+def _report(kind: str, f: AnalyticFunction, z0: complex, c_f: float, floor: float,
+            points, n_probes: int) -> ConvergenceReport:
+    """Rows from (n, eps_global, eps_cluster, ||d||, probe errors) points, each
+    with its level-2 check ||d|| <= C_f * eps_cluster, with slack and the
+    measurement floor."""
+    rows = []
+    for n, eps_global, eps_cluster, func_err, p_err in points:
+        bound = c_f * eps_cluster * (1.0 + _BOUND_SLACK) + floor
+        rows.append(ReportRow(n, eps_global, eps_cluster, func_err, p_err, bound,
+                              func_err <= bound))
     report = ConvergenceReport(kind, f.to_spec(), complex(z0), c_f, rows)
     report.level1_pass = _level1_pass(
         [[row.probe_errors[i] for row in rows] for i in range(n_probes)])
@@ -358,21 +365,59 @@ def _relative_change(a: float, b: float) -> float:
     return abs(a - b) / max(a, 1e-12)
 
 
-def _truncation_integral(f: AnalyticFunction, tp: TruncationPoint,
-                         contour: Contour, pad: complex) -> np.ndarray:
-    """dunford(f, tp.x_n_padded, contour, require_full=False), solved at size n.
+def _padded_stack(stack, dim: int):
+    """The stack of blockdiag(X_n, 0) at size dim, from the stack of X_n:
+    each resolvent gains the block z^{-1} I."""
+    zs, w, rs = stack
+    n = rs.shape[1]
+    padded = np.zeros((zs.size, dim, dim), dtype=complex)
+    padded[:, :n, :n] = rs
+    idx = np.arange(n, dim)
+    padded[:, idx, idx] = (1.0 / zs)[:, None]
+    return zs, w, padded
 
-    blockdiag(X_n, 0) has the resolvent blockdiag((zI - X_n)^{-1}, z^{-1} I),
-    so the padding block is pad * I, with pad the same quadrature of the 1 x 1
-    zero matrix: f(0) when the contour encloses 0, about 0 otherwise.  The
-    two guard-band screens together see the padded spectrum, eig(X_n) and 0.
+
+def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
+                      probes) -> ConvergenceReport:
+    """Truncation study of f on the product of the factors' enclosed clusters.
+
+    For every n: the cluster error ||f(X_1n, ..) - f(X_1, ..)||, probe errors,
+    global and cluster-restricted eps_n summed over the factors, and the bound
+    C_f * eps_cluster.  Each reference and each X_n is solved once, at its own
+    size, on its measurement contour.
     """
-    n = tp.n
-    g = np.zeros_like(tp.x_n_padded)
-    g[:n, :n] = dunford(f, tp.x_n, contour, require_full=False)
-    idx = np.arange(n, g.shape[0])
-    g[idx, idx] = pad
-    return g
+    meas = [_meas_contour(c) for c in contours]
+    strides = [m.nodes // c.nodes for m, c in zip(meas, contours)]
+    _check_node_tuples(f, meas)
+    ref_stacks = [_resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues,
+                                    label=f"factor {j + 1}")[0]
+                  for j, (m, c) in enumerate(zip(models, meas))]
+    p_cs = [np.tensordot(w, rs, axes=1) for _, w, rs in ref_stacks]
+    sups = [[_sup_resolvent_norm(s, k)] for s, k in zip(ref_stacks, strides)]
+    g_ref = _node_fold(f, ref_stacks)
+    del ref_stacks  # the truncations' padded stacks take their memory
+    r0s = [resolvent(m.matrix_ref, z0) for m, z0 in zip(models, z0s)]
+    # measurement allowance: comparisons against the bound cannot resolve
+    # differences below machine precision of the measured operator
+    floor = _MEAS_FLOOR * (1.0 + op_norm(g_ref))
+
+    points = []
+    for n in n_list:
+        eps_g, eps_c, stacks = 0.0, 0.0, []
+        for j, (model, c) in enumerate(zip(models, meas)):
+            tp = compress(model, n)
+            _check_z0(model, tp, z0s[j])
+            diff_op = (tp.x_n_padded - model.matrix_ref) @ r0s[j]
+            eps_g += op_norm(diff_op)
+            eps_c += op_norm(diff_op @ p_cs[j])
+            [stack] = _resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues,
+                                        label=f"factor {j + 1} truncation n={n}")
+            sups[j].append(_sup_resolvent_norm(stack, strides[j]))
+            stacks.append(_padded_stack(stack, tp.x_n_padded.shape[0]))
+        points.append((n, eps_g, eps_c, *_errors(_node_fold(f, stacks) - g_ref, probes)))
+    c_f = _error_constant(f, contours, sups)
+    return _report("+".join(m.kind for m in models), f, z0s[0], c_f, floor, points,
+                   len(probes))
 
 
 def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
@@ -388,26 +433,7 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
     n_list = [int(n) for n in n_list]
     if probes is None:
         probes = default_probes(model.ref_dim)
-    ref = model.matrix_ref
-    meas = _meas_contour(contour)
-    p_c, g_ref = _resolvent_integrals([_ONE, f], ref, meas, require_full=False)
-    pad = dunford(f, np.zeros((1, 1)), meas, require_full=False)[0, 0]
-    r0 = resolvent(ref, z0)
-    c_f = error_constant(f, model, contour, n_list)
-    # measurement allowance: comparisons against the bound cannot resolve
-    # differences below machine precision of the measured operator
-    floor = _MEAS_FLOOR * (1.0 + op_norm(g_ref))
-
-    rows = []
-    for n in n_list:
-        tp = compress(model, n)
-        _check_z0(model, tp, z0)
-        diff_op = (tp.x_n_padded - ref) @ r0
-        eps_global = op_norm(diff_op)
-        eps_cluster = op_norm(diff_op @ p_c)
-        d = _truncation_integral(f, tp, meas, pad) - g_ref
-        rows.append(_report_row(n, eps_global, eps_cluster, d, probes, c_f, floor))
-    report = _report(model.kind, f, z0, c_f, rows, len(probes))
+    report = _truncation_study([model], f, [z0], [contour], n_list, probes)
 
     if stability_check and model.kind in _OSCILLATORS and model.ref_dim // 2 >= _MIN_REF_DIM:
         half = build_model(model.kind, model.ref_dim // 2, model.guard)
@@ -418,7 +444,7 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
                                    stability_check=False)
             drift = 0.0
             for row_h in sub.rows:
-                row_f = next(r for r in rows if r.n == row_h.n)
+                row_f = next(r for r in report.rows if r.n == row_h.n)
                 drift = max(drift, _relative_change(row_f.func_error_norm,
                                                     row_h.func_error_norm))
                 for a, b in zip(row_f.probe_errors, row_h.probe_errors):
@@ -433,25 +459,32 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
 
     The contour must enclose the whole spectrum of X and every X_d, so the
     integral computes f itself and the level-2 bound is checked globally
-    with eps(d) = ||d E (z0 I - X)^{-1}||.
+    with eps(d) = ||d E (z0 I - X)^{-1}||.  X and each X_d are solved once,
+    on the measurement contour, which also gives their C_f sups.
     """
     x = as_matrix(x, square=True)
     e_mat = as_matrix(e_mat, square=True)
     if probes is None:
         probes = default_probes(x.shape[0])
-    mats = [x + float(d) * e_mat for d in deltas]
-    c_f = _error_constant(f, [contour], [[(m, np.linalg.eigvals(m)) for m in [x] + mats]])
-
     meas = _meas_contour(contour)
-    g_ref = dunford(f, x, meas)
+    _check_node_tuples(f, [meas])
+    sups = []
+
+    def integral(m):
+        [stack] = _resolvent_stacks(m, meas, require_full=True, label="perturbation")
+        sups.append(_sup_resolvent_norm(stack, meas.nodes // contour.nodes))
+        return _node_fold(f, [stack])
+
+    g_ref = integral(x)
     r0 = resolvent(x, z0)
     floor = _MEAS_FLOOR * (1.0 + op_norm(g_ref))
-    rows = []
-    for d, xd in zip(deltas, mats):
-        eps = op_norm(float(d) * e_mat @ r0)
-        diff = dunford(f, xd, meas) - g_ref
-        rows.append(_report_row(float(d), eps, eps, diff, probes, c_f, floor))
-    return _report("perturbation", f, z0, c_f, rows, len(probes))
+    points = []
+    for d in deltas:
+        d = float(d)
+        eps = op_norm(d * e_mat @ r0)
+        points.append((d, eps, eps, *_errors(integral(x + d * e_mat) - g_ref, probes)))
+    c_f = _error_constant(f, [contour], [sups])
+    return _report("perturbation", f, z0, c_f, floor, points, len(probes))
 
 
 def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
@@ -462,39 +495,12 @@ def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
     contour integral restricted to the product cluster; bound
     C_f * (eps_1 + eps_2) with cluster-restricted per-factor eps.
     """
-    r = len(models)
-    if r != 2:
+    if len(models) != 2:
         raise PreconditionError("multivariate_experiment supports exactly 2 factors")
     n_list = [int(n) for n in n_list]
-    refs = [m.matrix_ref for m in models]
-    tensor_dim = refs[0].shape[0] * refs[1].shape[0]
     if probes is None:
-        probes = default_probes(tensor_dim)
-
-    meas = [_meas_contour(c) for c in contours]
-    _check_node_tuples(f, meas)
-    # one stack per reference factor gives its P_c and its part of g_ref
-    stacks = [_resolvent_stacks(refs[j], meas[j], eigenvalues=models[j].eigenvalues,
-                                label=f"factor {j + 1}")[0] for j in range(r)]
-    p_cs = [np.tensordot(w, rs, axes=1) for _, w, rs in stacks]
-    r0s = [resolvent(refs[j], z0s[j]) for j in range(r)]
-    g_ref = _node_fold(f, stacks)
-    c_f = error_constant_multi(f, models, contours, n_list)
-    floor = _MEAS_FLOOR * (1.0 + op_norm(g_ref))
-
-    rows = []
-    for n in n_list:
-        tps = [compress(models[j], n) for j in range(r)]
-        eps_g, eps_c = 0.0, 0.0
-        for j in range(r):
-            _check_z0(models[j], tps[j], z0s[j])
-            diff_op = (tps[j].x_n_padded - refs[j]) @ r0s[j]
-            eps_g += op_norm(diff_op)
-            eps_c += op_norm(diff_op @ p_cs[j])
-        g_n = dunford_multivariate(f, lift([tp.x_n_padded for tp in tps]), meas,
-                                   require_full=False)
-        rows.append(_report_row(n, eps_g, eps_c, g_n - g_ref, probes, c_f, floor))
-    return _report("+".join(m.kind for m in models), f, z0s[0], c_f, rows, len(probes))
+        probes = default_probes(models[0].ref_dim * models[1].ref_dim)
+    return _truncation_study(models, f, z0s, contours, n_list, probes)
 
 
 @dataclass

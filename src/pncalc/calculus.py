@@ -259,34 +259,6 @@ def write_term_ledger(path, result: CalculusResult) -> None:
 # contour quadrature
 
 
-def _resolvent_integrals(fs, x, contour: Contour, require_full: bool,
-                         verify: bool = False) -> list[np.ndarray]:
-    """(1/2pi i) contour integral of f(z) (zI - x)^{-1} dz for every f in `fs`.
-
-    eig, the guard-band screen and each analyticity check run once; every
-    integral contracts the same resolvent stack with its own weight row
-    w * f(nodes).  `verify` repeats the quadrature on doubled nodes and
-    demands 1e-10 relative agreement for every f.
-    """
-    for f in fs:
-        if f.arity != 1:
-            raise ConfigError(f"dunford needs a univariate function, got arity {f.arity}")
-        f.assert_analytic_on([contour.center], [contour.radius])
-    counts = (contour.nodes, 2 * contour.nodes) if verify else (contour.nodes,)
-    stacks = _resolvent_stacks(x, contour, counts, require_full=require_full,
-                               label="dunford")
-    runs = [[np.tensordot(w * np.asarray(f(zs), dtype=complex), rs, axes=1)
-             for f in fs] for zs, w, rs in stacks]
-    values = runs[-1]
-    if verify:
-        for coarse, refined in zip(runs[0], values):
-            gap = op_norm(refined - coarse)
-            if gap > _DOUBLING_TOL * (1.0 + op_norm(refined)):
-                raise QuadratureError(
-                    f"dunford quadrature unstable under node doubling ({gap:.3e})")
-    return values
-
-
 def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
             verify: bool = False) -> np.ndarray:
     """(1/2pi i) contour integral of f(z) (zI - x)^{-1} dz.
@@ -295,7 +267,21 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
     f(x); without it the integral restricts f to the enclosed cluster.
     `verify` doubles the node count and demands 1e-10 relative agreement.
     """
-    return _resolvent_integrals([f], x, contour, require_full, verify)[0]
+    if f.arity != 1:
+        raise ConfigError(f"dunford needs a univariate function, got arity {f.arity}")
+    f.assert_analytic_on([contour.center], [contour.radius])
+    counts = (contour.nodes, 2 * contour.nodes) if verify else (contour.nodes,)
+    stacks = _resolvent_stacks(x, contour, counts, require_full=require_full,
+                               label="dunford")
+    runs = [np.tensordot(w * np.asarray(f(zs), dtype=complex), rs, axes=1)
+            for zs, w, rs in stacks]
+    value = runs[-1]
+    if verify:
+        gap = op_norm(value - runs[0])
+        if gap > _DOUBLING_TOL * (1.0 + op_norm(value)):
+            raise QuadratureError(
+                f"dunford quadrature unstable under node doubling ({gap:.3e})")
+    return value
 
 
 def _check_node_tuples(f: AnalyticFunction, contours: list[Contour], scale: int = 1,

@@ -142,7 +142,7 @@ def test_level_experiment_harmonic():
 @pytest.mark.parametrize("kind", ["harmonic", "anharmonic_x4", "complex_harmonic"])
 @pytest.mark.parametrize("ref_dim", [32, 64])
 def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
-    # the padded truncation solved at size n equals the ref_dim-sized integral
+    # the stack of X_n padded with z^-1 I folds to the ref_dim-sized integral
     m = approx.build_model(kind, ref_dim)
     f = parse("exp(-z1)")
     cluster = approx._meas_contour(approx.lowest_cluster_contour(m, 3))
@@ -150,8 +150,8 @@ def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
     for n in (3, 8, 16):
         tp = approx.compress(m, n)
         for contour in (cluster, around_zero):
-            pad = calculus.dunford(f, np.zeros((1, 1)), contour, require_full=False)[0, 0]
-            got = approx._truncation_integral(f, tp, contour, pad)
+            [stack] = spectra._resolvent_stacks(tp.x_n, contour, eigenvalues=tp.eigenvalues)
+            got = calculus._node_fold(f, [approx._padded_stack(stack, ref_dim)])
             want = calculus.dunford(f, tp.x_n_padded, contour, require_full=False)
             assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
         # the padding eigenvalue 0 is enclosed: its block is f(0) I
@@ -222,12 +222,14 @@ def test_one_stack_per_matrix_and_node_count(monkeypatch):
     f = parse("exp(-z1)")
     m = approx.build_model("harmonic", 32)
     n_list = [2, 3, 4, 8, 16]
-    approx.level_experiment(m, f, -1.0, approx.lowest_cluster_contour(m, 3), n_list,
-                            stability_check=False)
-    # the reference and each X_n at the contour's and the measurement node
-    # counts, plus the 1 x 1 padding integral
-    assert len(calls) == len(set(calls)) == 2 + 2 * len(n_list) + 1
-    assert sum(1 for shape, _, _ in calls if shape == (1, 1)) == 1
+    contour = approx.lowest_cluster_contour(m, 3)
+    approx.level_experiment(m, f, -1.0, contour, n_list, stability_check=False)
+    # one measurement stack per matrix: the reference and each X_n at size n;
+    # C_f reads its sups from them, and the padding needs no 1 x 1 integral
+    meas = approx._meas_contour(contour).nodes
+    assert len(calls) == len(set(calls)) == 1 + len(n_list)
+    assert all(nodes == meas for _, _, nodes in calls)
+    assert sorted(shape for shape, _, _ in calls) == [(n, n) for n in n_list] + [(32, 32)]
 
     calls.clear()
     models = [m, approx.build_model("complex_harmonic", 32)]
@@ -235,17 +237,54 @@ def test_one_stack_per_matrix_and_node_count(monkeypatch):
     n_list = [2, 4, 8]
     approx.multivariate_experiment(models, parse("exp(-z1-z2)"), [-1.0, -1.0],
                                    contours, n_list)
-    # per factor: the reference at both node counts, X_n for C_f, and the
-    # padded X_n for the measurement
-    assert len(calls) == len(set(calls)) == 2 * (2 + 2 * len(n_list))
+    # per factor: the reference, and each X_n at (n, n), never padded to ref_dim
+    assert len(calls) == len(set(calls)) == 2 * (1 + len(n_list))
     meas = approx._meas_contour(contours[0]).nodes
+    assert all(nodes == meas for _, _, nodes in calls)
     for mod in models:
         assert (mod.matrix_ref.shape, mod.matrix_ref.tobytes(), meas) in calls
+        for n in n_list:
+            x_n = mod.matrix_ref[:n, :n]
+            assert ((n, n), x_n.tobytes(), meas) in calls
+    assert sum(1 for shape, _, _ in calls if shape == (32, 32)) == 2
 
     calls.clear()
     x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
     calculus.dunford(f, x, spectra.Contour(1.5, 2.0, 32), verify=True)
     assert calls == [((2, 2), x.tobytes(), 32), ((2, 2), x.tobytes(), 64)]
+
+
+@pytest.mark.parametrize("kind,ref_dim", [("harmonic", 32), ("complex_harmonic", 64)])
+def test_experiment_c_f_equals_error_constant(kind, ref_dim):
+    # the sups read from every k-th measurement node are the declared-node sups
+    m = approx.build_model(kind, ref_dim)
+    f = parse("exp(-z1)")
+    contour = approx.lowest_cluster_contour(m, 3)
+    n_list = [3, 4, 8, ref_dim // 2]
+    rep = approx.level_experiment(m, f, -1.0, contour, n_list, stability_check=False)
+    assert rep.c_f == approx.error_constant(f, m, contour, n_list)
+
+
+def test_multivariate_c_f_equals_error_constant_multi():
+    models = [approx.build_model("harmonic", 32), approx.build_model("complex_harmonic", 32)]
+    f = parse("exp(-z1-z2)")
+    contours = [approx.lowest_cluster_contour(mod, 2) for mod in models]
+    n_list = [2, 4, 8]
+    rep = approx.multivariate_experiment(models, f, [-1.0, -1.0], contours, n_list)
+    assert rep.c_f == approx.error_constant_multi(f, models, contours, n_list)
+
+
+@pytest.mark.parametrize("nodes", [16, 48, 64, 100, 128, 200])
+def test_meas_contour_is_power_of_two_refinement(nodes):
+    for center, radius in ((0.0, 1.0), (3.0 - 0.5j, 2.5), (-1.25 + 7.0j, 0.3)):
+        contour = spectra.Contour(center, radius, nodes)
+        meas = approx._meas_contour(contour)
+        k = meas.nodes // nodes
+        assert meas.nodes == k * nodes and k & (k - 1) == 0
+        # the smallest such refinement with at least max(256, 2 * nodes) nodes
+        assert meas.nodes >= max(256, 2 * nodes) > meas.nodes // 2
+        assert (meas.center, meas.radius) == (contour.center, contour.radius)
+        assert np.array_equal(meas.points()[::k], contour.points())
 
 
 def test_level_experiment_monotone_on_banded_model():

@@ -211,6 +211,42 @@ def test_converge_multi_runs(tmp_path):
     assert rows[0][0] == "n" and len(rows) == 3
 
 
+def test_converge_columns_pinned(tmp_path):
+    # c_f, eps_global and eps_cluster of a small converge and converge-multi
+    # run, as repr strings: one resolvent stack per matrix keeps them bitwise
+    cv = write_config(tmp_path, "cv.ini", {
+        "model": {"kind": "complex_harmonic", "ref_dim": 32},
+        "function": {"spec": "exp(-z1)"},
+        "experiment": {"n_list": "4, 8, 16", "probes": 2, "stability": "false"},
+    })
+    cm = write_config(tmp_path, "cm.ini", {
+        "model_1": {"kind": "harmonic", "ref_dim": 16},
+        "model_2": {"kind": "complex_harmonic", "ref_dim": 16},
+        "function": {"spec": "exp(-z1-z2)"},
+        "experiment": {"n_list": "2, 4, 8", "cluster_size_1": 2,
+                       "cluster_size_2": 2, "probes": 2},
+    })
+    want = {
+        "converge": ("352.2478831590003", [
+            ("1.0005870762187825", "1.7034027275969716"),
+            ("1.0230437724148556", "0.5929728864998817"),
+            ("1.0442983236591104", "0.0466073987397651")]),
+        "converge-multi": ("127.072193527545", [
+            ("1.965590888000022", "0.7453569782449222"),
+            ("1.9692494585315194", "0.41893234267483326"),
+            ("1.991794802697267", "0.12240850347458268")]),
+    }
+    for command, cfg in (("converge", cv), ("converge-multi", cm)):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        [name] = [n for n in os.listdir(out) if n.endswith(("_level.csv", "_multi.csv"))]
+        header, *rows = read_csv(out / name)
+        col = {h: i for i, h in enumerate(header)}
+        c_f, eps = want[command]
+        assert [r[col["c_f"]] for r in rows] == [c_f] * len(eps)
+        assert [(r[col["eps_global"]], r[col["eps_cluster"]]) for r in rows] == eps
+
+
 def test_regularize_runs(tmp_path):
     cfg = write_config(tmp_path, "rg.ini", {
         "model": {"kind": "complex_harmonic", "ref_dim": 32},
