@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pncalc import cli, linalg, spectra
+from pncalc import approx, cli, functions, linalg, spectra
 
 X1 = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 X2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -211,9 +211,46 @@ def test_converge_multi_runs(tmp_path):
     assert rows[0][0] == "n" and len(rows) == 3
 
 
+def _expected_converge_columns(command, cfg):
+    # c_f, eps_global and eps_cluster recomputed in this process from the
+    # public pieces: error_constant(_multi), resolvent_error, and eps_cluster
+    # as ||(X_n_padded - X) R(z0) P_c|| with P_c = riesz_projector on the
+    # measurement contour
+    if command == "converge":
+        mods, zs, sizes = [cfg["model"]], [cfg["experiment"]["z0"]], ["cluster_size"]
+    else:
+        mods = [cfg["model_1"], cfg["model_2"]]
+        zs = [cfg["experiment"]["z0_1"], cfg["experiment"]["z0_2"]]
+        sizes = ["cluster_size_1", "cluster_size_2"]
+    exp = cfg["experiment"]
+    models = [approx.build_model(m["kind"], m["ref_dim"]) for m in mods]
+    contours = [approx.lowest_cluster_contour(m, exp[k], nodes=exp["nodes"])
+                for m, k in zip(models, sizes)]
+    f = functions.parse_function(cfg["function"]["spec"])
+    if command == "converge":
+        c_f = approx.error_constant(f, models[0], contours[0], exp["n_list"])
+    else:
+        c_f = approx.error_constant_multi(f, models, contours, exp["n_list"])
+    p_cs = [spectra.riesz_projector(m.matrix_ref, approx._meas_contour(c),
+                                    eigenvalues=m.eigenvalues)
+            for m, c in zip(models, contours)]
+    eps = []
+    for n in exp["n_list"]:
+        eps_g, eps_c = 0.0, 0.0
+        for m, z0, p_c in zip(models, zs, p_cs):
+            eps_g += approx.resolvent_error(m, n, z0)
+            d = (approx.compress(m, n).x_n_padded - m.matrix_ref) @ linalg.resolvent(
+                m.matrix_ref, z0)
+            eps_c += linalg.op_norm(d @ p_c)
+        eps.append((repr(eps_g), repr(eps_c)))
+    return repr(c_f), eps
+
+
 def test_converge_columns_pinned(tmp_path):
     # c_f, eps_global and eps_cluster of a small converge and converge-multi
-    # run, as repr strings: one resolvent stack per matrix keeps them bitwise
+    # run: bitwise equal to the public functions' values in this process, and
+    # within 1e-12 relative of recorded values, whose last bits follow the BLAS
+    # build and thread count they were recorded with
     cv = write_config(tmp_path, "cv.ini", {
         "model": {"kind": "complex_harmonic", "ref_dim": 32},
         "function": {"spec": "exp(-z1)"},
@@ -226,25 +263,32 @@ def test_converge_columns_pinned(tmp_path):
         "experiment": {"n_list": "2, 4, 8", "cluster_size_1": 2,
                        "cluster_size_2": 2, "probes": 2},
     })
-    want = {
-        "converge": ("352.2478831590003", [
-            ("1.0005870762187825", "1.7034027275969716"),
-            ("1.0230437724148556", "0.5929728864998817"),
-            ("1.0442983236591104", "0.0466073987397651")]),
-        "converge-multi": ("127.072193527545", [
-            ("1.965590888000022", "0.7453569782449222"),
-            ("1.9692494585315194", "0.41893234267483326"),
-            ("1.991794802697267", "0.12240850347458268")]),
+    recorded = {
+        "converge": (352.2478831590003, [
+            (1.0005870762187825, 1.7034027275969716),
+            (1.0230437724148556, 0.5929728864998817),
+            (1.0442983236591104, 0.0466073987397651)]),
+        "converge-multi": (127.072193527545, [
+            (1.965590888000022, 0.7453569782449222),
+            (1.9692494585315194, 0.41893234267483326),
+            (1.991794802697267, 0.12240850347458268)]),
     }
-    for command, cfg in (("converge", cv), ("converge-multi", cm)):
+    for command, path in (("converge", cv), ("converge-multi", cm)):
         out = tmp_path / command
-        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
         [name] = [n for n in os.listdir(out) if n.endswith(("_level.csv", "_multi.csv"))]
         header, *rows = read_csv(out / name)
         col = {h: i for i, h in enumerate(header)}
-        c_f, eps = want[command]
-        assert [r[col["c_f"]] for r in rows] == [c_f] * len(eps)
-        assert [(r[col["eps_global"]], r[col["eps_cluster"]]) for r in rows] == eps
+        got_c_f = [r[col["c_f"]] for r in rows]
+        got_eps = [(r[col["eps_global"]], r[col["eps_cluster"]]) for r in rows]
+        c_f, eps = _expected_converge_columns(
+            command, cli.load_config(str(path), cli.SCHEMAS[command]))
+        assert got_c_f == [c_f] * len(eps)
+        assert got_eps == eps
+        rec_c_f, rec_eps = recorded[command]
+        assert float(c_f) == pytest.approx(rec_c_f, rel=1e-12)
+        assert [tuple(map(float, e)) for e in got_eps] == [
+            pytest.approx(e, rel=1e-12) for e in rec_eps]
 
 
 def test_regularize_runs(tmp_path):
