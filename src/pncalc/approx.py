@@ -21,18 +21,35 @@ the measurement contour.  That one resolvent stack gives the reference's
 cluster projector, the matrix's share of f, and its C_f sup, read at every
 k-th node: the measurement node count is a power-of-two multiple of the
 declared one, so those are the declared nodes bitwise.  A truncation's
-zero-padding to ref_dim only adds the eigenvalue 0, so its padded stack is
-blockdiag((zI - X_n)^{-1}, z^{-1} I).
+zero-padding to ref_dim only adds the eigenvalue 0, so its padded resolvent
+is blockdiag((zI - X_n)^{-1}, z^{-1} I); the fold reads the n x n stack on
+the leading block and z^{-1} on the padding diagonal, and never forms the
+padded stack.
+
+The cluster error d = f(X_n) - f(X) (and f(X) itself, for the measurement
+floor) has its columns in the range of the cluster projectors and its rows
+in their row spaces, so its norm is read from a thin bracket instead of a
+dense SVD on the tensor space.  With Qa an orthonormal basis of the
+reference's and the truncation's projector ranges (Kronecker products of the
+factors' leading singular vectors, one per enclosed eigenvalue) and Qb the
+same for the row spaces, core = Qa^H d Qb and rho = ||d - Qa core Qb^H||_F
+enclose ||core|| <= ||d|| <= ||core|| + rho for any orthonormal Qa, Qb.
+The report carries the lower end as the error and checks the upper end
+against the bound.  The thin ends are kept when rho <= 1e-10 ||core|| or
+when the whole bracket lies under the measurement floor; otherwise (a
+contour around the padding eigenvalue 0, quadrature leakage out of the
+bases) both ends are the dense ||d||.
 """
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import _check_node_tuples, _node_fold
+from .calculus import _check_node_tuples, _kron_fold, _node_coeffs, _node_fold
 from .errors import (
     ClusterSeparationError,
     ConfigError,
@@ -54,6 +71,9 @@ _MIN_REF_DIM = 16
 # more nodes than the contour declares for eps / C_f
 _MEAS_NODES = 256
 _MEAS_FLOOR = 1e-14
+# a thin norm bracket whose Frobenius remainder is at most this fraction of
+# its lower end is accepted without a dense SVD
+_THIN_RTOL = 1e-10
 
 
 def _meas_contour(contour: Contour) -> Contour:
@@ -96,7 +116,8 @@ class ReportRow:
     n: float                      # truncation size, or delta/eps for families
     eps_global: float
     eps_cluster: float
-    func_error_norm: float
+    func_error_norm: float        # lower end of the certified bracket of ||d||
+    func_error_upper: float       # its upper end, checked against bound_rhs
     probe_errors: list[float]
     bound_rhs: float
     level2_ok: bool
@@ -337,21 +358,39 @@ def _level1_pass(sequences: list[list[float]]) -> bool:
     return True
 
 
-def _errors(d: np.ndarray, probes) -> tuple[float, list[float]]:
-    """||d|| and the probe errors ||d u|| of one d = f(X_n) - f(X)."""
-    return op_norm(d), [float(np.linalg.norm(d @ u)) for u in probes]
+def _probe_errors(d: np.ndarray, probes) -> list[float]:
+    """The probe errors ||d u|| of one d = f(X_n) - f(X)."""
+    return [float(np.linalg.norm(d @ u)) for u in probes]
+
+
+def _norm_bracket(d: np.ndarray, qa: np.ndarray, qb: np.ndarray,
+                  floor: float = 0.0) -> tuple[float, float]:
+    """Certified (lower, upper) ends of ||d||_2 from orthonormal qa, qb.
+
+    core = qa^H d qb and rho = ||d - qa core qb^H||_F give
+    ||core|| <= ||d|| <= ||core|| + rho.  The thin ends are returned when
+    rho <= _THIN_RTOL * ||core|| or ||core|| + rho <= floor; otherwise both
+    ends are the dense ||d||.
+    """
+    core = qa.conj().T @ d @ qb
+    lower = op_norm(core) if core.size else 0.0
+    rho = float(np.linalg.norm(d - qa @ core @ qb.conj().T))
+    if rho <= _THIN_RTOL * lower or lower + rho <= floor:
+        return lower, lower + rho
+    dense = op_norm(d)
+    return dense, dense
 
 
 def _report(kind: str, f: AnalyticFunction, z0: complex, c_f: float, floor: float,
             points, n_probes: int) -> ConvergenceReport:
-    """Rows from (n, eps_global, eps_cluster, ||d||, probe errors) points, each
-    with its level-2 check ||d|| <= C_f * eps_cluster, with slack and the
-    measurement floor."""
+    """Rows from (n, eps_global, eps_cluster, lower, upper, probe errors)
+    points, where lower <= ||d|| <= upper, each with its level-2 check
+    upper <= C_f * eps_cluster, with slack and the measurement floor."""
     rows = []
-    for n, eps_global, eps_cluster, func_err, p_err in points:
+    for n, eps_global, eps_cluster, lower, upper, p_err in points:
         bound = c_f * eps_cluster * (1.0 + _BOUND_SLACK) + floor
-        rows.append(ReportRow(n, eps_global, eps_cluster, func_err, p_err, bound,
-                              func_err <= bound))
+        rows.append(ReportRow(n, eps_global, eps_cluster, lower, upper, p_err, bound,
+                              upper <= bound))
     report = ConvergenceReport(kind, f.to_spec(), complex(z0), c_f, rows)
     report.level1_pass = _level1_pass(
         [[row.probe_errors[i] for row in rows] for i in range(n_probes)])
@@ -365,23 +404,65 @@ def _relative_change(a: float, b: float) -> float:
     return abs(a - b) / max(a, 1e-12)
 
 
-def _padded_stack(stack, dim: int):
-    """The stack of blockdiag(X_n, 0) at size dim, from the stack of X_n:
-    each resolvent gains the block z^{-1} I."""
-    zs, w, rs = stack
-    n = rs.shape[1]
-    padded = np.zeros((zs.size, dim, dim), dtype=complex)
-    padded[:, :n, :n] = rs
-    idx = np.arange(n, dim)
-    padded[:, idx, idx] = (1.0 / zs)[:, None]
-    return zs, w, padded
+def _padded_fold(f: AnalyticFunction, stacks, dims) -> np.ndarray:
+    """The node fold of the stacks of blockdiag(X_jn, 0) at sizes `dims`,
+    from the stacks of the X_jn, without forming the padded stacks.
+
+    A padded resolvent is R_jn(z) on the leading block plus z^{-1} on the
+    padding diagonal, so the fold splits into disjoint blocks, one per set of
+    factors read on their padding: those factors are identities there, and
+    the node coefficients take z^{-1} along them.
+    """
+    coeffs = _node_coeffs(f, stacks)
+    r = len(stacks)
+    sizes = [rs.shape[1] for _, _, rs in stacks]
+    out = np.zeros(tuple(dims) * 2, dtype=complex)
+    for on_pad in itertools.product((False, True), repeat=r):
+        kept = [j for j in range(r) if not on_pad[j]]
+        padded = [j for j in range(r) if on_pad[j]]
+        c = coeffs
+        for j in padded:
+            zs = stacks[j][0]
+            c = np.sum(c * (1.0 / zs).reshape([-1 if i == j else 1 for i in range(r)]),
+                       axis=j, keepdims=True)
+        block = _kron_fold(c, [np.ones((1, 1, 1)) if on_pad[j] else stacks[j][2]
+                               for j in range(r)])
+        # index arrays on 2 axes per kept factor (row, column) and one shared
+        # axis per padded factor (its diagonal)
+        axes = 2 * len(kept) + len(padded)
+        rows, cols = [None] * r, [None] * r
+        for k, j in enumerate(kept):
+            rows[j] = _on_axis(np.arange(sizes[j]), k, axes)
+            cols[j] = _on_axis(np.arange(sizes[j]), len(kept) + k, axes)
+        for k, j in enumerate(padded):
+            rows[j] = cols[j] = _on_axis(np.arange(sizes[j], dims[j]), 2 * len(kept) + k, axes)
+        out[tuple(rows + cols)] = block.reshape([sizes[j] for j in kept] * 2
+                                                + [1] * len(padded))
+    dim = int(np.prod(dims))
+    return out.reshape(dim, dim)
+
+
+def _on_axis(a: np.ndarray, axis: int, axes: int) -> np.ndarray:
+    return a.reshape([-1 if i == axis else 1 for i in range(axes)])
+
+
+def _cluster_basis(projector: np.ndarray, eigenvalues, contour: Contour,
+                   dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the range and the row space of a quadrature
+    cluster projector: its leading singular vectors, one per eigenvalue the
+    contour encloses, padded with zero rows to `dim`."""
+    k = int(np.sum(contour.encloses(eigenvalues)))
+    u, _, vh = np.linalg.svd(projector)
+    pad = ((0, dim - projector.shape[0]), (0, 0))
+    return np.pad(u[:, :k], pad), np.pad(vh[:k].conj().T, pad)
 
 
 def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
                       probes) -> ConvergenceReport:
     """Truncation study of f on the product of the factors' enclosed clusters.
 
-    For every n: the cluster error ||f(X_1n, ..) - f(X_1, ..)||, probe errors,
+    For every n: the cluster error ||f(X_1n, ..) - f(X_1, ..)|| (the lower end
+    of its thin norm bracket, whose upper end is checked), probe errors,
     global and cluster-restricted eps_n summed over the factors, and the bound
     C_f * eps_cluster.  Each reference and each X_n is solved once, at its own
     size, on its measurement contour.
@@ -396,14 +477,17 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
     sups = [[_sup_resolvent_norm(s, k)] for s, k in zip(ref_stacks, strides)]
     g_ref = _node_fold(f, ref_stacks)
     del ref_stacks  # the truncations' padded stacks take their memory
+    ref_a, ref_b = (functools.reduce(np.kron, b) for b in zip(*[
+        _cluster_basis(p, m.eigenvalues, c, m.ref_dim)
+        for p, m, c in zip(p_cs, models, meas)]))
     r0s = [resolvent(m.matrix_ref, z0) for m, z0 in zip(models, z0s)]
     # measurement allowance: comparisons against the bound cannot resolve
     # differences below machine precision of the measured operator
-    floor = _MEAS_FLOOR * (1.0 + op_norm(g_ref))
+    floor = _MEAS_FLOOR * (1.0 + _norm_bracket(g_ref, ref_a, ref_b)[0])
 
     points = []
     for n in n_list:
-        eps_g, eps_c, stacks = 0.0, 0.0, []
+        eps_g, eps_c, stacks, bases = 0.0, 0.0, [], []
         for j, (model, c) in enumerate(zip(models, meas)):
             tp = compress(model, n)
             _check_z0(model, tp, z0s[j])
@@ -413,8 +497,16 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
             [stack] = _resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues,
                                         label=f"factor {j + 1} truncation n={n}")
             sups[j].append(_sup_resolvent_norm(stack, strides[j]))
-            stacks.append(_padded_stack(stack, tp.x_n_padded.shape[0]))
-        points.append((n, eps_g, eps_c, *_errors(_node_fold(f, stacks) - g_ref, probes)))
+            # tp.eigenvalues ends with the padding 0, which P_n does not see
+            bases.append(_cluster_basis(np.tensordot(stack[1], stack[2], axes=1),
+                                        tp.eigenvalues[:-1], c, model.ref_dim))
+            stacks.append(stack)
+        n_a, n_b = (functools.reduce(np.kron, b) for b in zip(*bases))
+        qa = np.linalg.qr(np.hstack([ref_a, n_a]))[0]
+        qb = np.linalg.qr(np.hstack([ref_b, n_b]))[0]
+        d = _padded_fold(f, stacks, [m.ref_dim for m in models]) - g_ref
+        points.append((n, eps_g, eps_c, *_norm_bracket(d, qa, qb, floor),
+                       _probe_errors(d, probes)))
     c_f = _error_constant(f, contours, sups)
     return _report("+".join(m.kind for m in models), f, z0s[0], c_f, floor, points,
                    len(probes))
@@ -479,10 +571,14 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     r0 = resolvent(x, z0)
     floor = _MEAS_FLOOR * (1.0 + op_norm(g_ref))
     points = []
-    for d in deltas:
-        d = float(d)
-        eps = op_norm(d * e_mat @ r0)
-        points.append((d, eps, eps, *_errors(integral(x + d * e_mat) - g_ref, probes)))
+    for delta in deltas:
+        delta = float(delta)
+        eps = op_norm(delta * e_mat @ r0)
+        d = integral(x + delta * e_mat) - g_ref
+        # the contour encloses the whole spectrum: d has full range, so the
+        # thin bracket cannot win and its norm is dense
+        norm = op_norm(d)
+        points.append((delta, eps, eps, norm, norm, _probe_errors(d, probes)))
     c_f = _error_constant(f, [contour], [sups])
     return _report("perturbation", f, z0, c_f, floor, points, len(probes))
 

@@ -294,16 +294,22 @@ def _check_node_tuples(f: AnalyticFunction, contours: list[Contour], scale: int 
             f"quadrature cost guard: {total} node tuples exceed budget {budget}")
 
 
-def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
-    """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
-    (nodes, weights, resolvent stack) per factor."""
+def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
+    """f(z) prod_j w_j on the grid of node tuples, from one (nodes, weights,
+    resolvent stack) per factor."""
     grid = np.meshgrid(*[zs for zs, _, _ in stacks], indexing="ij", sparse=True)
     coeffs = np.array(f(*grid), dtype=complex)
     for j, (_, w, _) in enumerate(stacks):
         shape = [1] * len(stacks)
         shape[j] = w.size
         coeffs *= w.reshape(shape)
-    return _kron_fold(coeffs, [rs for _, _, rs in stacks])
+    return coeffs
+
+
+def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
+    """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
+    (nodes, weights, resolvent stack) per factor."""
+    return _kron_fold(_node_coeffs(f, stacks), [rs for _, _, rs in stacks])
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,

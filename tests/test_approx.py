@@ -142,7 +142,8 @@ def test_level_experiment_harmonic():
 @pytest.mark.parametrize("kind", ["harmonic", "anharmonic_x4", "complex_harmonic"])
 @pytest.mark.parametrize("ref_dim", [32, 64])
 def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
-    # the stack of X_n padded with z^-1 I folds to the ref_dim-sized integral
+    # the stack of X_n, read with z^-1 I on the padding, folds to the
+    # ref_dim-sized integral
     m = approx.build_model(kind, ref_dim)
     f = parse("exp(-z1)")
     cluster = approx._meas_contour(approx.lowest_cluster_contour(m, 3))
@@ -151,13 +152,29 @@ def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
         tp = approx.compress(m, n)
         for contour in (cluster, around_zero):
             [stack] = spectra._resolvent_stacks(tp.x_n, contour, eigenvalues=tp.eigenvalues)
-            got = calculus._node_fold(f, [approx._padded_stack(stack, ref_dim)])
+            got = approx._padded_fold(f, [stack], [ref_dim])
             want = calculus.dunford(f, tp.x_n_padded, contour, require_full=False)
             assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
         # the padding eigenvalue 0 is enclosed: its block is f(0) I
         pad = got[n:, n:]
         assert np.allclose(pad, np.eye(ref_dim - n), rtol=0.0, atol=1e-12)
         assert np.max(np.abs(got[:n, n:])) == 0.0 and np.max(np.abs(got[n:, :n])) == 0.0
+
+
+def test_padded_fold_matches_padded_dunford_multivariate():
+    # two factors, each read on its leading block or on its padding diagonal
+    models = [approx.build_model("harmonic", 16), approx.build_model("complex_harmonic", 16)]
+    f = parse("exp(-z1-2*z2)")
+    contours = [approx._meas_contour(c) for c in (
+        approx.lowest_cluster_contour(models[0], 2), spectra.Contour(0.0, 2.0))]
+    for n in (3, 5):
+        points = [approx.compress(m, n) for m in models]
+        stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
+                  for tp, c in zip(points, contours)]
+        got = approx._padded_fold(f, stacks, [16, 16])
+        system = calculus.lift([tp.x_n_padded for tp in points])
+        want = calculus.dunford_multivariate(f, system, contours, require_full=False)
+        assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
 
 
 def test_level_experiment_refuses_contour_on_padding_eigenvalue():
@@ -323,6 +340,141 @@ def test_multivariate_experiment_additive_bound():
     assert rep.level2_pass and rep.level1_pass
     with pytest.raises(PreconditionError):
         approx.multivariate_experiment([m1], f, [-1.0], [c1], [2])
+
+
+# the bracket is exact in exact arithmetic; its ends and the dense SVD each
+# carry rounding of order eps * ||d||
+_ROUNDING = 1e-14
+
+
+def _orthonormal(rng, dim, k):
+    return np.linalg.qr(rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k)))[0]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_norm_bracket_encloses_dense_norm(seed):
+    rng = np.random.default_rng(seed)
+    dim, k = 40, 3
+    qa, qb = _orthonormal(rng, dim, 2 * k), _orthonormal(rng, dim, 2 * k)
+    core = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    inside = qa[:, :k] @ core @ qb[:, :k].conj().T
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    eye = np.eye(dim)
+    outside = (eye - qa @ qa.conj().T) @ g @ (eye - qb @ qb.conj().T)
+    outside /= np.linalg.norm(outside)
+    for delta in (0.0, 1e-13, 1e-9, 1e-3, 1.0):
+        d = inside + delta * outside
+        dense = linalg.op_norm(d)
+        lower, upper = approx._norm_bracket(d, qa, qb)
+        assert lower <= dense * (1.0 + _ROUNDING) and dense <= upper * (1.0 + _ROUNDING)
+        if delta >= 1e-9:
+            # mass outside the bases: the dense norm, exactly
+            assert lower == upper == dense
+        else:
+            assert upper - lower <= 1e-10 * lower
+    # an unrelated basis always falls back to the dense norm
+    other = _orthonormal(rng, dim, 2 * k)
+    assert approx._norm_bracket(inside, other, other) == (linalg.op_norm(inside),) * 2
+    # a bracket that lies wholly under the floor is kept, mass outside or not
+    tiny = 1e-17 * (inside + outside)
+    lower, upper = approx._norm_bracket(tiny, qa, qb, floor=1e-14)
+    dense = linalg.op_norm(tiny)
+    assert lower <= dense * (1.0 + _ROUNDING) and dense <= upper <= 1e-14
+    assert upper - lower > 1e-10 * lower
+
+
+def test_level2_check_reads_upper_end():
+    # (n, eps_global, eps_cluster, lower, upper, probe errors): the bound
+    # c_f * eps_cluster * (1 + slack) + floor lies between the two ends
+    points = [(4, 1.0, 1.0, 0.9, 1.1, [0.0]), (8, 1.0, 1.0, 0.9, 0.95, [0.0])]
+    rep = approx._report("harmonic", parse("exp(-z1)"), -1.0, 1.0, 0.0, points, 1)
+    assert [row.level2_ok for row in rep.rows] == [False, True]
+    assert [row.func_error_norm for row in rep.rows] == [0.9, 0.9]
+    assert not rep.level2_pass
+
+
+def test_thin_bracket_takes_no_tensor_sized_svd(monkeypatch):
+    # criterion 07's inputs: every norm on the 1024-dim tensor space comes
+    # from the thin bracket
+    big = []
+    norm, svd = np.linalg.norm, np.linalg.svd
+
+    def spy_norm(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            big.append(max(np.shape(x)[-2:]))
+        return norm(x, ord, axis, keepdims)
+
+    def spy_svd(a, *args, **kwargs):
+        big.append(max(np.shape(a)[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    models = [approx.build_model("harmonic", 32), approx.build_model("harmonic", 32)]
+    f = parse("exp(-z1-z2)")
+    contours = [approx.lowest_cluster_contour(m, 3) for m in models]
+    rep = approx.multivariate_experiment(models, f, [-1.0, -1.0], contours,
+                                         [2, 3, 4, 6, 8, 12, 16])
+    assert rep.level2_pass and big and max(big) < 1024
+
+    # a contour around the padding eigenvalue 0 puts f(0) on the padding
+    # block: those rows fall back to the dense norm
+    models = [approx.build_model("harmonic", 16), approx.build_model("harmonic", 16)]
+    contours = [spectra.Contour(0.5, 2.0), approx.lowest_cluster_contour(models[1], 2)]
+    big.clear()
+    n_list = [2, 4]
+    rep = approx.multivariate_experiment(models, f, [-1.0, -1.0], contours, n_list)
+    assert big.count(256) == len(n_list)
+    floor, dense = _dense_errors(models, f, contours, n_list)
+    for row, want in zip(rep.rows, dense):
+        assert row.func_error_norm == row.func_error_upper > floor
+        assert abs(row.func_error_norm - want) <= 1e-12 * want
+
+
+def _dense_errors(models, f, contours, n_list):
+    """The measurement floor and each ||f(X_n) - f(X)||: dense SVDs of node
+    folds of explicitly padded stacks blockdiag((zI - X_n)^{-1}, z^{-1} I)."""
+    meas = [approx._meas_contour(c) for c in contours]
+    ref = [spectra._resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues)[0]
+           for m, c in zip(models, meas)]
+    g_ref = calculus._node_fold(f, ref)
+    errors = []
+    for n in n_list:
+        stacks = []
+        for m, c in zip(models, meas):
+            tp = approx.compress(m, n)
+            zs, w, rs = spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
+            padded = np.zeros((zs.size, m.ref_dim, m.ref_dim), dtype=complex)
+            padded[:, :n, :n] = rs
+            padded[:, np.arange(n, m.ref_dim), np.arange(n, m.ref_dim)] = (1.0 / zs)[:, None]
+            stacks.append((zs, w, padded))
+        errors.append(linalg.op_norm(calculus._node_fold(f, stacks) - g_ref))
+    return approx._MEAS_FLOOR * (1.0 + linalg.op_norm(g_ref)), errors
+
+
+@pytest.mark.parametrize("kinds,ref_dim,n_list", [
+    (["complex_harmonic"], 64, [3, 4, 6, 8, 16, 32]),
+    (["complex_harmonic"], 128, [8, 16, 32]),
+    (["harmonic", "complex_harmonic"], 32, [4, 8]),
+], ids=["complex_harmonic-64", "complex_harmonic-128", "harmonic+complex_harmonic-32"])
+def test_thin_bracket_matches_dense_norms(kinds, ref_dim, n_list):
+    models = [approx.build_model(k, ref_dim) for k in kinds]
+    f = parse("exp(-z1)" if len(kinds) == 1 else "exp(-z1-z2)")
+    contours = [approx.lowest_cluster_contour(m, 3) for m in models]
+    if len(models) == 1:
+        rep = approx.level_experiment(models[0], f, -1.0, contours[0], n_list,
+                                      stability_check=False)
+    else:
+        rep = approx.multivariate_experiment(models, f, [-1.0] * 2, contours, n_list)
+    floor, dense = _dense_errors(models, f, contours, n_list)
+    for row, want in zip(rep.rows, dense):
+        lower, upper = row.func_error_norm, row.func_error_upper
+        assert lower <= upper
+        if want > floor:
+            assert abs(lower - want) <= 1e-10 * want
+        else:
+            assert lower <= floor and want <= floor
+        assert row.level2_ok == (upper <= row.bound_rhs)
 
 
 def test_regularization_sweep_bounds_and_order():
