@@ -422,9 +422,7 @@ def _padded_fold(f: AnalyticFunction, stacks, dims) -> np.ndarray:
         padded = [j for j in range(r) if on_pad[j]]
         c = coeffs
         for j in padded:
-            zs = stacks[j][0]
-            c = np.sum(c * (1.0 / zs).reshape([-1 if i == j else 1 for i in range(r)]),
-                       axis=j, keepdims=True)
+            c = np.sum(c * _on_axis(1.0 / stacks[j][0], j, r), axis=j, keepdims=True)
         block = _kron_fold(c, [np.ones((1, 1, 1)) if on_pad[j] else stacks[j][2]
                                for j in range(r)])
         # index arrays on 2 axes per kept factor (row, column) and one shared
