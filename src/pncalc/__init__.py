@@ -39,7 +39,6 @@ from .spectra import (
     cluster_eigenvalues,
     decompose,
     nilpotency_index,
-    nilpotent_part,
     read_decomposition,
     riesz_projector,
     verify_decomposition,
@@ -102,7 +101,7 @@ __all__ = [
     "KRON_CAP", "EigenResult", "eig", "eye_like", "kron", "op_norm",
     "read_cmat", "resolvent", "write_cmat",
     "Contour", "Decomposition", "SpectralComponent", "cluster_eigenvalues",
-    "decompose", "nilpotency_index", "nilpotent_part", "read_decomposition",
+    "decompose", "nilpotency_index", "read_decomposition",
     "riesz_projector", "verify_decomposition", "write_decomposition",
     "AnalyticFunction", "Polynomial", "ExpAffine", "SinAffine", "CosAffine",
     "Sum", "Product", "Ratio", "as_multi_index", "parse_function",

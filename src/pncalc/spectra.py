@@ -4,11 +4,14 @@ A matrix X is split as X = sum_k (lambda_k P_k + N_k) with one component per
 *distinct* eigenvalue: P_k the spectral projector, taken from one complex
 Schur form of X by reordering and Sylvester block-diagonalisation,
 N_k = (X - lambda_k I) P_k the aggregated nilpotent part, and nu_k its
-nilpotency index.  `riesz_projector` computes the same projector by a
-trapezoidal contour integral of the resolvent; it stays as the independent
-quadrature route.  Every contour quadrature of the package takes its
-resolvents from `_resolvent_stacks`, which refuses a circle too close to the
-spectrum (ContourTooCloseError) before it solves.
+nilpotency index.  A component of multiplicity m keeps n x m factors, with
+P_k = V W^H and N_k = M W^H; decomposing, verifying and writing read only
+these, so a k = n decomposition costs O(n^3) and writes 3 n^2 numbers.
+`riesz_projector` computes the same projector by a trapezoidal contour
+integral of the resolvent; it stays as the independent quadrature route.
+Every contour quadrature of the package takes its resolvents from
+`_resolvent_stacks`, which refuses a circle too close to the spectrum
+(ContourTooCloseError) before it solves.
 
 The one knob that decides everything here is `cluster_tol`: eigenvalues closer
 than it (single linkage) are treated as one multiple eigenvalue.  Defective
@@ -86,11 +89,34 @@ class Contour:
 
 @dataclass
 class SpectralComponent:
+    """One spectral component, kept as n x m factors of its rank-m operators.
+
+    P = V W^H and N = M W^H: V = Q1 holds orthonormal Schur vectors of the
+    range of P, W^H = Q1^H - R Q2^H (Bavely & Stewart 1979), and
+    M = (X - lambda I) V.  `projector` and `nilpotent` are built from the
+    factors on first read and cached; they cannot be assigned.
+    """
     eigenvalue: complex
     multiplicity: int
-    projector: np.ndarray
-    nilpotent: np.ndarray
     index: int  # nilpotency index nu: smallest power with N^nu ~= 0
+    v: np.ndarray
+    w: np.ndarray
+    m: np.ndarray
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self._dense("projector", self.v)
+
+    @property
+    def nilpotent(self) -> np.ndarray:
+        return self._dense("nilpotent", self.m)
+
+    def _dense(self, name: str, left: np.ndarray) -> np.ndarray:
+        if name not in self.__dict__:
+            dense = left @ self.w.conj().T
+            dense.flags.writeable = False
+            self.__dict__[name] = dense
+        return self.__dict__[name]
 
 
 @dataclass
@@ -183,31 +209,45 @@ def riesz_projector(x, contour: Contour, eigenvalues=None) -> np.ndarray:
     return np.tensordot(w, rs, axes=1)
 
 
-def nilpotent_part(x, projector, eigenvalue: complex) -> np.ndarray:
-    """(X - lambda I) P: the nilpotent remainder on the component's range."""
-    x = as_matrix(x, square=True)
-    return (x - complex(eigenvalue) * eye_like(x.shape[0])) @ projector
+def _triangular_factors(blocks) -> list[np.ndarray]:
+    """R of the thin QR A = Q R of each n x m block, one batched QR per width m."""
+    out = [None] * len(blocks)
+    for width in {b.shape[1] for b in blocks}:
+        idx = [i for i, b in enumerate(blocks) if b.shape[1] == width]
+        rs = np.linalg.qr(np.stack([blocks[i] for i in idx]), mode="r")
+        for i, r in zip(idx, rs):
+            out[i] = r
+    return out
+
+
+def _factored_index(r_m, c, r_w, scale: float, tol: float, cap: int) -> int:
+    """Smallest nu >= 1 with op_norm(N^nu) <= tol * scale^nu, N = M W^H, capped at `cap`.
+
+    N^q = M C^(q-1) W^H with C = W^H M.  With thin QRs M = Q_M R_M and
+    W = Q_W R_W, both norms of N^q are those of the small core
+    R_M C^(q-1) R_W^H.  The Frobenius norm bounds op_norm from above, so a
+    power that passes it passes op_norm too; the SVD is taken only when the
+    Frobenius test fails.  BLAS nrm2 scales as it sums, so tiny entries do
+    not underflow to 0.
+    """
+    if scale <= 0:
+        scale = 1.0
+    left, right = r_m, r_w.conj().T
+    for nu in range(1, cap + 1):
+        core = left @ right
+        bound = tol * scale ** nu
+        if blas.dznrm2(core.ravel()) <= bound or op_norm(core) <= bound:
+            return nu
+        left = left @ c
+    return cap
 
 
 def nilpotency_index(n_mat, scale: float, tol: float = DEFAULT_TOL_NIL) -> int:
-    """Smallest nu >= 1 with op_norm(N^nu) <= tol * scale^nu, capped at dim.
-
-    The Frobenius norm bounds op_norm from above, so a power that passes it
-    passes op_norm too; the SVD is taken only when the Frobenius test fails.
-    BLAS nrm2 scales as it sums, so tiny entries do not underflow to 0.
-    """
+    """Smallest nu >= 1 with op_norm(N^nu) <= tol * scale^nu, capped at dim."""
     n_mat = as_matrix(n_mat, square=True)
-    if scale <= 0:
-        scale = 1.0
     dim = n_mat.shape[0]
-    power = n_mat.copy()
-    for nu in range(1, dim + 1):
-        bound = tol * scale ** nu
-        frobenius = blas.dznrm2(power.ravel())
-        if frobenius <= bound or op_norm(power) <= bound:
-            return nu
-        power = power @ n_mat
-    return dim
+    [r_n] = _triangular_factors([n_mat])
+    return _factored_index(r_n, n_mat, eye_like(dim), scale, tol, dim)
 
 
 def _cluster_geometry(values, clusters, k):
@@ -221,24 +261,24 @@ def _cluster_geometry(values, clusters, k):
     return rep, members, float(spread), float(gap)
 
 
-def _schur_projector(t, q, select) -> np.ndarray:
-    """Spectral projector of X = Q T Q^H onto the selected diag(T) entries.
+def _schur_factors(t, q, select) -> tuple[np.ndarray, np.ndarray]:
+    """Factors V, W of the spectral projector P = V W^H of X = Q T Q^H onto
+    the selected diag(T) entries.
 
     The selected eigenvalues are moved to the leading block (ztrsen), the
     Sylvester equation T11 R - R T22 = -T12 removes the coupling block
-    (ztrsyl), and P = Q1 (Q1^H - R Q2^H) (Bavely & Stewart 1979).
+    (ztrsyl), and V = Q1, W^H = Q1^H - R Q2^H (Bavely & Stewart 1979).
     """
     ts, qs, _, m, _, _, _ = lapack.ztrsen(select, t, q, job="N")
-    q1, q2 = qs[:, :m], qs[:, m:]
-    w = q1.conj().T
+    v = w = qs[:, :m]
     if m < t.shape[0]:
         r, s, info = lapack.ztrsyl(ts[:m, :m], ts[m:, m:], -ts[:m, m:], isgn=-1)
         if info:
             raise ClusterSeparationError(
                 "Sylvester separation of a cluster is singular to working "
                 "precision; its eigenvalues nearly coincide with another cluster")
-        w = w - (r / s) @ q2.conj().T
-    return q1 @ w
+        w = v - qs[:, m:] @ (r / s).conj().T
+    return np.ascontiguousarray(v), np.ascontiguousarray(w)
 
 
 def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_DEC,
@@ -246,11 +286,13 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
     """Full projector-nilpotent resolution of a dense matrix.
 
     The eigenvalues diag(T) of one complex Schur form X = Q T Q^H are
-    clustered at `cluster_tol` (default 1e-6 * ||X||); each cluster gets its
-    projector from the Schur form (`_schur_projector`), a refined
-    representative trace(X P)/m, and the aggregated nilpotent part.  All
-    residual invariants are verified before returning; DecompositionError
-    names the ones that failed, and the report is kept on the result.
+    clustered at `cluster_tol` (default 1e-6 * ||X||); each cluster gets the
+    factors V, W of its projector from the Schur form (`_schur_factors`), a
+    refined representative trace(W^H X V)/m = trace(X P)/m, the factor
+    M = (X - lambda I) V of its aggregated nilpotent part, and the index read
+    from the m x m cores.  All residual invariants are verified before
+    returning; DecompositionError names the ones that failed, and the report
+    is kept on the result.
     """
     x = as_matrix(x, square=True)
     dim = x.shape[0]
@@ -271,7 +313,7 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
                     f"clusters at {clusters[a][0]:.6g} and {clusters[b][0]:.6g} "
                     f"separated by {d:.3e} <= 4 * cluster_tol = {4 * cluster_tol:.3e}")
 
-    comps = []
+    factors = []
     for k in range(len(clusters)):
         rep, members, spread, gap = _cluster_geometry(values, clusters, k)
         if 3.0 * spread + cluster_tol > 0.45 * gap:
@@ -279,16 +321,21 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
                 f"cluster at {rep:.6g}: spread {spread:.3e} too large for gap {gap:.3e}")
         select = np.zeros(dim, dtype=np.int32)
         select[members] = 1
-        p = _schur_projector(sf.t, sf.q, select)
-        mult = len(members)
-        lam = complex(np.trace(x @ p) / mult)
-        n_mat = nilpotent_part(x, p, lam)
-        nu = nilpotency_index(n_mat, scale, tol_nil)
+        v, w = _schur_factors(sf.t, sf.q, select)
+        xv = x @ v
+        lam = complex(np.vdot(w, xv) / len(members))
+        factors.append((lam, v, w, xv - lam * v))
+
+    comps = []
+    rs = _triangular_factors([f[3] for f in factors] + [f[2] for f in factors])
+    for (lam, v, w, m_fac), r_m, r_w in zip(factors, rs, rs[len(factors):]):
+        mult = v.shape[1]
+        nu = _factored_index(r_m, w.conj().T @ m_fac, r_w, scale, tol_nil, dim)
         if nu > mult:
             raise DecompositionError(
                 f"nilpotency index {nu} exceeds multiplicity {mult} at {lam:.6g}; "
                 f"structure not resolved at tol_nil={tol_nil:g}")
-        comps.append(SpectralComponent(lam, mult, p, n_mat, nu))
+        comps.append(SpectralComponent(lam, mult, nu, v, w, m_fac))
 
     comps.sort(key=lambda c: (c.eigenvalue.real, c.eigenvalue.imag))
     dec = Decomposition(dim, scale, float(cluster_tol), tol_dec, tol_nil, comps)
@@ -310,48 +357,75 @@ def verify_decomposition(x, dec: Decomposition) -> dict[str, tuple[float, float]
     and dies at its index; cross products of distinct projectors vanish; and
     sum(lambda P + N) reconstructs X.  Bounds scale with tol_dec.
 
-    Reconstruction and resolution residuals are spectral norms; per-component
-    and pairwise residuals use Frobenius norms (upper bounds on the spectral
-    norm, so the checks are at least as strict) to stay vectorizable.
+    Every invariant is read from the stored factors, so a record read back
+    from disk verifies to the same report.  Reconstruction and resolution
+    are spectral norms of (sum_i (lambda_i V_i + M_i) W_i^H) - X and
+    V W^H - I.  The other residuals are Frobenius norms (upper bounds on
+    the spectral norm, so the checks are at least as strict) of products
+    A B^H of n x m factors; with thin QRs A = Q_A R_A they equal the norms
+    of the m x m cores R_A R_B^H.  With G = W^H V over all components,
+    P_i P_j = V_i G_ij W_j^H, P_i^2 - P_i = V_i (G_ii - I) W_i^H,
+    P_i N_i - N_i = (V_i C_i - M_i) W_i^H, N_i P_i - N_i = M_i (G_ii - I) W_i^H
+    and N_i^q = M_i C_i^(q-1) W_i^H, with C_i = W_i^H M_i.
     """
     x = as_matrix(x, square=True)
     dim = x.shape[0]
     scale = max(dec.scale, 1e-300)
     tol = dec.tol_dec
-    ident = eye_like(dim)
+    comps = dec.components
 
-    recon = sum((c.eigenvalue * c.projector + c.nilpotent for c in dec.components),
-                np.zeros_like(x))
-    resol = sum((c.projector for c in dec.components), np.zeros_like(x))
-    p_norms = [op_norm(c.projector) for c in dec.components]
-    big_p = max(p_norms, default=1.0)
+    def fro(a):
+        return blas.dznrm2(a.ravel())
 
-    def fro(stack):
-        return np.sqrt(np.sum(np.abs(stack) ** 2, axis=(-2, -1)))
+    v = np.hstack([c.v for c in comps])
+    wh = np.hstack([c.w for c in comps]).conj().T
+    lam_v_m = np.hstack([c.eigenvalue * c.v + c.m for c in comps])
+    recon = op_norm(lam_v_m @ wh - x) / scale
+    resol = op_norm(v @ wh - eye_like(dim))
+    # G - I: the residuals below are formed from it directly, never from a
+    # trace/Gram identity: a shortcut for ||P_i P_j||_F^2 cancels O(1) terms
+    # down to ~1e-31 and its roundoff floor (~1e-15) would sit exactly at the
+    # tolerance being checked
+    g_minus_i = wh @ v - eye_like(v.shape[1])
+    edges = np.cumsum([0] + [c.v.shape[1] for c in comps])
 
-    ps = np.stack([c.projector for c in dec.components])
-    ns = np.stack([c.nilpotent for c in dec.components])
-    idem = float(np.max(fro(ps @ ps - ps)))
-    comm = float(max(np.max(fro(ps @ ns - ns)), np.max(fro(ns @ ps - ns))))
-    nilres = 0.0
-    for c in dec.components:
-        power = np.linalg.matrix_power(c.nilpotent, c.index)
-        nilres = max(nilres, float(fro(power)) / scale ** c.index)
-    cross = 0.0
-    if len(dec.components) > 1:
-        # the products must be formed explicitly: a trace/Gram shortcut for
-        # ||P_i P_j||_F^2 cancels O(1) terms down to ~1e-31 and its roundoff
-        # floor (~1e-15) would sit exactly at the tolerance being checked
-        for i in range(len(dec.components)):
-            norms = fro(ps[i] @ ps)
-            norms[i] = 0.0
-            cross = max(cross, float(np.max(norms)))
+    k = len(comps)
+    rs = _triangular_factors([c.v for c in comps] + [c.w for c in comps]
+                             + [c.m for c in comps])
+    # R_V (G - I) R_W^H, R_V and R_W block diagonal: block (i, j) is the core
+    # of P_i P_j, and block (i, i) that of P_i^2 - P_i
+    rv_diag, rw_diag = np.zeros_like(g_minus_i), np.zeros_like(g_minus_i)
+    p_cores, comm, nilres = [], 0.0, 0.0
+    for c, r_v, r_w, r_m, lo, hi in zip(comps, rs, rs[k:], rs[2 * k:], edges, edges[1:]):
+        rv_diag[lo:hi, lo:hi] = r_v
+        rw_diag[lo:hi, lo:hi] = r_w
+        r_wh = r_w.conj().T
+        core = c.w.conj().T @ c.m
+        p_cores.append(r_v @ r_wh)
+        comm = max(comm, fro((c.v @ core - c.m) @ r_wh),
+                   fro(r_m @ g_minus_i[lo:hi, lo:hi] @ r_wh))
+        power = r_m
+        for _ in range(c.index - 1):
+            power = power @ core
+        nilres = max(nilres, fro(power @ r_wh) / scale ** c.index)
+    # max_i ||P_i||_2 from one batched SVD per core size
+    big_p = max((float(np.linalg.svd(np.stack([a for a in p_cores if len(a) == size]),
+                                     compute_uv=False).max())
+                 for size in {len(a) for a in p_cores}), default=1.0)
 
-    mult_gap = abs(sum(c.multiplicity for c in dec.components) - dim)
+    h = rv_diag @ g_minus_i @ rw_diag.conj().T
+    starts = edges[:-1]
+    blocks = np.sqrt(np.add.reduceat(np.add.reduceat(np.abs(h) ** 2, starts, axis=0),
+                                     starts, axis=1))
+    idem = float(np.max(np.diag(blocks)))
+    np.fill_diagonal(blocks, 0.0)
+    cross = float(np.max(blocks))
+
+    mult_gap = abs(sum(c.multiplicity for c in comps) - dim)
     return {
         "multiplicity_sum": (float(mult_gap), 0.0),
-        "reconstruction": (op_norm(recon - x) / scale, tol),
-        "resolution": (op_norm(resol - ident), tol * max(1.0, big_p)),
+        "reconstruction": (recon, tol),
+        "resolution": (resol, tol * max(1.0, big_p)),
         "idempotence": (idem, tol * max(1.0, big_p) ** 2),
         "projector_nilpotent_commute": (comm, tol * scale * max(1.0, big_p)),
         "nilpotency": (nilres, dec.tol_nil * max(1.0, big_p)),
@@ -359,10 +433,19 @@ def verify_decomposition(x, dec: Decomposition) -> dict[str, tuple[float, float]
     }
 
 
+# the n x m factor blocks of a pndec v2 component, in file order
+_PNDEC_BLOCKS = ("V", "W", "M")
+
+
 def write_decomposition(path, dec: Decomposition) -> None:
-    """Serialize a decomposition as the `pndec v1` text record."""
+    """Serialize a decomposition as the `pndec v2` text record.
+
+    The header, then per component its eigenvalue, multiplicity and index
+    and the dim x multiplicity factor blocks V, W and M in cmat-style
+    entries: 3 n^2 numbers in all.
+    """
     buf = io.StringIO()
-    buf.write("pndec v1\n")
+    buf.write("pndec v2\n")
     buf.write(f"dim {dec.dim}\n")
     buf.write(f"scale {dec.scale!r}\n")
     buf.write(f"cluster_tol {dec.cluster_tol!r}\n")
@@ -373,7 +456,7 @@ def write_decomposition(path, dec: Decomposition) -> None:
         buf.write(f"eigenvalue {c.eigenvalue.real!r} {c.eigenvalue.imag!r}\n")
         buf.write(f"multiplicity {c.multiplicity}\n")
         buf.write(f"index {c.index}\n")
-        for tag, m in (("projector", c.projector), ("nilpotent", c.nilpotent)):
+        for tag, m in zip(_PNDEC_BLOCKS, (c.v, c.w, c.m)):
             buf.write(f"{tag} {m.shape[0]} {m.shape[1]}\n")
             buf.write(format_entries(m))
     with open(path, "w", newline="\n") as fh:
@@ -381,6 +464,12 @@ def write_decomposition(path, dec: Decomposition) -> None:
 
 
 def read_decomposition(path) -> Decomposition:
+    """Read a `pndec v2` record; inverse of write_decomposition, bitwise.
+
+    Raises ConfigError on another version or a malformed record: a block
+    that is not dim x multiplicity, an index outside 1..multiplicity,
+    multiplicities that do not sum to dim, a short or non-numeric block.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     it = iter(lines)
@@ -392,8 +481,9 @@ def read_decomposition(path) -> Decomposition:
             raise ConfigError(f"{path}: expected '{tag}' record, got {line!r}")
         return parts[1:]
 
-    if next(it, "") != "pndec v1":
-        raise ConfigError(f"{path}: not a pndec v1 file")
+    header = next(it, "")
+    if header != "pndec v2":
+        raise ConfigError(f"{path}: expected a pndec v2 record, got {header!r}")
     dim = int(expect("dim")[0])
     scale = float(expect("scale")[0])
     cluster_tol = float(expect("cluster_tol")[0])
@@ -401,22 +491,31 @@ def read_decomposition(path) -> Decomposition:
     tol_nil = float(expect("tol_nil")[0])
     count = int(expect("components")[0])
     comps = []
-    for _ in range(count):
+    for k in range(count):
         re_s, im_s = expect("eigenvalue")
         lam = complex(float(re_s), float(im_s))
         mult = int(expect("multiplicity")[0])
         nu = int(expect("index")[0])
-        mats = {}
-        for tag in ("projector", "nilpotent"):
+        where = f"{path}: component {k + 1}"
+        if not 1 <= nu <= mult:
+            raise ConfigError(f"{where}: index {nu} outside 1..multiplicity {mult}")
+        blocks = []
+        for tag in _PNDEC_BLOCKS:
             r, c = (int(t) for t in expect(tag))
+            if (r, c) != (dim, mult):
+                raise ConfigError(f"{where}: {tag} block is {r}x{c}, expected "
+                                  f"dim x multiplicity = {dim}x{mult}")
             tokens = " ".join(itertools.islice(it, r * c)).split()
             if len(tokens) != 2 * r * c:
                 raise ConfigError(
-                    f"{path}: expected {2 * r * c} numbers for a {r}x{c} {tag}, "
-                    f"got {len(tokens)}")
+                    f"{where}: expected {2 * r * c} numbers for a {r}x{c} {tag} "
+                    f"block, got {len(tokens)}")
             try:
-                mats[tag] = parse_entries(tokens).reshape(r, c)
+                blocks.append(parse_entries(tokens).reshape(r, c))
             except ValueError as exc:
-                raise ConfigError(f"{path}: non-numeric {tag} entry") from exc
-        comps.append(SpectralComponent(lam, mult, mats["projector"], mats["nilpotent"], nu))
+                raise ConfigError(f"{where}: non-numeric {tag} entry") from exc
+        comps.append(SpectralComponent(lam, mult, nu, *blocks))
+    total = sum(c.multiplicity for c in comps)
+    if total != dim:
+        raise ConfigError(f"{path}: multiplicities sum to {total}, header dim is {dim}")
     return Decomposition(dim, scale, cluster_tol, tol_dec, tol_nil, comps)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pncalc import approx, cli, functions, linalg, spectra
+from pncalc import approx, cli, functions, linalg, spectra, synth
 
 X1 = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 X2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -64,6 +64,31 @@ def test_decompose_residuals_are_the_decompose_report(tmp_path, mats):
     assert [r[0] for r in rows] == sorted(report)
     for name, measured, bound, _ in rows:
         assert (float(measured), float(bound)) == report[name]
+
+
+def test_decompose_keeps_factors_and_writes_3n2_entries(tmp_path, monkeypatch):
+    # k = n: every component has multiplicity 1
+    n = 32
+    x = synth.random_diagonalizable(np.random.default_rng(32), n, spread=2.0)
+    linalg.write_cmat(tmp_path / "x.cmat", x)
+    cfg = write_config(tmp_path, "dec.ini", {"input": {"matrix": tmp_path / "x.cmat"}})
+    decs = []
+    real = spectra.decompose
+
+    def spy(*args, **kwargs):
+        decs.append(real(*args, **kwargs))
+        return decs[-1]
+
+    monkeypatch.setattr(spectra, "decompose", spy)
+    out = tmp_path / "out"
+    assert cli.main(["decompose", "--config", str(cfg), "--out", str(out)]) == 0
+    [dec] = decs
+    assert len(dec.components) == n
+    for c in dec.components:
+        assert "projector" not in c.__dict__ and "nilpotent" not in c.__dict__
+    lines = (out / "decomposition.txt").read_text().splitlines()
+    entries = [line for line in lines if line[:1] in "-0123456789"]
+    assert len(entries) == 3 * n * n
 
 
 def test_manifest_checksums(tmp_path, mats):

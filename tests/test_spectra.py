@@ -238,16 +238,107 @@ def test_decompose_keeps_its_verification_report(tmp_path):
     assert spectra.read_decomposition(path).report == {}
 
 
+def dense_verify(x, dec):
+    """The dense verify_decomposition that the factored one replaced: it
+    forms every P_i, N_i and P_i P_j as an n x n matrix."""
+    dim = x.shape[0]
+    scale = max(dec.scale, 1e-300)
+    tol = dec.tol_dec
+    recon = sum((c.eigenvalue * c.projector + c.nilpotent for c in dec.components),
+                np.zeros_like(x))
+    resol = sum((c.projector for c in dec.components), np.zeros_like(x))
+    big_p = max(linalg.op_norm(c.projector) for c in dec.components)
+
+    def fro(stack):
+        return np.sqrt(np.sum(np.abs(stack) ** 2, axis=(-2, -1)))
+
+    ps = np.stack([c.projector for c in dec.components])
+    ns = np.stack([c.nilpotent for c in dec.components])
+    idem = float(np.max(fro(ps @ ps - ps)))
+    comm = float(max(np.max(fro(ps @ ns - ns)), np.max(fro(ns @ ps - ns))))
+    nilres = max(float(fro(np.linalg.matrix_power(c.nilpotent, c.index))) / scale ** c.index
+                 for c in dec.components)
+    cross = 0.0
+    for i in range(len(dec.components)):
+        norms = fro(ps[i] @ ps)
+        norms[i] = 0.0
+        cross = max(cross, float(np.max(norms)))
+    mult_gap = abs(sum(c.multiplicity for c in dec.components) - dim)
+    return {
+        "multiplicity_sum": (float(mult_gap), 0.0),
+        "reconstruction": (linalg.op_norm(recon - x) / scale, tol),
+        "resolution": (linalg.op_norm(resol - np.eye(dim)), tol * max(1.0, big_p)),
+        "idempotence": (idem, tol * max(1.0, big_p) ** 2),
+        "projector_nilpotent_commute": (comm, tol * scale * max(1.0, big_p)),
+        "nilpotency": (nilres, dec.tol_nil * max(1.0, big_p)),
+        "cross_orthogonality": (cross, tol * max(1.0, big_p) ** 2),
+    }
+
+
+def _verifier_inputs():
+    rng = np.random.default_rng(909)
+    for _ in range(3):
+        x, _ = synth.random_jordan_matrix(rng, 10, max_index=4, cond=8.0)
+        yield x, 1e-3 * max(1.0, linalg.op_norm(x))
+        yield synth.random_hermitian(rng, 8), None
+        yield synth.random_diagonalizable(rng, 8, cond=5.0), None
+    # k = n separated eigenvalues
+    yield synth.random_diagonalizable(rng, 24, cond=5.0, spread=2.0), None
+
+
+def test_factored_verifier_matches_dense():
+    indices = set()
+    for x, ct in _verifier_inputs():
+        dec = spectra.decompose(x, cluster_tol=ct)
+        fast, dense = spectra.verify_decomposition(x, dec), dense_verify(x, dec)
+        assert fast.keys() == dense.keys()
+        for name, (measured, bound) in fast.items():
+            ref, ref_bound = dense[name]
+            assert (measured <= bound) == (ref <= ref_bound), name
+            # the invariant's own magnitude: its bound without the tolerance
+            size = bound / (dec.tol_nil if name == "nilpotency" else dec.tol_dec) \
+                if bound > 0 else 1.0
+            assert measured >= ref - 1e-12 * size, (name, measured, ref)
+            if name in ("reconstruction", "resolution"):
+                assert abs(measured - ref) <= 1e-12 * size, (name, measured, ref)
+        for c in dec.components:
+            assert c.index == _svd_only_index(c.nilpotent, dec.scale)
+            indices.add(c.index)
+    assert indices == {1, 2, 3, 4}
+
+
+def _failed(x, dec):
+    return {name for name, (measured, bound) in spectra.verify_decomposition(x, dec).items()
+            if measured > bound}
+
+
+def test_factored_verifier_flags_a_corrupted_factor():
+    rng = np.random.default_rng(31)
+    x, _ = synth.random_jordan_matrix(rng, 8, max_index=3, cond=8.0)
+    ct = 1e-3 * max(1.0, linalg.op_norm(x))
+    assert not _failed(x, spectra.decompose(x, cluster_tol=ct))
+    for block in ("w", "m"):
+        dec = spectra.decompose(x, cluster_tol=ct)
+        factor = getattr(dec.components[0], block)
+        row = int(np.argmax(np.abs(factor[:, 0])))
+        factor[row, 0] += 1e-6
+        failed = _failed(x, dec)
+        if block == "w":
+            assert failed & {"resolution", "idempotence", "cross_orthogonality"}, failed
+        else:
+            assert "reconstruction" in failed, failed
+
+
 def reference_pndec_text(dec):
-    # the per-entry f-string loop that the batched pndec writer replaced
-    lines = ["pndec v1", f"dim {dec.dim}", f"scale {dec.scale!r}",
+    # a per-entry f-string loop over the pndec v2 layout
+    lines = ["pndec v2", f"dim {dec.dim}", f"scale {dec.scale!r}",
              f"cluster_tol {dec.cluster_tol!r}", f"tol_dec {dec.tol_dec!r}",
              f"tol_nil {dec.tol_nil!r}", f"components {len(dec.components)}"]
     for c in dec.components:
         lines.append(f"eigenvalue {c.eigenvalue.real!r} {c.eigenvalue.imag!r}")
         lines.append(f"multiplicity {c.multiplicity}")
         lines.append(f"index {c.index}")
-        for tag, m in (("projector", c.projector), ("nilpotent", c.nilpotent)):
+        for tag, m in (("V", c.v), ("W", c.w), ("M", c.m)):
             lines.append(f"{tag} {m.shape[0]} {m.shape[1]}")
             for v in m.ravel():
                 lines.append(f"{v.real:.16e} {v.imag:.16e}")
@@ -258,16 +349,20 @@ def test_pndec_writer_matches_per_entry_reference(tmp_path):
     rng = np.random.default_rng(6)
     x = synth.block_diag([_jordan(0.5j, 2), _jordan(-2.0, 2)])
     dec = spectra.decompose(x)
-    # plant signed zeros, a subnormal, huge and negative entries
-    dec.components[0].projector = edge_matrix(rng, 4, 4)
-    dec.components[1].nilpotent = edge_matrix(rng, 4, 4).T
+    # plant signed zeros, a subnormal, huge and negative entries, as
+    # non-contiguous views, into every factor block
+    edge = edge_matrix(rng, 4, 6)
+    c0, c1 = dec.components
+    c0.v, c0.w, c0.m = edge[:, 0:2], edge[:, 2:4], edge[:, 4:6]
+    c1.m = edge_matrix(rng, 6, 4).T[:, :2]
     path = tmp_path / "dec.txt"
     spectra.write_decomposition(path, dec)
     assert path.read_bytes() == reference_pndec_text(dec).encode()
     back = spectra.read_decomposition(path)
     for ca, cb in zip(dec.components, back.components):
-        for a, b in ((ca.projector, cb.projector), (ca.nilpotent, cb.nilpotent)):
+        for a, b in ((ca.v, cb.v), (ca.w, cb.w), (ca.m, cb.m)):
             assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
             assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
 
 
@@ -276,13 +371,40 @@ def test_read_decomposition_rejects_malformed_entries(tmp_path):
     path = tmp_path / "dec.txt"
     spectra.write_decomposition(path, dec)
     lines = path.read_text().splitlines()
-    row = lines.index("projector 2 2") + 1
+    row = lines.index("V 2 1") + 1
     bad = tmp_path / "bad.txt"
     bad.write_text("\n".join(lines[:row] + ["1.0 x"] + lines[row + 1:]) + "\n")
-    with pytest.raises(ConfigError, match="non-numeric projector entry"):
+    with pytest.raises(ConfigError, match="component 1: non-numeric V entry"):
         spectra.read_decomposition(bad)
-    bad.write_text("\n".join(lines[:row + 2]) + "\n")
-    with pytest.raises(ConfigError, match="expected 8 numbers"):
+    bad.write_text("\n".join(lines[:row + 1]) + "\n")
+    with pytest.raises(ConfigError, match="expected 4 numbers"):
+        spectra.read_decomposition(bad)
+
+
+def _edited(lines, old, new):
+    return "\n".join(new if line == old else line for line in lines) + "\n"
+
+
+def test_read_decomposition_checks_shapes_and_version(tmp_path):
+    dec = spectra.decompose(np.diag([1.0, 2.0, 3.0]).astype(complex))
+    path = tmp_path / "dec.txt"
+    spectra.write_decomposition(path, dec)
+    lines = path.read_text().splitlines()
+    bad = tmp_path / "bad.txt"
+    # a 2 x 2 projector-shaped block in a dim 3 record
+    bad.write_text(_edited(lines, "V 3 1", "V 2 2"))
+    with pytest.raises(ConfigError, match=r"component 1: V block is 2x2, expected .* 3x1"):
+        spectra.read_decomposition(bad)
+    bad.write_text(_edited(lines, "index 1", "index 2"))
+    with pytest.raises(ConfigError, match="component 1: index 2 outside 1..multiplicity 1"):
+        spectra.read_decomposition(bad)
+    # one component fewer: the multiplicities no longer cover dim
+    cut = [i for i, line in enumerate(lines) if line.startswith("eigenvalue")][-1]
+    bad.write_text(_edited(lines[:cut], "components 3", "components 2"))
+    with pytest.raises(ConfigError, match="multiplicities sum to 2, header dim is 3"):
+        spectra.read_decomposition(bad)
+    bad.write_text(_edited(lines, "pndec v2", "pndec v1"))
+    with pytest.raises(ConfigError, match="pndec v1"):
         spectra.read_decomposition(bad)
 
 
