@@ -7,7 +7,9 @@ finiteness instead of wrapping arrays in a class.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -161,14 +163,143 @@ def schur(x) -> SchurResult:
     return SchurResult(t, q, err)
 
 
-# one cmat entry: real and imaginary part with 17 significant digits
-_ENTRY_FORMAT = "%.16e %.16e\n"
+# ---------------------------------------------------------------- cmat text
+#
+# A cmat entry is the line "%.16e %.16e\n" of its real and imaginary part:
+# 17 significant digits, correctly rounded.  `format_entries` prints them
+# with a vectorised kernel that is certified against that format, in the
+# style of Ryu (Adams, PLDI 2018), and hands every number it cannot certify
+# to Python's own "%.16e".  For |x| in the window [1e-270, 1e280] it takes
+# k = floor(log10 |x|) and forms y = |x| 10^(16-k) as p + s: 10^(16-k) is a
+# double-double (hi, lo) within 2^-106 of the exact power, p + e = |x| hi
+# exactly (Dekker's TwoProduct) and s = fl(e + fl(|x| lo)).  For y below
+# 1.1e17, |e| <= 8 and |x lo| < 13, so the error |y - (p + s)| is at most
+# 2^-106 y (the table) + 2^-50 (|x| lo) + 2^-49 (s, |s| < 32) < 5e-15; p is
+# an integer (p >= 2^53), so the digits are the int64
+# N = p + floor(s) + [frac(s) > 1/2].  N is kept only when frac(s) is more
+# than _TIE_MARGIN (20000 times that bound) away from 1/2, the unrounded
+# p + floor(s) lies in [10^16, 10^17) (so a k that log10 rounded one too high
+# or low is caught before rounding) and N < 10^17.  Zeros print from their
+# sign bit.  Ties, decade edges, subnormals, values near overflow, inf and
+# nan go to the fallback.  Each number fills a 32-byte row of four
+# little-endian words, [pad x5, sign, d0, '.'], d1..d8, d9..d16 and
+# ['e', sign, exponent, separator, pad], the 8-digit words packed by SWAR
+# (one division step per halving of the lane width); the pad bytes are 0
+# and one boolean pass drops them.
+
+_FAST_MIN, _FAST_MAX = 1e-270, 1e280
+# floor(log10 |x|) over the window, one either side for a misrounded log10
+_K_MIN, _K_MAX = -271, 281
+_TIE_MARGIN = 1e-10
+_SPLITTER = float(2 ** 27 + 1)
+# entries per kernel chunk: its temporaries stay below 1 MB
+_CHUNK_ENTRIES = 1 << 12
+_ASCII_ZEROS = np.uint64(0x3030303030303030)
 
 
-def format_entries(m: np.ndarray) -> str:
-    """Row-major `re im` lines of a complex matrix, the cmat entry body."""
-    m = np.ascontiguousarray(m, dtype=complex)
-    return _ENTRY_FORMAT * m.size % tuple(m.view(float).ravel().tolist())
+def _split(x):
+    """Dekker's split x = head + tail into two 26-bit halves."""
+    c = _SPLITTER * x
+    head = c - (c - x)
+    return head, x - head
+
+
+def _word(text: bytes) -> int:
+    """The little-endian uint64 holding an 8-byte row word."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _tables():
+    """Per-k (hi, lo, Dekker split of hi) of 10^(16-k), and the word tables.
+
+    The powers come from exact fractions, hi = fl(10^(16-k)) and
+    lo = fl(10^(16-k) - hi).  `lead[10 * negative + d0]` is the first row
+    word, `exponent[k - _K_MIN]` the last one without its separator.
+    """
+    powers = [Fraction(10) ** (16 - k) for k in range(_K_MIN, _K_MAX + 1)]
+    hi = np.array([float(p) for p in powers])
+    lo = np.array([float(p - Fraction(h)) for p, h in zip(powers, hi.tolist())])
+    lead = np.array([_word(b"\0" * 5 + sign + b"%d." % d)
+                     for sign in (b"\0", b"-") for d in range(10)], dtype="<u8")
+    exponent = []
+    for k in range(_K_MIN, _K_MAX + 1):
+        text = b"e%+04d" % k
+        if abs(k) < 100:  # the hundreds digit becomes a pad byte
+            text = text[:2] + b"\0" + text[3:]
+        exponent.append(_word(text))
+    return (hi, lo, *_split(hi)), lead, np.array(exponent, dtype="<u8")
+
+
+def _ascii8(v):
+    """uint64 words holding the 8 ASCII digits of each v < 10^8, first digit
+    in the lowest byte: lanes of 32, 16 and 8 bits each split their value in
+    two, by multiply-shift divisions that are exact below 10^4 and 10^2."""
+    top = v // 10000
+    w = top | ((v - top * 10000) << 32)
+    top = ((w * 10486) >> 20) & 0x0000007F0000007F
+    w = top | ((w - top * 100) << 16)
+    top = ((w * 103) >> 10) & 0x000F000F000F000F
+    w = top | ((w - top * 10) << 8)
+    return w + _ASCII_ZEROS
+
+
+def _format_floats(v: np.ndarray) -> np.ndarray:
+    """ASCII "%.16e" of each float of `v` (even length), followed by a space
+    at even and a newline at odd positions, as a flat uint8 array."""
+    (hi, lo, head, tail), lead, exponent = _tables()
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64) - _K_MIN
+    hi, lo, head, tail = hi[k], lo[k], head[k], tail[k]
+    p = a * hi
+    a_head, a_tail = _split(a)
+    e = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
+    s = e + a * lo
+    whole = np.floor(s)
+    frac = s - whole
+    floor_n = p.astype(np.int64) + whole.astype(np.int64)
+    n = floor_n + (frac > 0.5)
+    fast &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (floor_n >= 10 ** 16) & (n < 10 ** 17)
+    # a number outside the window was scaled as 1.0 (k = 0): a zero prints
+    # as its sign, N = 0 and "e+00"
+    n = np.where(fast, n, 0)
+
+    d0 = n // 10 ** 16
+    rest = n - d0 * 10 ** 16
+    upper = rest // 10 ** 8
+    rows = np.empty((v.size, 4), dtype="<u8")
+    rows[:, 0] = lead[d0 + 10 * np.signbit(v)]
+    rows[:, 1] = _ascii8(upper.view(np.uint64))
+    rows[:, 2] = _ascii8((rest - upper * 10 ** 8).view(np.uint64))
+    rows[:, 3] = exponent[k]
+    rows[0::2, 3] |= ord(" ") << 40
+    rows[1::2, 3] |= ord("\n") << 40
+
+    text = rows.view(np.uint8).reshape(v.size, 32)
+    for i in np.flatnonzero(~fast & (v != 0.0)).tolist():
+        entry = b"%.16e" % float(v[i]) + (b"\n" if i % 2 else b" ")
+        text[i] = 0
+        text[i, :len(entry)] = np.frombuffer(entry, np.uint8)
+    text = text.ravel()
+    return text[text != 0]
+
+
+def _entry_chunks(m):
+    """The cmat entry body of `m`, row major, one ASCII uint8 array per chunk."""
+    flat = np.ascontiguousarray(m, dtype=complex).view(float).ravel()
+    step = 2 * _CHUNK_ENTRIES
+    for start in range(0, flat.size, step):
+        yield _format_floats(flat[start:start + step])
+
+
+def format_entries(m: np.ndarray) -> bytes:
+    """Row-major `re im` lines of a complex array, the cmat entry body.
+
+    ASCII bytes equal to "%.16e %.16e\n" per entry.
+    """
+    return b"".join(_entry_chunks(m))
 
 
 def parse_entries(tokens) -> np.ndarray:
@@ -186,8 +317,10 @@ def write_cmat(path, m) -> None:
     notation with 17 significant digits, row major.
     """
     m = as_matrix(m)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n" + format_entries(m))
+    with open(path, "wb") as fh:
+        fh.write(b"%d %d\n" % m.shape)
+        for chunk in _entry_chunks(m):
+            fh.write(chunk)
 
 
 def read_cmat(path) -> np.ndarray:

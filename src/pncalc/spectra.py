@@ -22,7 +22,6 @@ problems and must be widened deliberately for deeper chains.
 """
 from __future__ import annotations
 
-import io
 import itertools
 from dataclasses import dataclass, field
 
@@ -442,25 +441,27 @@ def write_decomposition(path, dec: Decomposition) -> None:
 
     The header, then per component its eigenvalue, multiplicity and index
     and the dim x multiplicity factor blocks V, W and M in cmat-style
-    entries: 3 n^2 numbers in all.
+    entries: 3 n^2 numbers in all.  The entries of all blocks are formatted
+    in one `format_entries` call and cut at line ends.
     """
-    buf = io.StringIO()
-    buf.write("pndec v2\n")
-    buf.write(f"dim {dec.dim}\n")
-    buf.write(f"scale {dec.scale!r}\n")
-    buf.write(f"cluster_tol {dec.cluster_tol!r}\n")
-    buf.write(f"tol_dec {dec.tol_dec!r}\n")
-    buf.write(f"tol_nil {dec.tol_nil!r}\n")
-    buf.write(f"components {len(dec.components)}\n")
+    blocks = [m for c in dec.components for m in (c.v, c.w, c.m)]
+    body = memoryview(format_entries(
+        np.concatenate([np.ravel(m) for m in blocks] or [np.empty(0, complex)])))
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n")) + 1
+    cuts = iter([0] + ends[np.cumsum([m.size for m in blocks]) - 1].tolist())
+    start = next(cuts)
+    parts = [(f"pndec v2\ndim {dec.dim}\nscale {dec.scale!r}\n"
+              f"cluster_tol {dec.cluster_tol!r}\ntol_dec {dec.tol_dec!r}\n"
+              f"tol_nil {dec.tol_nil!r}\ncomponents {len(dec.components)}\n").encode()]
     for c in dec.components:
-        buf.write(f"eigenvalue {c.eigenvalue.real!r} {c.eigenvalue.imag!r}\n")
-        buf.write(f"multiplicity {c.multiplicity}\n")
-        buf.write(f"index {c.index}\n")
+        parts.append((f"eigenvalue {c.eigenvalue.real!r} {c.eigenvalue.imag!r}\n"
+                      f"multiplicity {c.multiplicity}\nindex {c.index}\n").encode())
         for tag, m in zip(_PNDEC_BLOCKS, (c.v, c.w, c.m)):
-            buf.write(f"{tag} {m.shape[0]} {m.shape[1]}\n")
-            buf.write(format_entries(m))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(buf.getvalue())
+            end = next(cuts)
+            parts += [f"{tag} {m.shape[0]} {m.shape[1]}\n".encode(), body[start:end]]
+            start = end
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
 
 
 def read_decomposition(path) -> Decomposition:
