@@ -143,12 +143,23 @@ def cluster_eigenvalues(values, tol: float) -> list[tuple[complex, list[int]]]:
     Distinct clusters are pairwise farther than `tol` apart by construction.
     """
     values = np.asarray(values, dtype=complex).ravel()
-    n = values.size
-    if n == 0:
+    if values.size == 0:
         return []
+    return _link_clusters(values, _distances(values, values), tol)
+
+
+def _distances(values, points) -> np.ndarray:
+    """|values_i - points_j| for every pair; hypot gives the same floats as
+    abs() of each complex difference."""
+    d = values[:, None] - points[None, :]
+    return np.hypot(d.real, d.imag)
+
+
+def _link_clusters(values, dist, tol: float) -> list[tuple[complex, list[int]]]:
+    """cluster_eigenvalues from the distance matrix of the values."""
     if tol < 0:
         raise ConfigError("cluster tolerance must be nonnegative")
-    parent = list(range(n))
+    parent = list(range(values.size))
 
     def find(i):
         while parent[i] != i:
@@ -156,12 +167,10 @@ def cluster_eigenvalues(values, tol: float) -> list[tuple[complex, list[int]]]:
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= tol:
-                parent[find(i)] = find(j)
+    for i, j in zip(*np.nonzero(np.triu(dist <= tol, 1))):
+        parent[find(int(i))] = find(int(j))
     groups: dict[int, list[int]] = {}
-    for i in range(n):
+    for i in range(values.size):
         groups.setdefault(find(i), []).append(i)
     out = [(complex(np.mean(values[idx])), idx) for idx in groups.values()]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -249,15 +258,31 @@ def nilpotency_index(n_mat, scale: float, tol: float = DEFAULT_TOL_NIL) -> int:
     return _factored_index(r_n, n_mat, eye_like(dim), scale, tol, dim)
 
 
-def _cluster_geometry(values, clusters, k):
-    rep, members = clusters[k]
-    spread = max((abs(values[i] - rep) for i in members), default=0.0)
-    gap = np.inf
-    for j, (_, other) in enumerate(clusters):
-        if j == k:
-            continue
-        gap = min(gap, min(abs(values[i] - rep) for i in other))
-    return rep, members, float(spread), float(gap)
+def _check_separation(clusters, dist, tol: float) -> None:
+    """Refuse clusters that are not pairwise farther than 4 * tol apart,
+    naming the first such pair; `dist` is the distance matrix of the values."""
+    order = np.concatenate([members for _, members in clusters])
+    starts = np.cumsum([0] + [len(members) for _, members in clusters[:-1]])
+    # least member distance of each pair of clusters
+    between = np.minimum.reduceat(np.minimum.reduceat(
+        dist[np.ix_(order, order)], starts, axis=0), starts, axis=1)
+    close = np.argwhere(np.triu(between <= 4.0 * tol, 1))
+    if close.size:
+        a, b = close[0]
+        raise ClusterSeparationError(
+            f"clusters at {clusters[a][0]:.6g} and {clusters[b][0]:.6g} "
+            f"separated by {between[a, b]:.3e} <= 4 * cluster_tol = {4 * tol:.3e}")
+
+
+def _cluster_geometry(values, clusters) -> tuple[np.ndarray, np.ndarray]:
+    """Per cluster, the spread max |lambda_i - rep| over its members and the
+    gap min |lambda_i - rep| over the members of the other clusters."""
+    own = np.zeros((values.size, len(clusters)), dtype=bool)
+    for k, (_, members) in enumerate(clusters):
+        own[members, k] = True
+    to_rep = _distances(values, np.array([rep for rep, _ in clusters]))
+    return (np.where(own, to_rep, 0.0).max(axis=0),
+            np.where(own, np.inf, to_rep).min(axis=0))
 
 
 def _schur_factors(t, q, select) -> tuple[np.ndarray, np.ndarray]:
@@ -300,21 +325,13 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
         cluster_tol = 1e-6 * max(scale, 1e-300)
     sf = schur(x)
     values = np.diag(sf.t)
-    clusters = cluster_eigenvalues(values, cluster_tol)
+    dist = _distances(values, values)
+    clusters = _link_clusters(values, dist, cluster_tol)
 
-    # separability precondition: clusters pairwise farther than 4 * cluster_tol
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            d = min(abs(values[i] - values[j])
-                    for i in clusters[a][1] for j in clusters[b][1])
-            if d <= 4.0 * cluster_tol:
-                raise ClusterSeparationError(
-                    f"clusters at {clusters[a][0]:.6g} and {clusters[b][0]:.6g} "
-                    f"separated by {d:.3e} <= 4 * cluster_tol = {4 * cluster_tol:.3e}")
-
+    _check_separation(clusters, dist, cluster_tol)
+    spreads, gaps = _cluster_geometry(values, clusters)
     factors = []
-    for k in range(len(clusters)):
-        rep, members, spread, gap = _cluster_geometry(values, clusters, k)
+    for (rep, members), spread, gap in zip(clusters, spreads.tolist(), gaps.tolist()):
         if 3.0 * spread + cluster_tol > 0.45 * gap:
             raise ClusterSeparationError(
                 f"cluster at {rep:.6g}: spread {spread:.3e} too large for gap {gap:.3e}")

@@ -410,3 +410,35 @@ def test_env_override(tmp_path, mats, monkeypatch):
     monkeypatch.setenv("PNCALC_PARAMS__TOL", "1e-30")
     assert cli.main(["funcalc", "--config", str(cfg),
                      "--out", str(tmp_path / "out2")]) == 4
+
+
+# sha256 of manifest.csv (the digest of every artifact) for two seeded runs,
+# recorded with the per-entry "%.16e" writers that the formatting kernel
+# replaced; the numbers underneath come from LAPACK, so the digests hold for
+# the pinned numpy 2.4 / scipy 1.17 / OpenBLAS 0.3.31 build on x86_64
+SEEDED_MANIFEST_SHA256 = {
+    "decompose": "7406e2df45925af428601513830253294a0e71cdc42b0e69289c7ede5f1ace00",
+    "lift-calc": "24c9494b9d7336e7f1392811012099780ab877c669b4ebf93aa3e013ddb428cc",
+}
+
+
+def _seeded_config(tmp_path, command):
+    rng = np.random.default_rng(2024)
+    if command == "decompose":
+        linalg.write_cmat(tmp_path / "x.cmat", synth.random_diagonalizable(rng, 16, spread=3.0))
+        return write_config(tmp_path, "dec.ini", {"input": {"matrix": tmp_path / "x.cmat"}})
+    linalg.write_cmat(tmp_path / "a.cmat", synth.random_diagonalizable(rng, 6))
+    linalg.write_cmat(tmp_path / "b.cmat", synth.random_hermitian(rng, 5))
+    return write_config(tmp_path, "lift.ini", {
+        "input": {"matrix_1": tmp_path / "a.cmat", "matrix_2": tmp_path / "b.cmat"},
+        "function": {"spec": "exp(0.5*z1+z2)"},
+    })
+
+
+@pytest.mark.parametrize("command", sorted(SEEDED_MANIFEST_SHA256))
+def test_seeded_artifacts_keep_their_bytes(tmp_path, command):
+    cfg = _seeded_config(tmp_path, command)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "manifest.csv").read_bytes()).hexdigest()
+    assert digest == SEEDED_MANIFEST_SHA256[command]

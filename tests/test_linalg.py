@@ -169,3 +169,101 @@ def test_as_matrix_validation():
         linalg.as_matrix(np.zeros(4), square=True)
     with pytest.raises(ConfigError):
         linalg.as_matrix(np.array([[np.nan, 0], [0, 1]]), square=True)
+
+
+# ---------------------------------------------------------------- the %.16e kernel
+
+# raw bit patterns the kernel must hand to its fallback: nan payloads (quiet,
+# signalling, negative), +-inf, the subnormal range, -0.0 and the largest double
+SPECIAL_BITS = [0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8DEADBEEF0000,
+                0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
+                0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF, 0x8000000000000000,
+                0x7FEFFFFFFFFFFFFF]
+
+
+def reference_entries(floats):
+    """'%.16e' of each float, a space after the real and a newline after the
+    imaginary part: the cmat entry body, one float at a time."""
+    return "".join("%.16e%s" % (x, " \n"[i % 2])
+                   for i, x in enumerate(floats.tolist())).encode()
+
+
+def assert_kernel_matches(floats):
+    floats = np.asarray(floats, dtype=float)
+    if floats.size % 2:
+        floats = np.append(floats, 1.0)
+    assert linalg.format_entries(floats.view(complex)) == reference_entries(floats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 2 ** 64 - 1), st.sampled_from(SPECIAL_BITS)),
+                max_size=40))
+def test_format_kernel_matches_reference_on_bit_patterns(bits):
+    assert_kernel_matches(np.array(bits, dtype=np.uint64).view(float))
+
+
+def test_format_kernel_matches_reference_on_seeded_samples():
+    rng = _rng(7)
+    bits = rng.integers(0, 2 ** 64, 50_000, dtype=np.uint64, endpoint=False)
+    # magnitudes log-uniform over the whole double range, both signs
+    spread = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-330, 308, 50_000)
+    assert_kernel_matches(np.concatenate([bits.view(float), spread]))
+
+
+def test_format_kernel_matches_reference_near_ties():
+    # 17 digits then a 5: the nearest double sits within an ulp of the
+    # rounding midpoint, and a few are exact ties
+    rng = _rng(8)
+    digits = rng.integers(10 ** 16, 10 ** 17, 20_000).tolist()
+    exps = rng.integers(-320, 300, 20_000).tolist()
+    ties = np.array([float(f"{d}5e{e}") for d, e in zip(digits, exps)])
+    # exact ties: j + 1/4 and j + 3/4 for 16-digit j < 2^51 have 18 digits,
+    # the last a 5, and are doubles
+    j = rng.integers(10 ** 15, 2 ** 51, 2_000).astype(float)
+    exact = np.concatenate([j + 0.25, j + 0.75])
+    assert_kernel_matches(np.concatenate([ties, -ties, exact]))
+
+
+def test_format_kernel_matches_reference_at_decade_edges():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    near = [powers]
+    for step in (1, 2):
+        for direction in (np.inf, 0.0):
+            x = powers
+            for _ in range(step):
+                x = np.nextafter(x, direction)
+            near.append(x)
+    near = np.concatenate(near)
+    assert_kernel_matches(np.concatenate([near, -near]))
+
+
+def test_format_kernel_named_values():
+    # 1e-12 is a double just below 10^-12 whose log10 rounds to exactly -12:
+    # the scaled value sits below 10^16 and must not print as 1.0e-12
+    named = [0.0, -0.0, float(2 ** 53 + 1), 1e16, 1e17, 99999 * 1e-17, 1e-12,
+             float(np.nextafter(1e-12, 0.0))]
+    assert_kernel_matches(named)
+    assert linalg.format_entries(np.array([1e-12 + 0j])) == (
+        b"9.9999999999999998e-13 0.0000000000000000e+00\n")
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_format_kernel_sizes_around_a_chunk(delta):
+    rng = _rng(9)
+    n = linalg._CHUNK_ENTRIES + delta
+    m = rng.normal(size=n) + 1j * rng.normal(size=n)
+    # fallback entries at the edges of the first chunk
+    m[0] = complex(5e-324, np.inf)
+    m[-1] = complex(-0.0, 1e300)
+    m[min(n, linalg._CHUNK_ENTRIES) - 1] = complex(1e-300, -5e-324)
+    assert_kernel_matches(m.view(float))
+
+
+def test_format_kernel_small_sizes(tmp_path):
+    assert linalg.format_entries(np.zeros(0, dtype=complex)) == b""
+    assert linalg.format_entries(np.array([[-0.5 + 2j]])) == (
+        b"-5.0000000000000000e-01 2.0000000000000000e+00\n")
+    # the streamed writer across a chunk edge
+    m = _random_complex(_rng(10), 1, linalg._CHUNK_ENTRIES + 1)
+    linalg.write_cmat(tmp_path / "m.cmat", m)
+    assert (tmp_path / "m.cmat").read_bytes() == reference_cmat_text(m).encode()

@@ -75,6 +75,128 @@ def test_cluster_eigenvalues_single_linkage():
     assert abs(groups[0][0] - 1e-7) <= 1e-13  # representative is the mean
 
 
+# the pair-loop clustering, separability check and cluster geometry that
+# one numpy distance matrix replaced, kept as the reference
+
+def loop_clusters(values, tol):
+    values = np.asarray(values, dtype=complex).ravel()
+    n = values.size
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= tol:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    out = [(complex(np.mean(values[idx])), idx) for idx in groups.values()]
+    out.sort(key=lambda t: (t[0].real, t[0].imag))
+    return out
+
+
+def loop_separation_message(values, clusters, cluster_tol):
+    for a in range(len(clusters)):
+        for b in range(a + 1, len(clusters)):
+            d = min(abs(values[i] - values[j])
+                    for i in clusters[a][1] for j in clusters[b][1])
+            if d <= 4.0 * cluster_tol:
+                return (f"clusters at {clusters[a][0]:.6g} and {clusters[b][0]:.6g} "
+                        f"separated by {d:.3e} <= 4 * cluster_tol = {4 * cluster_tol:.3e}")
+    return None
+
+
+def loop_geometry(values, clusters, k):
+    rep, members = clusters[k]
+    spread = max((abs(values[i] - rep) for i in members), default=0.0)
+    gap = np.inf
+    for j, (_, other) in enumerate(clusters):
+        if j == k:
+            continue
+        gap = min(gap, min(abs(values[i] - rep) for i in other))
+    return float(spread), float(gap)
+
+
+def assert_clustering_matches_loops(values, tol):
+    values = np.asarray(values, dtype=complex)
+    want = loop_clusters(values, tol)
+    got = spectra.cluster_eigenvalues(values, tol)
+    assert [idx for _, idx in got] == [idx for _, idx in want]
+    # bitwise-equal representatives
+    assert (np.array([rep for rep, _ in got]).tobytes()
+            == np.array([rep for rep, _ in want]).tobytes())
+    message = loop_separation_message(values, want, tol)
+    dist = spectra._distances(values, values)
+    if message is None:
+        spectra._check_separation(got, dist, tol)
+    else:
+        with pytest.raises(ClusterSeparationError) as exc:
+            spectra._check_separation(got, dist, tol)
+        assert str(exc.value) == message
+    spreads, gaps = spectra._cluster_geometry(values, got)
+    assert list(zip(spreads.tolist(), gaps.tolist())) == [
+        loop_geometry(values, want, k) for k in range(len(want))]
+    return message
+
+
+def test_clustering_matches_pair_loops_on_seeded_values():
+    raised = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        tol = 10.0 ** rng.uniform(-8, -1)
+        centers = rng.normal(size=6) + 1j * rng.normal(size=6)
+        # members scattered around the link distance, centres sometimes
+        # within the 4 * tol separability margin of each other
+        centers[1] = centers[0] + 4.5 * tol * rng.uniform(0.5, 1.5)
+        n = int(rng.integers(1, 40))
+        jitter = tol * rng.uniform(-1.2, 1.2, size=(2, n))
+        values = centers[rng.integers(0, 6, n)] + jitter[0] + 1j * jitter[1]
+        raised += assert_clustering_matches_loops(values, tol) is not None
+    assert 0 < raised < 40  # both outcomes of the separability check are seen
+
+
+def test_clustering_matches_pair_loops_at_the_link_distance():
+    # single linkage links a pair at distance exactly tol, not one ulp beyond
+    tol = 0.25
+    assert len(spectra.cluster_eigenvalues([0.0, 0.25], tol)) == 1
+    assert len(spectra.cluster_eigenvalues([0.0, 0.25], np.nextafter(tol, 0.0))) == 2
+    assert_clustering_matches_loops([0.0, 0.25j, 3.0], tol)
+    assert_clustering_matches_loops([0.0, 0.25j, 3.0], np.nextafter(tol, 0.0))
+
+
+def test_clustering_matches_pair_loops_on_transitive_chains():
+    # a chain of links at exactly tol merges end to end, in any index order
+    tol = 0.125
+    chain = tol * np.arange(12) + 1j
+    rng = np.random.default_rng(3)
+    for values in (chain, chain[::-1], rng.permutation(chain),
+                   np.concatenate([chain, 10.0 + 1j * tol * np.arange(12)])):
+        groups = spectra.cluster_eigenvalues(values, tol)
+        assert len(groups) == len(values) // 12
+        assert_clustering_matches_loops(values, tol)
+
+
+def test_separability_matches_pair_loops_at_a_gap_of_four_tol():
+    tol = 0.125
+    # clusters {0, tol} and {5 tol}: their least distance is exactly 4 tol
+    at_margin = [0.0, tol, 5 * tol]
+    message = assert_clustering_matches_loops(at_margin, tol)
+    assert "separated by 5.000e-01 <= 4 * cluster_tol = 5.000e-01" in message
+    assert assert_clustering_matches_loops([0.0, tol, np.nextafter(5 * tol, 1.0)],
+                                           tol) is None
+    # decompose refuses it with the same message (diagonal: exact eigenvalues)
+    x = np.diag(at_margin).astype(complex)
+    with pytest.raises(ClusterSeparationError) as exc:
+        spectra.decompose(x, cluster_tol=tol)
+    assert str(exc.value) == message
+
+
 def test_riesz_projector_whole_spectrum_is_identity():
     x = _jordan(1.0, 2)  # defective: eigenvector methods cannot see this
     c = spectra.Contour(center=1.0, radius=1.0, nodes=64)
@@ -364,6 +486,23 @@ def test_pndec_writer_matches_per_entry_reference(tmp_path):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
             assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+def test_pndec_writer_formats_a_record_in_one_call(tmp_path, monkeypatch):
+    dec = spectra.decompose(synth.block_diag([_jordan(0.5j, 2), _jordan(-2.0, 1),
+                                              _jordan(3.0, 3)]))
+    calls = []
+    real = spectra.format_entries
+
+    def spy(m):
+        calls.append(np.shape(m))
+        return real(m)
+
+    monkeypatch.setattr(spectra, "format_entries", spy)
+    spectra.write_decomposition(tmp_path / "dec.txt", dec)
+    assert calls == [(3 * 6 * 6,)]  # V, W and M of all three components
+    monkeypatch.undo()
+    assert (tmp_path / "dec.txt").read_bytes() == reference_pndec_text(dec).encode()
 
 
 def test_read_decomposition_rejects_malformed_entries(tmp_path):
