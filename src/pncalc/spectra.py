@@ -135,31 +135,25 @@ class Decomposition:
         return np.array([c.eigenvalue for c in self.components])
 
 
-def cluster_eigenvalues(values, tol: float) -> list[tuple[complex, list[int]]]:
+def cluster_eigenvalues(values, tol: float, dist: np.ndarray | None = None
+                        ) -> list[tuple[complex, list[int]]]:
     """Single-linkage clusters of complex values at link distance `tol`.
 
     Returns (representative, member indices) pairs sorted by (Re, Im) of the
     representative; the representative is the arithmetic mean of the members.
     Distinct clusters are pairwise farther than `tol` apart by construction.
+    `dist` is the values' distance matrix (`_distances`) when the caller
+    already has it.
     """
     values = np.asarray(values, dtype=complex).ravel()
-    if values.size == 0:
+    n = values.size
+    if n == 0:
         return []
-    return _link_clusters(values, _distances(values, values), tol)
-
-
-def _distances(values, points) -> np.ndarray:
-    """|values_i - points_j| for every pair; hypot gives the same floats as
-    abs() of each complex difference."""
-    d = values[:, None] - points[None, :]
-    return np.hypot(d.real, d.imag)
-
-
-def _link_clusters(values, dist, tol: float) -> list[tuple[complex, list[int]]]:
-    """cluster_eigenvalues from the distance matrix of the values."""
     if tol < 0:
         raise ConfigError("cluster tolerance must be nonnegative")
-    parent = list(range(values.size))
+    if dist is None:
+        dist = _distances(values, values)
+    parent = list(range(n))
 
     def find(i):
         while parent[i] != i:
@@ -170,11 +164,18 @@ def _link_clusters(values, dist, tol: float) -> list[tuple[complex, list[int]]]:
     for i, j in zip(*np.nonzero(np.triu(dist <= tol, 1))):
         parent[find(int(i))] = find(int(j))
     groups: dict[int, list[int]] = {}
-    for i in range(values.size):
+    for i in range(n):
         groups.setdefault(find(i), []).append(i)
     out = [(complex(np.mean(values[idx])), idx) for idx in groups.values()]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
+
+
+def _distances(values, points) -> np.ndarray:
+    """|values_i - points_j| for every pair; hypot gives the same floats as
+    abs() of each complex difference."""
+    d = values[:, None] - points[None, :]
+    return np.hypot(d.real, d.imag)
 
 
 def _resolvent_stacks(x, contour: Contour, node_counts=(None,), eigenvalues=None,
@@ -326,8 +327,7 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
     sf = schur(x)
     values = np.diag(sf.t)
     dist = _distances(values, values)
-    clusters = _link_clusters(values, dist, cluster_tol)
-
+    clusters = cluster_eigenvalues(values, cluster_tol, dist)
     _check_separation(clusters, dist, cluster_tol)
     spreads, gaps = _cluster_geometry(values, clusters)
     factors = []

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,7 +228,62 @@ def test_format_kernel_matches_reference_near_ties():
     assert_kernel_matches(np.concatenate([ties, -ties, exact]))
 
 
+def _reduced_basis(u, v):
+    """Lagrange-Gauss reduction of a 2-D integer lattice basis."""
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1]
+
+    while True:
+        if dot(u, u) > dot(v, v):
+            u, v = v, u
+        mu = round(Fraction(dot(u, v), dot(u, u)))
+        if mu == 0:
+            return u, v
+        v = (v[0] - mu * u[0], v[1] - mu * u[1])
+
+
+def midpoint_doubles(limit=Fraction(1, 10 ** 15)):
+    """Doubles x = m 2^e whose digits x 10^(16-k), k = floor(log10 x), lie
+    within `limit` of a rounding midpoint without being one: per binade the
+    scaled value is m num/den, and a 2-D lattice (closest vector, Babai
+    rounding on a reduced basis) gives the m in [2^52, 2^53) that bring
+    m num mod den nearest den/2."""
+    out = []
+    for e in range(-1048, 945):  # 2^(e+52) from 1e-300 to 1e300
+        k = math.floor(math.log10(math.ldexp(1.5, e + 52)))
+        num, den = (Fraction(2) ** e * Fraction(10) ** (16 - k)).as_integer_ratio()
+        if den == 1:
+            continue
+        # weigh |m - 1.5 2^52| <= 2^51 against |m num mod den - den/2| <= den 2^-60
+        wm, wr = (den, 2 ** 111) if den < 2 ** 111 else (den >> 111, 1)
+        u, v = _reduced_basis((wm, wr * (num % den)), (0, wr * den))
+        tx, ty = wm * 3 * 2 ** 51, wr * den // 2
+        det = u[0] * v[1] - u[1] * v[0]
+        a = round(Fraction(tx * v[1] - ty * v[0], det))
+        b = round(Fraction(u[0] * ty - u[1] * tx, det))
+        for da, db in itertools.product(range(-4, 5), repeat=2):
+            m = ((a + da) * u[0] + (b + db) * v[0]) // wm
+            y = Fraction(m * num, den)
+            if 2 ** 52 <= m < 2 ** 53 and 10 ** 16 <= y < 10 ** 17 and \
+                    0 < abs(y - math.floor(y) - Fraction(1, 2)) < limit:
+                out.append(math.ldexp(m, e))
+    return np.array(out)
+
+
+def test_format_kernel_matches_reference_next_to_midpoints():
+    # the digits of these doubles sit closer to a rounding midpoint than the
+    # kernel's own error bound; only the tie margin sends them to the fallback
+    hard = midpoint_doubles()
+    assert hard.size > 1000
+    assert_kernel_matches(np.concatenate([hard, -hard]))
+
+
 def test_format_kernel_matches_reference_at_decade_edges():
+    assert_kernel_matches(decade_edges())
+
+
+def decade_edges():
+    """Each power of ten, its double neighbours 1 and 2 ulps away, both signs."""
     powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
     near = [powers]
     for step in (1, 2):
@@ -234,7 +293,20 @@ def test_format_kernel_matches_reference_at_decade_edges():
                 x = np.nextafter(x, direction)
             near.append(x)
     near = np.concatenate(near)
-    assert_kernel_matches(np.concatenate([near, -near]))
+    return np.concatenate([near, -near])
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf])
+def test_format_kernel_survives_a_misrounded_log10(monkeypatch, direction):
+    # a log10 one ulp off gives k one too low or too high next to the powers
+    # of ten (e.g. 1e-14, a double 1.2e-18 below 10^-14, then scales to just
+    # under 10^17 and rounds to 10^17); the range checks on the unrounded
+    # digits must send those to the fallback.  log10(1) = +0 stays exact, as
+    # IEEE 754 requires.
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: np.where(
+        a == 1.0, 0.0, np.nextafter(log10(a), direction)))
+    assert_kernel_matches(np.concatenate([decade_edges(), [0.0, -0.0, 1.0, 1e-14]]))
 
 
 def test_format_kernel_named_values():
