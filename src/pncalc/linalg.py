@@ -194,7 +194,6 @@ _TIE_MARGIN = 1e-10
 _SPLITTER = float(2 ** 27 + 1)
 # entries per kernel chunk: its temporaries stay below 1 MB
 _CHUNK_ENTRIES = 1 << 12
-_ASCII_ZEROS = np.uint64(0x3030303030303030)
 
 
 def _split(x):
@@ -241,7 +240,7 @@ def _ascii8(v):
     w = top | ((w - top * 100) << 16)
     top = ((w * 103) >> 10) & 0x000F000F000F000F
     w = top | ((w - top * 10) << 8)
-    return w + _ASCII_ZEROS
+    return w + 0x3030303030303030  # '0' in every byte
 
 
 def _format_floats(v: np.ndarray) -> np.ndarray:
