@@ -166,7 +166,10 @@ def cluster_eigenvalues(values, tol: float, dist: np.ndarray | None = None
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    out = [(complex(np.mean(values[idx])), idx) for idx in groups.values()]
+    # the mean of one value is the value + 0.0 (which turns -0.0 into 0.0)
+    alone = (values + 0.0).tolist()
+    out = [(alone[idx[0]] if len(idx) == 1 else complex(np.mean(values[idx])), idx)
+           for idx in groups.values()]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
 
@@ -262,14 +265,18 @@ def nilpotency_index(n_mat, scale: float, tol: float = DEFAULT_TOL_NIL) -> int:
 def _check_separation(clusters, dist, tol: float) -> None:
     """Refuse clusters that are not pairwise farther than 4 * tol apart,
     naming the first such pair; `dist` is the distance matrix of the values."""
-    order = np.concatenate([members for _, members in clusters])
+    if len(clusters) < 2:
+        return
+    order = [i for _, members in clusters for i in members]
     starts = np.cumsum([0] + [len(members) for _, members in clusters[:-1]])
     # least member distance of each pair of clusters
     between = np.minimum.reduceat(np.minimum.reduceat(
         dist[np.ix_(order, order)], starts, axis=0), starts, axis=1)
-    close = np.argwhere(np.triu(between <= 4.0 * tol, 1))
+    # symmetric, so the first close pair in row-major order has a < b
+    np.fill_diagonal(between, np.inf)
+    close = np.flatnonzero(between <= 4.0 * tol)
     if close.size:
-        a, b = close[0]
+        a, b = divmod(int(close[0]), len(clusters))
         raise ClusterSeparationError(
             f"clusters at {clusters[a][0]:.6g} and {clusters[b][0]:.6g} "
             f"separated by {between[a, b]:.3e} <= 4 * cluster_tol = {4 * tol:.3e}")
@@ -278,9 +285,10 @@ def _check_separation(clusters, dist, tol: float) -> None:
 def _cluster_geometry(values, clusters) -> tuple[np.ndarray, np.ndarray]:
     """Per cluster, the spread max |lambda_i - rep| over its members and the
     gap min |lambda_i - rep| over the members of the other clusters."""
-    own = np.zeros((values.size, len(clusters)), dtype=bool)
-    for k, (_, members) in enumerate(clusters):
-        own[members, k] = True
+    label = np.empty(values.size, dtype=int)
+    label[[i for _, members in clusters for i in members]] = [
+        k for k, (_, members) in enumerate(clusters) for _ in members]
+    own = label[:, None] == np.arange(len(clusters))
     to_rep = _distances(values, np.array([rep for rep, _ in clusters]))
     return (np.where(own, to_rep, 0.0).max(axis=0),
             np.where(own, np.inf, to_rep).min(axis=0))

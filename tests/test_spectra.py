@@ -168,6 +168,9 @@ def test_clustering_matches_pair_loops_at_the_link_distance():
     assert len(spectra.cluster_eigenvalues([0.0, 0.25], np.nextafter(tol, 0.0))) == 2
     assert_clustering_matches_loops([0.0, 0.25j, 3.0], tol)
     assert_clustering_matches_loops([0.0, 0.25j, 3.0], np.nextafter(tol, 0.0))
+    # signed zeros: the mean of a singleton turns -0.0 into 0.0
+    assert_clustering_matches_loops(
+        [complex(-0.0, 1.0), complex(3.0, -0.0), complex(-0.0, -0.0), -5.0], tol)
 
 
 def test_clustering_matches_pair_loops_on_transitive_chains():
