@@ -473,8 +473,8 @@ def write_decomposition(path, dec: Decomposition) -> None:
     body = memoryview(format_entries(
         np.concatenate([np.ravel(m) for m in blocks] or [np.empty(0, complex)])))
     ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n")) + 1
-    cuts = iter([0] + ends[np.cumsum([m.size for m in blocks]) - 1].tolist())
-    start = next(cuts)
+    cuts = [0] + ends[np.cumsum([m.size for m in blocks], dtype=int) - 1].tolist()
+    texts = (body[a:b] for a, b in zip(cuts, cuts[1:]))
     parts = [(f"pndec v2\ndim {dec.dim}\nscale {dec.scale!r}\n"
               f"cluster_tol {dec.cluster_tol!r}\ntol_dec {dec.tol_dec!r}\n"
               f"tol_nil {dec.tol_nil!r}\ncomponents {len(dec.components)}\n").encode()]
@@ -482,9 +482,7 @@ def write_decomposition(path, dec: Decomposition) -> None:
         parts.append((f"eigenvalue {c.eigenvalue.real!r} {c.eigenvalue.imag!r}\n"
                       f"multiplicity {c.multiplicity}\nindex {c.index}\n").encode())
         for tag, m in zip(_PNDEC_BLOCKS, (c.v, c.w, c.m)):
-            end = next(cuts)
-            parts += [f"{tag} {m.shape[0]} {m.shape[1]}\n".encode(), body[start:end]]
-            start = end
+            parts += [f"{tag} {m.shape[0]} {m.shape[1]}\n".encode(), next(texts)]
     with open(path, "wb") as fh:
         fh.writelines(parts)
 
