@@ -192,7 +192,7 @@ _FAST_MIN, _FAST_MAX = 1e-270, 1e280
 _K_MIN, _K_MAX = -271, 281
 _TIE_MARGIN = 1e-10
 _SPLITTER = float(2 ** 27 + 1)
-# entries per kernel chunk: its temporaries stay near 0.4 MB; 4096 entries
+# entries per kernel chunk: its temporaries stay near 0.5 MB; 4096 entries
 # format a 576 x 576 matrix a few percent faster but raise the peak RSS of a
 # decompose run
 _CHUNK_ENTRIES = 1 << 11
@@ -245,10 +245,10 @@ def _ascii8(v):
     return w + 0x3030303030303030  # '0' in every byte
 
 
-def _format_floats(v: np.ndarray) -> np.ndarray:
-    """ASCII "%.16e" of each float of `v` (even length), followed by a space
-    at even and a newline at odd positions, as a flat uint8 array."""
-    (hi, lo, head, tail), lead, exponent = _tables()
+def _digits(v: np.ndarray):
+    """(fast, k - _K_MIN, N) per float of `v`: `fast` marks the numbers whose
+    17 digits N and exponent k are certified; N = 0 and k = 0 elsewhere."""
+    hi, lo, head, tail = _tables()[0]
     a = np.abs(v)
     fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
     a = np.where(fast, a, 1.0)
@@ -265,8 +265,15 @@ def _format_floats(v: np.ndarray) -> np.ndarray:
     fast &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (floor_n >= 10 ** 16) & (n < 10 ** 17)
     # a number outside the window was scaled as 1.0 (k = 0): a zero prints
     # as its sign, N = 0 and "e+00"
-    n = np.where(fast, n, 0)
+    return fast, k, np.where(fast, n, 0)
 
+
+def _format_floats(v: np.ndarray) -> np.ndarray:
+    """ASCII "%.16e" of each float of `v` (even length), followed by a space
+    at even and a newline at odd positions, as a flat uint8 array."""
+    _, lead, exponent = _tables()
+    # the float temporaries of the scaling are freed before the rows exist
+    fast, k, n = _digits(v)
     d0 = n // 10 ** 16
     rest = n - d0 * 10 ** 16
     upper = rest // 10 ** 8
