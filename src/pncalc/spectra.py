@@ -161,8 +161,9 @@ def cluster_eigenvalues(values, tol: float, dist: np.ndarray | None = None
             i = parent[i]
         return i
 
-    for i, j in zip(*np.nonzero(np.triu(dist <= tol, 1))):
-        parent[find(int(i))] = find(int(j))
+    # every linked pair, both ways round and each value with itself
+    for i, j in zip(*(ix.tolist() for ix in np.nonzero(dist <= tol))):
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -262,32 +263,32 @@ def nilpotency_index(n_mat, scale: float, tol: float = DEFAULT_TOL_NIL) -> int:
     return _factored_index(r_n, n_mat, eye_like(dim), scale, tol, dim)
 
 
-def _check_separation(clusters, dist, tol: float) -> None:
-    """Refuse clusters that are not pairwise farther than 4 * tol apart,
-    naming the first such pair; `dist` is the distance matrix of the values."""
-    if len(clusters) < 2:
-        return
-    order = [i for _, members in clusters for i in members]
-    starts = np.cumsum([0] + [len(members) for _, members in clusters[:-1]])
-    # least member distance of each pair of clusters
-    between = np.minimum.reduceat(np.minimum.reduceat(
-        dist[np.ix_(order, order)], starts, axis=0), starts, axis=1)
-    # symmetric, so the first close pair in row-major order has a < b
-    np.fill_diagonal(between, np.inf)
-    close = np.flatnonzero(between <= 4.0 * tol)
-    if close.size:
-        a, b = divmod(int(close[0]), len(clusters))
-        raise ClusterSeparationError(
-            f"clusters at {clusters[a][0]:.6g} and {clusters[b][0]:.6g} "
-            f"separated by {between[a, b]:.3e} <= 4 * cluster_tol = {4 * tol:.3e}")
-
-
-def _cluster_geometry(values, clusters) -> tuple[np.ndarray, np.ndarray]:
-    """Per cluster, the spread max |lambda_i - rep| over its members and the
-    gap min |lambda_i - rep| over the members of the other clusters."""
-    label = np.empty(values.size, dtype=int)
+def _cluster_labels(clusters, n: int) -> np.ndarray:
+    """The cluster index of each of the n clustered values."""
+    label = np.empty(n, dtype=int)
     label[[i for _, members in clusters for i in members]] = [
         k for k, (_, members) in enumerate(clusters) for _ in members]
+    return label
+
+
+def _check_separation(clusters, label, dist, tol: float) -> None:
+    """Refuse clusters that are not pairwise farther than 4 * tol apart,
+    naming the first such pair of clusters (a < b, in lexicographic order);
+    `label` is `_cluster_labels` and `dist` the distance matrix of the values."""
+    i, j = np.nonzero((dist <= 4.0 * tol) & (label[:, None] < label))
+    if i.size:
+        pair = label[i] * len(clusters) + label[j]
+        first = pair == pair.min()
+        a, b = divmod(int(pair.min()), len(clusters))
+        raise ClusterSeparationError(
+            f"clusters at {clusters[a][0]:.6g} and {clusters[b][0]:.6g} "
+            f"separated by {dist[i[first], j[first]].min():.3e} <= 4 * cluster_tol = "
+            f"{4 * tol:.3e}")
+
+
+def _cluster_geometry(values, clusters, label) -> tuple[np.ndarray, np.ndarray]:
+    """Per cluster, the spread max |lambda_i - rep| over its members and the
+    gap min |lambda_i - rep| over the members of the other clusters."""
     own = label[:, None] == np.arange(len(clusters))
     to_rep = _distances(values, np.array([rep for rep, _ in clusters]))
     return (np.where(own, to_rep, 0.0).max(axis=0),
@@ -336,8 +337,9 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
     values = np.diag(sf.t)
     dist = _distances(values, values)
     clusters = cluster_eigenvalues(values, cluster_tol, dist)
-    _check_separation(clusters, dist, cluster_tol)
-    spreads, gaps = _cluster_geometry(values, clusters)
+    label = _cluster_labels(clusters, dim)
+    _check_separation(clusters, label, dist, cluster_tol)
+    spreads, gaps = _cluster_geometry(values, clusters, label)
     factors = []
     for (rep, members), spread, gap in zip(clusters, spreads.tolist(), gaps.tolist()):
         if 3.0 * spread + cluster_tol > 0.45 * gap:

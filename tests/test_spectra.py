@@ -133,13 +133,14 @@ def assert_clustering_matches_loops(values, tol):
             == np.array([rep for rep, _ in want]).tobytes())
     message = loop_separation_message(values, want, tol)
     dist = spectra._distances(values, values)
+    label = spectra._cluster_labels(got, values.size)
     if message is None:
-        spectra._check_separation(got, dist, tol)
+        spectra._check_separation(got, label, dist, tol)
     else:
         with pytest.raises(ClusterSeparationError) as exc:
-            spectra._check_separation(got, dist, tol)
+            spectra._check_separation(got, label, dist, tol)
         assert str(exc.value) == message
-    spreads, gaps = spectra._cluster_geometry(values, got)
+    spreads, gaps = spectra._cluster_geometry(values, got, label)
     assert list(zip(spreads.tolist(), gaps.tolist())) == [
         loop_geometry(values, want, k) for k in range(len(want))]
     return message
