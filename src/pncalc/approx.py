@@ -16,15 +16,17 @@ spectral cluster enclosed by a contour:
 Both f(.) evaluations run through the contour integral restricted to the
 enclosed cluster, which is what makes the comparison meaningful for
 truncations that destroy the spectrum far above the cluster.  Every matrix
-of a study (each reference and each X_n) is solved once, at its own size, on
-the measurement contour.  That one resolvent stack gives the reference's
-cluster projector, the matrix's share of f, and its C_f sup, read at every
-k-th node: the measurement node count is a power-of-two multiple of the
-declared one, so those are the declared nodes bitwise.  A truncation's
-zero-padding to ref_dim only adds the eigenvalue 0, so its padded resolvent
-is blockdiag((zI - X_n)^{-1}, z^{-1} I); the fold reads the n x n stack on
-the leading block and z^{-1} on the padding diagonal, and never forms the
-padded stack.
+of a study (each reference and each X_n) is factored once, at its own size,
+on the measurement contour, from the same certified Schur form (eigh for
+Hermitian matrices) as the spectral route; the quadrature takes none of that
+route's decisions (clustering, ztrsen, ztrsyl).  One contraction pass over
+its node resolvents gives the reference's cluster projector, the matrix's
+share of f, and its C_f sup, read at every k-th node: the measurement node
+count is a power-of-two multiple of the declared one, so those are the
+declared nodes bitwise.  A truncation's zero-padding to ref_dim only adds
+the eigenvalue 0, so its padded resolvent is blockdiag((zI - X_n)^{-1},
+z^{-1} I); the fold reads the n x n resolvents on the leading block and
+z^{-1} on the padding diagonal, and never forms the padded resolvents.
 
 The cluster error d = f(X_n) - f(X) (and f(X) itself, for the measurement
 floor) has its columns in the range of the cluster projectors and its rows
@@ -290,11 +292,6 @@ def default_probes(dim: int, count: int = DEFAULT_PROBES) -> list[np.ndarray]:
     return [np.eye(dim, dtype=complex)[:, i] for i in range(min(count, dim))]
 
 
-def _sup_resolvent_norm(stack, stride: int = 1) -> float:
-    """max ||R(z)|| over every `stride`-th node of one (nodes, weights, stack)."""
-    return float(np.max(np.linalg.norm(stack[2][::stride], 2, axis=(1, 2))))
-
-
 def _error_constant(f: AnalyticFunction, contours, sups) -> float:
     """prod radii * max|f| * r * worst telescoping product of resolvent sups.
 
@@ -336,8 +333,9 @@ def error_constant_multi(f: AnalyticFunction, models, contours, n_range) -> floa
     for m, c in zip(models, contours):
         family = [(m.matrix_ref, m.eigenvalues)] + [
             (tp.x_n, tp.eigenvalues) for tp in (compress(m, int(n)) for n in n_range)]
-        sups.append([_sup_resolvent_norm(_resolvent_stacks(
-            x, c, eigenvalues=evs, label="error constant")[0]) for x, evs in family])
+        sups.append([
+            _resolvent_stacks(x, c, eigenvalues=evs, label="error constant")[0][2].sup()
+            for x, evs in family])
     return _error_constant(f, contours, sups)
 
 
@@ -374,7 +372,8 @@ def _norm_bracket(d: np.ndarray, qa: np.ndarray, qb: np.ndarray,
     """
     core = qa.conj().T @ d @ qb
     lower = op_norm(core) if core.size else 0.0
-    rho = float(np.linalg.norm(d - qa @ core @ qb.conj().T))
+    resid = qa @ core @ qb.conj().T
+    rho = float(np.linalg.norm(np.subtract(d, resid, out=resid)))
     if rho <= _THIN_RTOL * lower or lower + rho <= floor:
         return lower, lower + rho
     dense = op_norm(d)
@@ -405,17 +404,22 @@ def _relative_change(a: float, b: float) -> float:
 
 
 def _padded_fold(f: AnalyticFunction, stacks, dims) -> np.ndarray:
-    """The node fold of the stacks of blockdiag(X_jn, 0) at sizes `dims`,
-    from the stacks of the X_jn, without forming the padded stacks.
+    """The node fold of the resolvents of blockdiag(X_jn, 0) at sizes `dims`,
+    from the resolvents of the X_jn, without forming the padded stacks.
 
     A padded resolvent is R_jn(z) on the leading block plus z^{-1} on the
     padding diagonal, so the fold splits into disjoint blocks, one per set of
     factors read on their padding: those factors are identities there, and
-    the node coefficients take z^{-1} along them.
+    the node coefficients take z^{-1} along them.  One factor is contracted
+    (`_pad`); several are folded from their dense stacks.
     """
     coeffs = _node_coeffs(f, stacks)
+    if len(stacks) == 1:
+        [(zs, _, rs)] = stacks
+        return _pad(rs.contract([coeffs])[0][0], coeffs, zs, dims[0])
     r = len(stacks)
-    sizes = [rs.shape[1] for _, _, rs in stacks]
+    dense = [np.asarray(rs) for _, _, rs in stacks]
+    sizes = [rs.shape[1] for rs in dense]
     out = np.zeros(tuple(dims) * 2, dtype=complex)
     for on_pad in itertools.product((False, True), repeat=r):
         kept = [j for j in range(r) if not on_pad[j]]
@@ -423,7 +427,7 @@ def _padded_fold(f: AnalyticFunction, stacks, dims) -> np.ndarray:
         c = coeffs
         for j in padded:
             c = np.sum(c * _on_axis(1.0 / stacks[j][0], j, r), axis=j, keepdims=True)
-        block = _kron_fold(c, [np.ones((1, 1, 1)) if on_pad[j] else stacks[j][2]
+        block = _kron_fold(c, [np.ones((1, 1, 1)) if on_pad[j] else dense[j]
                                for j in range(r)])
         # index arrays on 2 axes per kept factor (row, column) and one shared
         # axis per padded factor (its diagonal)
@@ -442,6 +446,37 @@ def _padded_fold(f: AnalyticFunction, stacks, dims) -> np.ndarray:
 
 def _on_axis(a: np.ndarray, axis: int, axes: int) -> np.ndarray:
     return a.reshape([-1 if i == axis else 1 for i in range(axes)])
+
+
+def _pad(block: np.ndarray, coeffs: np.ndarray, zs: np.ndarray, dim: int) -> np.ndarray:
+    """blockdiag(block, (sum_k c_k / z_k) I) at size `dim`: the one-factor
+    fold of a padded resolvent, read on its leading block and its padding."""
+    n = block.shape[0]
+    out = np.zeros((dim, dim), dtype=complex)
+    out[:n, :n] = block
+    pad = np.arange(n, dim)
+    out[pad, pad] = np.sum(coeffs * (1.0 / zs))
+    return out
+
+
+def _fold_and_reads(f: AnalyticFunction, stacks, strides, dims=None):
+    """(fold, projectors, sups) of one matrix per factor: the node fold of f
+    (padded to `dims` when given), each factor's quadrature projector
+    sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th node.
+
+    Each factor takes one contraction pass; with one factor that pass also
+    gives the fold, with several the fold reads the dense stacks.
+    """
+    if len(stacks) == 1:
+        [(zs, w, rs)] = stacks
+        coeffs = _node_coeffs(f, stacks)
+        (p, fold), sup = rs.contract([w, coeffs], strides[0])
+        if dims is not None:
+            fold = _pad(fold, coeffs, zs, dims[0])
+        return fold, [p], [sup]
+    reads = [rs.contract([w], k) for (_, w, rs), k in zip(stacks, strides)]
+    fold = _node_fold(f, stacks) if dims is None else _padded_fold(f, stacks, dims)
+    return fold, [p for [p], _ in reads], [sup for _, sup in reads]
 
 
 def _cluster_basis(projector: np.ndarray, eigenvalues, contour: Contour,
@@ -471,10 +506,8 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
     ref_stacks = [_resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues,
                                     label=f"factor {j + 1}")[0]
                   for j, (m, c) in enumerate(zip(models, meas))]
-    p_cs = [np.tensordot(w, rs, axes=1) for _, w, rs in ref_stacks]
-    sups = [[_sup_resolvent_norm(s, k)] for s, k in zip(ref_stacks, strides)]
-    g_ref = _node_fold(f, ref_stacks)
-    del ref_stacks  # the truncations' padded stacks take their memory
+    g_ref, p_cs, ref_sups = _fold_and_reads(f, ref_stacks, strides)
+    sups = [[s] for s in ref_sups]
     ref_a, ref_b = (functools.reduce(np.kron, b) for b in zip(*[
         _cluster_basis(p, m.eigenvalues, c, m.ref_dim)
         for p, m, c in zip(p_cs, models, meas)]))
@@ -485,24 +518,26 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
 
     points = []
     for n in n_list:
-        eps_g, eps_c, stacks, bases = 0.0, 0.0, [], []
+        eps_g, eps_c, stacks, spectra_n = 0.0, 0.0, [], []
         for j, (model, c) in enumerate(zip(models, meas)):
             tp = compress(model, n)
             _check_z0(model, tp, z0s[j])
             diff_op = (tp.x_n_padded - model.matrix_ref) @ r0s[j]
             eps_g += op_norm(diff_op)
             eps_c += op_norm(diff_op @ p_cs[j])
-            [stack] = _resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues,
+            stacks += _resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues,
                                         label=f"factor {j + 1} truncation n={n}")
-            sups[j].append(_sup_resolvent_norm(stack, strides[j]))
             # tp.eigenvalues ends with the padding 0, which P_n does not see
-            bases.append(_cluster_basis(np.tensordot(stack[1], stack[2], axes=1),
-                                        tp.eigenvalues[:-1], c, model.ref_dim))
-            stacks.append(stack)
-        n_a, n_b = (functools.reduce(np.kron, b) for b in zip(*bases))
+            spectra_n.append(tp.eigenvalues[:-1])
+        d, p_ns, n_sups = _fold_and_reads(f, stacks, strides, [m.ref_dim for m in models])
+        for s, sup in zip(sups, n_sups):
+            s.append(sup)
+        n_a, n_b = (functools.reduce(np.kron, b) for b in zip(*[
+            _cluster_basis(p, evs, c, m.ref_dim)
+            for p, evs, m, c in zip(p_ns, spectra_n, models, meas)]))
         qa = np.linalg.qr(np.hstack([ref_a, n_a]))[0]
         qb = np.linalg.qr(np.hstack([ref_b, n_b]))[0]
-        d = _padded_fold(f, stacks, [m.ref_dim for m in models]) - g_ref
+        d -= g_ref
         points.append((n, eps_g, eps_c, *_norm_bracket(d, qa, qb, floor),
                        _probe_errors(d, probes)))
     c_f = _error_constant(f, contours, sups)
@@ -561,9 +596,11 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     sups = []
 
     def integral(m):
-        [stack] = _resolvent_stacks(m, meas, require_full=True, label="perturbation")
-        sups.append(_sup_resolvent_norm(stack, meas.nodes // contour.nodes))
-        return _node_fold(f, [stack])
+        stacks = _resolvent_stacks(m, meas, require_full=True, label="perturbation")
+        [g], sup = stacks[0][2].contract([_node_coeffs(f, stacks)],
+                                         meas.nodes // contour.nodes)
+        sups.append(sup)
+        return g
 
     g_ref = integral(x)
     r0 = resolvent(x, z0)

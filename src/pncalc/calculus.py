@@ -12,8 +12,8 @@ Three independent routes compute it:
   with the terms ledgered and split into s0 (alpha = 0), s_mixed
   (partial support) and s_full (full support) parts;
 * dunford_multivariate: iterated contour quadrature of
-  f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened resolvent stack
-  per factor and node count;
+  f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened factorization
+  per factor and node count (`linalg.NodeResolvents`);
 * power_series_apply: a truncated lifted Taylor series about a factor-wise
   center, with a certified tail bound.
 
@@ -37,7 +37,7 @@ from .errors import (
     TailBoundError,
 )
 from .functions import AnalyticFunction, taylor_coefficients
-from .linalg import KRON_CAP, as_matrix, eye_like, op_norm
+from .linalg import KRON_CAP, NodeResolvents, as_matrix, eye_like, op_norm
 from .spectra import Contour, Decomposition, _resolvent_stacks, decompose
 
 _DOUBLING_TOL = 1e-10
@@ -273,7 +273,7 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
     counts = (contour.nodes, 2 * contour.nodes) if verify else (contour.nodes,)
     stacks = _resolvent_stacks(x, contour, counts, require_full=require_full,
                                label="dunford")
-    runs = [np.tensordot(w * np.asarray(f(zs), dtype=complex), rs, axes=1)
+    runs = [rs.contract([w * np.asarray(f(zs), dtype=complex)])[0][0]
             for zs, w, rs in stacks]
     value = runs[-1]
     if verify:
@@ -296,7 +296,7 @@ def _check_node_tuples(f: AnalyticFunction, contours: list[Contour], scale: int 
 
 def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
     """f(z) prod_j w_j on the grid of node tuples, from one (nodes, weights,
-    resolvent stack) per factor."""
+    resolvents) per factor."""
     grid = np.meshgrid(*[zs for zs, _, _ in stacks], indexing="ij", sparse=True)
     coeffs = np.array(f(*grid), dtype=complex)
     for j, (_, w, _) in enumerate(stacks):
@@ -308,8 +308,13 @@ def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
 
 def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
     """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
-    (nodes, weights, resolvent stack) per factor."""
-    return _kron_fold(_node_coeffs(f, stacks), [rs for _, _, rs in stacks])
+    (nodes, weights, resolvents) per factor: one factor's NodeResolvents are
+    contracted, several factors' are folded from their dense stacks."""
+    coeffs = _node_coeffs(f, stacks)
+    [(_, _, first), *rest] = stacks
+    if not rest and isinstance(first, NodeResolvents):
+        return first.contract([coeffs])[0][0]
+    return _kron_fold(coeffs, [np.asarray(rs) for _, _, rs in stacks])
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,

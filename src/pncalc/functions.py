@@ -26,7 +26,6 @@ import re
 from math import comb, factorial, prod
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ConfigError, DomainError, QuadratureError
 
@@ -384,6 +383,9 @@ class Product(_Binary):
             a, b = b, a
         nonzero = np.nonzero(b)
         if nonzero[0].size > SPARSE_CONVOLVE_NONZEROS:
+            # imported here: scipy.signal takes about 1 s to import, and only
+            # dense products of boxes reach this line
+            from scipy.signal import fftconvolve
             full = fftconvolve(a, b)
             return np.ascontiguousarray(full[(slice(0, cap + 1),) * self.arity])
         out = np.zeros(a.shape, dtype=complex)

@@ -3,7 +3,8 @@
 Everything downstream funnels through these few operations so that their
 accuracy contracts are checked in exactly one place.  Matrices are plain
 numpy arrays with dtype complex128; helpers here validate shape and
-finiteness instead of wrapping arrays in a class.
+finiteness instead of wrapping arrays in a class.  Quadrature resolvents at
+many nodes are kept as one factorization (`NodeResolvents`), not as a stack.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ COND_LIMIT = 1e14
 
 _RESIDUAL_TOL = 1e-12
 _EIG_BACKWARD_TOL = 1e-10
-_SCHUR_BACKWARD_TOL = 1e-10
+_FACTOR_BACKWARD_TOL = 1e-10
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -96,19 +97,124 @@ def resolvent(x, z: complex, cond_limit: float = COND_LIMIT) -> np.ndarray:
     return r
 
 
-def resolvent_at_nodes(x: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """Stack of resolvents (zI - x)^{-1} for all z in `zs`, one batched solve.
+def resolvent_at_nodes(x: np.ndarray, zs: np.ndarray) -> NodeResolvents:
+    """The resolvents (zI - x)^{-1} for all z in `zs`, from one factorization.
 
-    Quadrature fast path: callers are expected to have screened the nodes
-    against the spectrum already (contour guard band), so no per-node
-    condition certificate is computed here.
+    Bitwise-Hermitian x is factored by a certified `eigh`, every other x by
+    the certified complex Schur form (`schur`).  Quadrature fast path:
+    callers are expected to have screened the nodes against the spectrum
+    already (contour guard band), so no per-node condition certificate is
+    computed here.
     """
     x = as_matrix(x, square=True)
-    n = x.shape[0]
     zs = np.asarray(zs, dtype=complex).ravel()
-    a = zs[:, None, None] * eye_like(n) - x[None, :, :]
-    b = np.broadcast_to(eye_like(n), (zs.size, n, n))
-    return np.linalg.solve(a, b)
+    if np.array_equal(x, x.conj().T):
+        lam, q = np.linalg.eigh(x)
+        _certify("eigh", x, x @ q - q * lam)
+        return NodeResolvents(zs, q, lam)
+    s = schur(x)
+    return NodeResolvents(zs, s.q, s.t)
+
+
+# bytes of resolvents a contraction holds at a time, in the factorization's
+# basis: 16 nodes at n = 128
+_CHUNK_BYTES = 1 << 22
+
+
+@dataclass(frozen=True, eq=False)
+class NodeResolvents:
+    """(z_k I - X)^{-1} at the nodes z_k, kept as X = Q T Q^H with Q unitary.
+
+    `t` is the upper triangular Schur factor, or for Hermitian X the vector
+    of eigenvalues (T diagonal).  Then (z I - X)^{-1} = Q (z I - T)^{-1} Q^H,
+    so a sum over nodes is summed in the basis of Q and transformed back
+    once, and ||(z I - X)^{-1}||_2 = ||(z I - T)^{-1}||_2, which is
+    max_i 1/|z - lambda_i| when T is diagonal.  Each node's (z I - T)^{-1}
+    is computed the same way whatever other nodes are solved with it, so a
+    node's resolvent and its norm have the same bits in every call.
+    """
+    zs: np.ndarray
+    q: np.ndarray
+    t: np.ndarray
+
+    def _inverses(self, zs: np.ndarray) -> np.ndarray:
+        """(z I - T)^{-1} for z in `zs`: (nodes, n) diagonals or (nodes, n, n)."""
+        if self.t.ndim == 1:
+            return 1.0 / (zs[:, None] - self.t[None, :])
+        out = np.zeros((zs.size,) + self.t.shape, dtype=complex)
+        _fill_triangular_inverses(out, zs, self.t)
+        return out
+
+    def contract(self, rows, stride: int = 0) -> tuple[list[np.ndarray], float]:
+        """[sum_k c_k (z_k I - X)^{-1} for each coefficient row c in `rows`],
+        and max ||(z_k I - X)^{-1}||_2 over every `stride`-th node (0.0 for
+        stride 0), in one pass over chunks of nodes."""
+        rows = [np.asarray(c, dtype=complex) for c in rows]
+        sums = [np.zeros(self.t.size, dtype=complex) for _ in rows]
+        chunk = max(1, _CHUNK_BYTES // (16 * self.t.size))
+        sup = max([self._add_chunk(sums, rows, start, start + chunk, stride)
+                   for start in range(0, self.zs.size, chunk)])
+        return [self._back(acc) for acc in sums], sup
+
+    def _add_chunk(self, sums, rows, start: int, stop: int, stride: int) -> float:
+        """Add each row's share of nodes start..stop-1 to its sum; return the
+        largest norm at a node whose index is a multiple of `stride` (0.0 for
+        none or stride 0).  The chunk's inverses are freed on return, before
+        the next chunk is built."""
+        inv = self._inverses(self.zs[start:stop])
+        flat = inv.reshape(inv.shape[0], -1)
+        for acc, c in zip(sums, rows):
+            acc += c[start:stop] @ flat
+        if not stride:
+            return 0.0
+        picked = inv[-start % stride::stride]
+        return _max_norm(picked) if picked.size else 0.0
+
+    def sup(self, stride: int = 1) -> float:
+        """max ||(z_k I - X)^{-1}||_2 over every `stride`-th node."""
+        return self.contract([], stride)[1]
+
+    def dense(self) -> np.ndarray:
+        """The (nodes, n, n) stack of resolvents."""
+        inv = self._inverses(self.zs)
+        if self.t.ndim == 1:
+            return (self.q[None, :, :] * inv[:, None, :]) @ self.q.conj().T
+        return self.q @ inv @ self.q.conj().T
+
+    def __array__(self, dtype=None, copy=None):
+        stack = self.dense()
+        return stack if dtype is None else stack.astype(dtype, copy=False)
+
+    def _back(self, s: np.ndarray) -> np.ndarray:
+        """Q S Q^H of a flat matrix S in the basis of Q (its diagonal for
+        diagonal T)."""
+        if self.t.ndim == 1:
+            return (self.q * s) @ self.q.conj().T
+        return self.q @ s.reshape(self.t.shape) @ self.q.conj().T
+
+
+def _max_norm(inv: np.ndarray) -> float:
+    """Largest 2-norm of the (nodes, n) diagonals or (nodes, n, n) matrices."""
+    if inv.ndim == 2:
+        return float(np.max(np.abs(inv)))
+    return float(np.max(np.linalg.norm(inv, 2, axis=(1, 2))))
+
+
+def _fill_triangular_inverses(out: np.ndarray, zs: np.ndarray, t: np.ndarray) -> None:
+    """out[k] = (zs[k] I - t)^{-1} for upper triangular t, batched over nodes.
+
+    Block recursion on t = [[A, B], [0, D]]: the inverse of zI - t is
+    [[a, a B d], [0, d]] with a = (zI - A)^{-1} and d = (zI - D)^{-1}, since
+    only the diagonal depends on z.  Every product is a per-node matmul.
+    """
+    n = t.shape[0]
+    if n == 1:
+        out[:, 0, 0] = 1.0 / (zs - t[0, 0])
+        return
+    h = n // 2
+    _fill_triangular_inverses(out[:, :h, :h], zs, t[:h, :h])
+    _fill_triangular_inverses(out[:, h:, h:], zs, t[h:, h:])
+    np.matmul(out[:, :h, :h] @ t[:h, h:], out[:, h:, h:], out=out[:, :h, h:])
 
 
 @dataclass
@@ -154,13 +260,18 @@ def schur(x) -> SchurResult:
     """Complex Schur decomposition with a backward-error certificate (1e-10)."""
     x = as_matrix(x, square=True)
     t, q = scipy.linalg.schur(x, output="complex")
+    return SchurResult(t, q, _certify("Schur decomposition", x, x @ q - q @ t))
+
+
+def _certify(name: str, x: np.ndarray, residual: np.ndarray) -> float:
+    """Backward error ||residual||_F / ||x|| of a factorization of x, at most 1e-10."""
     scale = op_norm(x)
     if scale == 0.0:
-        return SchurResult(t, q, 0.0)
-    err = float(np.linalg.norm(x @ q - q @ t)) / scale
-    if err > _SCHUR_BACKWARD_TOL:
-        raise ToleranceError(f"Schur decomposition backward error {err:.3e} above 1e-10")
-    return SchurResult(t, q, err)
+        return 0.0
+    err = float(np.linalg.norm(residual)) / scale
+    if err > _FACTOR_BACKWARD_TOL:
+        raise ToleranceError(f"{name} backward error {err:.3e} above 1e-10")
+    return err
 
 
 # ---------------------------------------------------------------- cmat text

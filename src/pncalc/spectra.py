@@ -11,7 +11,12 @@ these, so a k = n decomposition costs O(n^3) and writes 3 n^2 numbers.
 integral of the resolvent; it stays as the independent quadrature route.
 Every contour quadrature of the package takes its resolvents from
 `_resolvent_stacks`, which refuses a circle too close to the spectrum
-(ContourTooCloseError) before it solves.
+(ContourTooCloseError) before it factors.  The quadrature starts from the
+same certified Schur form X = Q T Q^H as the decomposition (or from a
+certified eigh of Hermitian X) and sums Q (sum_k c_k (z_k I - T)^{-1}) Q^H.
+That keeps it a cross-check: the form is backward stable and certified, and
+the quadrature takes none of the decomposition's decisions (clustering, the
+`ztrsen` reordering, the `ztrsyl` block-diagonalisation).
 
 The one knob that decides everything here is `cluster_tol`: eigenvalues closer
 than it (single linkage) are treated as one multiple eigenvalue.  Defective
@@ -184,7 +189,7 @@ def _distances(values, points) -> np.ndarray:
 
 def _resolvent_stacks(x, contour: Contour, node_counts=(None,), eigenvalues=None,
                       require_full: bool = False, label: str = "quadrature"):
-    """[(nodes, weights, (zI - x)^{-1} stack)] per node count (None: the contour's).
+    """[(nodes, weights, NodeResolvents of x)] per node count (None: the contour's).
 
     The spectrum (`eigenvalues`, computed when not supplied) is screened once,
     before any solve: trapezoid leakage grows as an eigenvalue nears the circle
@@ -219,7 +224,7 @@ def riesz_projector(x, contour: Contour, eigenvalues=None) -> np.ndarray:
     """
     [(_, w, rs)] = _resolvent_stacks(x, contour, eigenvalues=eigenvalues,
                                      label="riesz_projector")
-    return np.tensordot(w, rs, axes=1)
+    return rs.contract([w])[0][0]
 
 
 def _triangular_factors(blocks) -> list[np.ndarray]:

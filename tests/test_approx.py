@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -531,3 +532,22 @@ def test_default_probes_are_basis_vectors():
     for i, u in enumerate(probes):
         assert np.linalg.norm(u) == 1.0
         assert u[i] == 1.0
+
+
+def test_one_factor_study_holds_one_chunk_of_resolvents():
+    # n = 128 on 256 nodes: the stack of the resolvents would be 67 MB; the
+    # contraction builds one chunk of inverses at a time, and the next only
+    # after the last is freed
+    m = approx.build_model("complex_harmonic", 128)
+    contour = approx.lowest_cluster_contour(m, 3)
+    meas = approx._meas_contour(contour)
+    assert meas.nodes == 256
+    f = parse("exp(-z1)")
+    tracemalloc.start()
+    try:
+        stacks = spectra._resolvent_stacks(m.matrix_ref, meas, eigenvalues=m.eigenvalues)
+        approx._fold_and_reads(f, stacks, [meas.nodes // contour.nodes], [128])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * linalg._CHUNK_BYTES < 16 * 256 * 128 ** 2 // 4

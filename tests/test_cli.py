@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -442,3 +444,14 @@ def test_seeded_artifacts_keep_their_bytes(tmp_path, command):
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "manifest.csv").read_bytes()).hexdigest()
     assert digest == SEEDED_MANIFEST_SHA256[command]
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal takes about 1 s to import; only dense Taylor-box products
+    # need it, and they import it themselves
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, pncalc.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

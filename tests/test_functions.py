@@ -179,3 +179,29 @@ def test_vectorized_evaluation_matches_scalar():
     for i in range(2):
         for j in range(2):
             assert grid[i, j] == pytest.approx(np.exp(z1[i, j]) * z2[i, j])
+
+
+def test_dense_product_box_is_fft_convolved(monkeypatch):
+    # both factor boxes are dense, so the product takes the FFT convolution;
+    # exp(z1 + z2) exp(z1 - z2) = exp(2 z1) has the box 2^k e^(2 c1) / k! on
+    # its first column and zeros elsewhere
+    import scipy.signal
+
+    calls = []
+    fftconvolve = scipy.signal.fftconvolve
+
+    def spy(a, b):
+        calls.append((a.shape, b.shape))
+        return fftconvolve(a, b)
+
+    monkeypatch.setattr(scipy.signal, "fftconvolve", spy)
+    center, cap = [0.3 + 0.1j, -0.2 + 0.4j], 6
+    sparser = parse("exp(z1-z2)").taylor_box(center, cap)
+    assert np.count_nonzero(sparser) > functions.SPARSE_CONVOLVE_NONZEROS
+    box = parse("prod(exp(z1+z2), exp(z1-z2))").taylor_box(center, cap)
+    assert calls == [((cap + 1,) * 2, (cap + 1,) * 2)]
+    k = np.arange(cap + 1)
+    want = np.zeros((cap + 1, cap + 1), dtype=complex)
+    want[:, 0] = 2.0 ** k * np.exp(2.0 * center[0]) / np.cumprod(np.maximum(k, 1))
+    assert box.shape == want.shape
+    assert np.max(np.abs(box - want)) <= 1e-14 * np.max(np.abs(want))

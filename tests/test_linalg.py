@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncalc import linalg
+from pncalc import approx, linalg, synth
 from pncalc.errors import ConfigError, DimensionCapError, NearSingularError
 
 
@@ -107,6 +107,79 @@ def test_schur_backward_error():
     zero = linalg.schur(np.zeros((3, 3), dtype=complex))
     assert zero.backward_error == 0.0
 
+
+
+def _node_case(kind: str, nodes: int = 64):
+    """(X, nodes of a circle that separates its spectrum at its widest gap)."""
+    rng = _rng(41)
+    if kind == "hermitian":
+        x = synth.random_hermitian(rng, 24)
+    elif kind == "jordan":
+        x, _ = synth.random_jordan_matrix(rng, 24, max_index=4)
+    else:
+        x = approx.build_model(kind, 32).matrix_ref
+    lams = np.linalg.eigvals(x)
+    center = np.mean(lams)
+    dist = np.sort(np.abs(lams - center))
+    gap = int(np.argmax(np.diff(dist)))
+    radius = 0.5 * (dist[gap] + dist[gap + 1])
+    return x, center + radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "complex_harmonic", "jordan"])
+def test_node_contraction_matches_dense_stack(kind):
+    x, zs = _node_case(kind)
+    n = x.shape[0]
+    rs = linalg.resolvent_at_nodes(x, zs)
+    # eigh makes the factor diagonal, Schur triangular
+    assert rs.t.ndim == (1 if kind == "hermitian" else 2)
+    dense = np.asarray(rs)
+    assert dense.shape == (zs.size, n, n)
+    for z, r in zip(zs, dense):
+        a = z * np.eye(n) - x
+        res = np.linalg.norm(a @ r - np.eye(n), 2)
+        assert res <= 1e-12 * np.linalg.norm(a, 2) * np.linalg.norm(r, 2)
+    rng = _rng(7)
+    rows = [_random_complex(rng, 1, zs.size)[0] for _ in range(3)]
+    got, sup = rs.contract(rows, stride=4)
+    for c, g in zip(rows, got):
+        want = np.tensordot(c, dense, axes=1)
+        assert np.linalg.norm(g - want, 2) <= 1e-11 * np.linalg.norm(want, 2)
+    svd_sup = float(np.max(np.linalg.norm(dense[::4], 2, axis=(1, 2))))
+    assert abs(sup - svd_sup) <= 1e-12 * svd_sup
+    assert rs.sup(4) == sup
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "anharmonic_x4"])
+def test_hermitian_sup_is_the_svd_sup(kind):
+    m = approx.build_model(kind, 64)
+    contour = approx.lowest_cluster_contour(m, 3)
+    rs = linalg.resolvent_at_nodes(m.matrix_ref, contour.points())
+    assert rs.t.ndim == 1
+    dense = rs.dense()
+    svd_sup = float(np.max(np.linalg.norm(dense, 2, axis=(1, 2))))
+    # the sup is max 1/|z - lambda| over the nodes, with no SVD
+    assert abs(rs.sup() - svd_sup) <= 1e-13 * svd_sup
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "complex_harmonic"])
+def test_node_resolvents_do_not_depend_on_the_node_set(kind):
+    # the declared nodes are every 4th measurement node: their resolvents,
+    # norms and contractions keep their bits whichever nodes share a chunk
+    # (at n = 110 a chunk holds an odd number of nodes) and whichever rows
+    # share a pass
+    model = approx.build_model(kind, 110)
+    x = model.matrix_ref
+    contour = approx.lowest_cluster_contour(model, 3)
+    fine = linalg.resolvent_at_nodes(x, contour.points(256))
+    coarse = linalg.resolvent_at_nodes(x, contour.points(64))
+    assert np.array_equal(fine.zs[::4], coarse.zs)
+    assert fine.sup(4) == coarse.sup()
+    assert np.array_equal(fine.dense()[::4], coarse.dense())
+    w, v = contour.weights(256), np.exp(-contour.points(256)) * contour.weights(256)
+    both, _ = fine.contract([w, v])
+    assert np.array_equal(both[0], fine.contract([w])[0][0])
+    assert np.array_equal(both[1], fine.contract([v])[0][0])
 
 # signed zero, the smallest subnormal, huge and negative entries
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, 1.0 / 3.0,
