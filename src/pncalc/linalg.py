@@ -163,6 +163,8 @@ class NodeResolvents:
         the next chunk is built."""
         inv = self._inverses(self.zs[start:stop])
         flat = inv.reshape(inv.shape[0], -1)
+        # one product per row: a product of all rows at once gives a row
+        # other bits depending on how many rows share it
         for acc, c in zip(sums, rows):
             acc += c[start:stop] @ flat
         if not stride:

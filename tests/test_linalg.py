@@ -108,7 +108,6 @@ def test_schur_backward_error():
     assert zero.backward_error == 0.0
 
 
-
 def _node_case(kind: str, nodes: int = 64):
     """(X, nodes of a circle that separates its spectrum at its widest gap)."""
     rng = _rng(41)
@@ -180,6 +179,7 @@ def test_node_resolvents_do_not_depend_on_the_node_set(kind):
     both, _ = fine.contract([w, v])
     assert np.array_equal(both[0], fine.contract([w])[0][0])
     assert np.array_equal(both[1], fine.contract([v])[0][0])
+
 
 # signed zero, the smallest subnormal, huge and negative entries
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, -2.5, 1.0 / 3.0,
