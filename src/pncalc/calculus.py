@@ -162,8 +162,12 @@ def _coefficient_tensor(f: AnalyticFunction, lams, qs):
     return c
 
 
-def _kron_fold(coeffs: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
-    """sum over tuples t of coeffs[t] * kron(stacks[0][t0], stacks[1][t1], ...)."""
+def _kron_fold(coeffs, stacks: list[np.ndarray]) -> np.ndarray:
+    """sum over tuples t of coeffs[t] * kron(stacks[0][t0], stacks[1][t1], ...).
+
+    With three stacks `coeffs` may be any iterable of its first-axis slabs
+    coeffs[t0], in order; they are folded one at a time.
+    """
     if len(stacks) == 1:
         return np.tensordot(coeffs, stacks[0], axes=([0], [0]))
     s = stacks[0]
@@ -171,7 +175,7 @@ def _kron_fold(coeffs: np.ndarray, stacks: list[np.ndarray]) -> np.ndarray:
     if len(stacks) == 2:
         inner = np.tensordot(coeffs, stacks[1], axes=([1], [0]))
     else:
-        inner = np.stack([_kron_fold(coeffs[i], stacks[1:]) for i in range(t)])
+        inner = np.stack([_kron_fold(c, stacks[1:]) for c in coeffs])
     dr = inner.shape[1]
     m = s.reshape(t, d * d).T @ inner.reshape(t, dr * dr)
     return np.ascontiguousarray(
@@ -309,12 +313,22 @@ def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
 def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
     """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
     (nodes, weights, resolvents) per factor: one factor's NodeResolvents are
-    contracted, several factors' are folded from their dense stacks."""
-    coeffs = _node_coeffs(f, stacks)
-    [(_, _, first), *rest] = stacks
+    contracted, several factors' are folded from their dense stacks.
+
+    Three factors take their coefficients one first-factor node at a time,
+    so the nodes^3 tensor (4 MB at 64 nodes) and the temporaries of its
+    evaluation are never formed; f is evaluated elementwise, so each slab
+    has the bits of the whole tensor's slab.
+    """
+    [(zs, w, first), *rest] = stacks
     if not rest and isinstance(first, NodeResolvents):
-        return first.contract([coeffs])[0][0]
-    return _kron_fold(coeffs, [np.asarray(rs) for _, _, rs in stacks])
+        return first.contract([_node_coeffs(f, stacks)])[0][0]
+    dense = [np.asarray(rs) for _, _, rs in stacks]
+    if len(stacks) < 3:
+        return _kron_fold(_node_coeffs(f, stacks), dense)
+    slabs = (_node_coeffs(f, [(zs[i:i + 1], w[i:i + 1], first), *rest])[0]
+             for i in range(zs.size))
+    return _kron_fold(slabs, dense)
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,

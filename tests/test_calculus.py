@@ -1,5 +1,6 @@
 import csv
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,25 @@ def test_dunford_multivariate_broadcasts_constant_and_one_variable_specs():
         quad = calculus.dunford_multivariate(f, system, contours)
         assert quad.shape == (8, 8)
         assert np.linalg.norm(quad - spectral, 2) <= 1e-12, spec
+
+
+def test_three_factor_fold_never_forms_the_node_tuple_tensor():
+    # 64^3 node tuples are a 4 MB coefficient tensor; the fold takes it one
+    # first-factor slab at a time and must keep the whole tensor's bits
+    x3 = np.array([[2, 1, 0], [0, 2, 1], [0, 0, 2]], dtype=complex)
+    factors = [x3, X2, np.diag([0.5, -0.5, 1j, -1j]).astype(complex)]
+    f = parse("prod(exp(z1+2*z2-z3),sin(z2+0.5*z3))")
+    stacks = [spectra._resolvent_stacks(x, _enclosing(x))[0] for x in factors]
+    whole = calculus._kron_fold(calculus._node_coeffs(f, stacks),
+                                [np.asarray(rs) for _, _, rs in stacks])
+    tracemalloc.start()
+    try:
+        fold = calculus._node_fold(f, stacks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(fold, whole)
+    assert peak < 16 * 64 ** 3 // 4
 
 
 def _refuse_decompose(*args, **kwargs):
