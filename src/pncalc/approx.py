@@ -59,7 +59,7 @@ from .errors import (
     ToleranceError,
 )
 from .functions import AnalyticFunction
-from .linalg import as_matrix, eig, op_norm, read_cmat, resolvent
+from .linalg import _norm_bounds, _resolvent, as_matrix, eig, op_norm, read_cmat, resolvent
 from .spectra import Contour, _resolvent_stacks
 
 MODEL_KINDS = ("harmonic", "anharmonic_x4", "complex_harmonic", "jordan_toy", "custom_file")
@@ -205,22 +205,35 @@ def build_model(kind: str, ref_dim: int, guard: int | None = None,
     return OperatorModel(kind, ref_dim, 0, m)
 
 
+def _norm_at_most(a: np.ndarray, tol: float, m: np.ndarray, power: int = 1) -> bool:
+    """op_norm(a) <= tol * max(op_norm(m), 1) ** power.
+
+    Decided from the certified bounds of `linalg._norm_bounds` when they
+    can decide it, and from the SVDs of a and m otherwise.
+    """
+    a_low, a_high = _norm_bounds(a)
+    m_low, m_high = (max(b, 1.0) for b in _norm_bounds(m))
+    if a_high <= tol * m_low ** power:
+        return True
+    if a_low > tol * m_high ** power:
+        return False
+    return op_norm(a) <= tol * max(op_norm(m), 1.0) ** power
+
+
 def _check_oscillator(kind: str, m: np.ndarray) -> None:
-    scale = max(op_norm(m), 1.0)
     if kind in ("harmonic", "anharmonic_x4"):
-        herm = op_norm(m - m.conj().T)
-        if herm > 1e-12 * scale:
-            raise ToleranceError(f"{kind} reference not hermitian ({herm:.3e})")
+        skew = m - m.conj().T
+        if not _norm_at_most(skew, 1e-12, m):
+            raise ToleranceError(f"{kind} reference not hermitian ({op_norm(skew):.3e})")
     if kind == "harmonic":
         target = np.diag(2.0 * np.arange(m.shape[0]) + 1.0)
-        if op_norm(m - target) > 1e-12 * scale:
+        if not _norm_at_most(m - target, 1e-12, m):
             raise ToleranceError("harmonic reference deviates from diag(2n+1)")
     if kind == "complex_harmonic":
         band = np.triu(np.abs(m), 3) + np.tril(np.abs(m), -3)
         if band.max() > 0:
             raise ToleranceError("complex_harmonic reference not banded (width 2)")
-        normality = op_norm(m @ m.conj().T - m.conj().T @ m)
-        if normality <= 1e-6 * scale ** 2:
+        if _norm_at_most(m @ m.conj().T - m.conj().T @ m, 1e-6, m, 2):
             raise ToleranceError("complex_harmonic reference unexpectedly normal")
         sym = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
         if sym.min() <= 0:
@@ -663,7 +676,7 @@ def regularization_sweep(x, k_mat, eps_list, z0: complex,
     """
     x = as_matrix(x, square=True)
     k_mat = as_matrix(k_mat, square=True)
-    if op_norm(k_mat) > 10.0 * max(op_norm(x), 1.0):
+    if not _norm_at_most(k_mat, 10.0, x):
         raise PreconditionError("perturbation K is not modestly bounded next to X")
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if not eps_list or eps_list[-1] <= 0:
@@ -671,12 +684,12 @@ def regularization_sweep(x, k_mat, eps_list, z0: complex,
     if probes is None:
         probes = default_probes(x.shape[0])
 
-    r0 = resolvent(x, z0)
-    r_eps = [resolvent(x + e * k_mat, z0) for e in eps_list]
-    sup_norm = max([op_norm(r) for r in r_eps] + [op_norm(r0)])
+    r0, norm_r0 = _resolvent(x, z0)
+    solved = [_resolvent(x + e * k_mat, z0) for e in eps_list]
+    sup_norm = max([norm for _, norm in solved] + [norm_r0])
 
     rows = []
-    for e, re_mat in zip(eps_list, r_eps):
+    for e, (re_mat, _) in zip(eps_list, solved):
         diff = re_mat - r0
         p_err, p_bound = [], []
         for u in probes:

@@ -379,7 +379,7 @@ def cmd_lift_calc(cfg: dict, out_dir: str, seed: int | None) -> int:
     writer.finalize()
     print(f"lift-calc: tensor dim {system.tensor_dim}, "
           f"{len(result.term_ledger)} ledger terms, "
-          f"|value| = {linalg.op_norm(result.value):.6e}")
+          f"|value|_F = {np.linalg.norm(result.value):.6e}")
     return 0
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .errors import ConfigError, DimensionCapError, NearSingularError, ToleranceError
 
@@ -27,6 +28,9 @@ COND_LIMIT = 1e14
 _RESIDUAL_TOL = 1e-12
 _EIG_BACKWARD_TOL = 1e-10
 _FACTOR_BACKWARD_TOL = 1e-10
+# relative widening of the certified norm bounds: covers the rounding of nrm2,
+# of the column norms and of op_norm's SVD (each a few n ulp, n <= KRON_CAP)
+_BOUND_ALLOWANCE = 1e-10
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:
@@ -66,6 +70,27 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def _norm_bounds(a: np.ndarray, lower: bool = True) -> tuple[float, float]:
+    """(lower, upper) bounds on op_norm(a) of a complex matrix, without an SVD.
+
+    ||a||_2 <= ||a||_F, taken by BLAS nrm2, which scales as it sums, so tiny
+    entries do not underflow to 0; ||a||_2 >= the largest column norm, taken
+    on a scaled by its largest entry, so no square overflows.  Each bound is
+    widened by _BOUND_ALLOWANCE, so it also brackets the rounded op_norm(a):
+    a comparison that the bounds decide has the outcome that op_norm would
+    give.  With lower=False the column pass is skipped and the lower bound
+    is 0.0.
+    """
+    upper = float(blas.dznrm2(a.ravel())) * (1.0 + _BOUND_ALLOWANCE)
+    if not lower:
+        return 0.0, upper
+    big = float(np.max(np.abs(a)))
+    if big == 0.0:
+        return 0.0, upper
+    column = big * float(np.max(np.linalg.norm(a / big, axis=0)))
+    return column * (1.0 - _BOUND_ALLOWANCE), upper
+
+
 def resolvent(x, z: complex, cond_limit: float = COND_LIMIT) -> np.ndarray:
     """(z I - x)^{-1} with a condition signal and a residual certificate.
 
@@ -73,6 +98,18 @@ def resolvent(x, z: complex, cond_limit: float = COND_LIMIT) -> np.ndarray:
     exceeds `cond_limit`.  The returned inverse satisfies
     ||(zI-x) R - I|| <= 1e-12 * (|z| + ||x||) * ||R||; one step of iterative
     refinement is applied if the direct solve misses that bound.
+    """
+    return _resolvent(x, z, cond_limit)[0]
+
+
+def _resolvent(x, z: complex, cond_limit: float = COND_LIMIT) -> tuple[np.ndarray, float]:
+    """`resolvent(x, z, cond_limit)` and its op_norm.
+
+    Both certificates are first tried with the certified bounds of
+    `_norm_bounds`: ||zI-x||_F ||R|| <= cond_limit, and
+    ||(zI-x) R - I||_F <= 1e-12 (|z| + colmax(x)) ||R||.  When they pass,
+    the exact tests below pass too, on the same R; otherwise the exact
+    tests decide, with op_norm of every matrix.
     """
     x = as_matrix(x, square=True)
     n = x.shape[0]
@@ -83,18 +120,23 @@ def resolvent(x, z: complex, cond_limit: float = COND_LIMIT) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NearSingularError(f"resolvent point z={z} is in the spectrum") from exc
     norm_r = op_norm(r)
+    residual = a @ r - ident
+    if (_norm_bounds(a, lower=False)[1] * norm_r <= cond_limit
+            and _norm_bounds(residual, lower=False)[1]
+            <= _RESIDUAL_TOL * (abs(z) + _norm_bounds(x)[0]) * norm_r):
+        return r, norm_r
     if op_norm(a) * norm_r > cond_limit:
         raise NearSingularError(
             f"resolvent at z={z} is near-singular (condition estimate above {cond_limit:g})")
     bound = _RESIDUAL_TOL * (abs(z) + op_norm(x)) * norm_r
-    residual = op_norm(a @ r - ident)
-    if residual > bound:
+    if op_norm(residual) > bound:
         r = r + np.linalg.solve(a, ident - a @ r)
         residual = op_norm(a @ r - ident)
         if residual > bound:
             raise ToleranceError(
                 f"resolvent residual {residual:.3e} exceeds certificate {bound:.3e}")
-    return r
+        norm_r = op_norm(r)
+    return r, norm_r
 
 
 def resolvent_at_nodes(x: np.ndarray, zs: np.ndarray) -> NodeResolvents:
@@ -152,15 +194,17 @@ class NodeResolvents:
         rows = [np.asarray(c, dtype=complex) for c in rows]
         sums = [np.zeros(self.t.size, dtype=complex) for _ in rows]
         chunk = max(1, _CHUNK_BYTES // (16 * self.t.size))
-        sup = max([self._add_chunk(sums, rows, start, start + chunk, stride)
-                   for start in range(0, self.zs.size, chunk)])
+        sup = 0.0
+        for start in range(0, self.zs.size, chunk):
+            sup = self._add_chunk(sums, rows, start, start + chunk, stride, sup)
         return [self._back(acc) for acc in sums], sup
 
-    def _add_chunk(self, sums, rows, start: int, stop: int, stride: int) -> float:
+    def _add_chunk(self, sums, rows, start: int, stop: int, stride: int,
+                   sup: float) -> float:
         """Add each row's share of nodes start..stop-1 to its sum; return the
-        largest norm at a node whose index is a multiple of `stride` (0.0 for
-        none or stride 0).  The chunk's inverses are freed on return, before
-        the next chunk is built."""
+        larger of `sup` and the largest norm at a node whose index is a
+        multiple of `stride` (`sup` for none or stride 0).  The chunk's
+        inverses are freed on return, before the next chunk is built."""
         inv = self._inverses(self.zs[start:stop])
         flat = inv.reshape(inv.shape[0], -1)
         # one product per row: a product of all rows at once gives a row
@@ -168,9 +212,8 @@ class NodeResolvents:
         for acc, c in zip(sums, rows):
             acc += c[start:stop] @ flat
         if not stride:
-            return 0.0
-        picked = inv[-start % stride::stride]
-        return _max_norm(picked) if picked.size else 0.0
+            return sup
+        return _max_norm(inv[-start % stride::stride], sup)
 
     def sup(self, stride: int = 1) -> float:
         """max ||(z_k I - X)^{-1}||_2 over every `stride`-th node."""
@@ -195,11 +238,24 @@ class NodeResolvents:
         return self.q @ s.reshape(self.t.shape) @ self.q.conj().T
 
 
-def _max_norm(inv: np.ndarray) -> float:
-    """Largest 2-norm of the (nodes, n) diagonals or (nodes, n, n) matrices."""
+def _max_norm(inv: np.ndarray, sup: float = 0.0) -> float:
+    """The larger of `sup` and the largest 2-norm of the (nodes, n) diagonals
+    or (nodes, n, n) matrices.
+
+    Matrices are visited by decreasing certified upper bound (`_norm_bounds`),
+    and an SVD is taken only of a matrix whose bound exceeds the running
+    maximum: the first that does not ends the visit.  The maximum is the SVD
+    value of the same matrix, bit for bit what a batched SVD of the whole
+    stack gives.
+    """
     if inv.ndim == 2:
-        return float(np.max(np.abs(inv)))
-    return float(np.max(np.linalg.norm(inv, 2, axis=(1, 2))))
+        return max(sup, float(np.max(np.abs(inv), initial=0.0)))
+    uppers = [_norm_bounds(m, lower=False)[1] for m in inv]
+    for i in np.argsort(uppers)[::-1]:
+        if uppers[i] <= sup:
+            break
+        sup = max(sup, float(np.linalg.norm(inv[i], 2)))
+    return sup
 
 
 def _fill_triangular_inverses(out: np.ndarray, zs: np.ndarray, t: np.ndarray) -> None:

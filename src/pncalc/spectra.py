@@ -41,6 +41,7 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
+    _norm_bounds,
     as_matrix,
     eig,
     eye_like,
@@ -243,10 +244,8 @@ def _factored_index(r_m, c, r_w, scale: float, tol: float, cap: int) -> int:
 
     N^q = M C^(q-1) W^H with C = W^H M.  With thin QRs M = Q_M R_M and
     W = Q_W R_W, both norms of N^q are those of the small core
-    R_M C^(q-1) R_W^H.  The Frobenius norm bounds op_norm from above, so a
-    power that passes it passes op_norm too; the SVD is taken only when the
-    Frobenius test fails.  BLAS nrm2 scales as it sums, so tiny entries do
-    not underflow to 0.
+    R_M C^(q-1) R_W^H.  A power that passes the certified upper bound of
+    `_norm_bounds` passes op_norm too; the SVD is taken only when it fails.
     """
     if scale <= 0:
         scale = 1.0
@@ -254,7 +253,7 @@ def _factored_index(r_m, c, r_w, scale: float, tol: float, cap: int) -> int:
     for nu in range(1, cap + 1):
         core = left @ right
         bound = tol * scale ** nu
-        if blas.dznrm2(core.ravel()) <= bound or op_norm(core) <= bound:
+        if _norm_bounds(core, lower=False)[1] <= bound or op_norm(core) <= bound:
             return nu
         left = left @ c
     return cap

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from pncalc import approx, calculus, functions, linalg, spectra
-from pncalc.errors import ConfigError, ContourTooCloseError, PreconditionError
+from pncalc.errors import (
+    ConfigError,
+    ContourTooCloseError,
+    PreconditionError,
+    ToleranceError,
+)
 
 parse = functions.parse_function
 
@@ -290,6 +295,62 @@ def test_multivariate_c_f_equals_error_constant_multi():
     n_list = [2, 4, 8]
     rep = approx.multivariate_experiment(models, f, [-1.0, -1.0], contours, n_list)
     assert rep.c_f == approx.error_constant_multi(f, models, contours, n_list)
+
+
+def test_c_f_sup_takes_few_node_svds(monkeypatch):
+    # only the maximum over the picked nodes is read: nodes whose certified
+    # bound lies under the running maximum take no SVD
+    picked, svds = [], []
+    real_max, real_norm = linalg._max_norm, np.linalg.norm
+
+    def count_norm(a, ord=None, *args, **kwargs):
+        if ord == 2:
+            svds.append(1)
+        return real_norm(a, ord, *args, **kwargs)
+
+    def spy(inv, sup=0.0):
+        picked.append(len(inv))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "norm", count_norm)
+            return real_max(inv, sup)
+
+    monkeypatch.setattr(linalg, "_max_norm", spy)
+    m = approx.build_model("complex_harmonic", 128)
+    contour = approx.lowest_cluster_contour(m, 3)
+    approx.level_experiment(m, parse("exp(-z1)"), -1.25, contour, [8, 16, 32])
+    # the reference and three truncations, twice: the half-size rerun
+    # shares every n
+    assert sum(picked) == 8 * contour.nodes
+    assert 8 <= len(svds) <= sum(picked) // 10
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_norm_gate_decides_like_the_svds(seed, power):
+    rng = np.random.default_rng(seed)
+    a, m = (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)) for _ in range(2))
+    m *= 10.0 ** (seed - 1)
+    ratio = linalg.op_norm(a) / max(linalg.op_norm(m), 1.0) ** power
+    # far from the threshold the bounds decide; next to it the SVDs do
+    for factor in (1e-3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1e3):
+        tol = ratio * factor
+        want = linalg.op_norm(a) <= tol * max(linalg.op_norm(m), 1.0) ** power
+        assert approx._norm_at_most(a, tol, m, power) == want
+
+
+def test_oscillator_gates_still_refuse():
+    harmonic = approx.build_model("harmonic", 32).matrix_ref
+    skew = harmonic.copy()
+    skew[0, 1] += 1e-6
+    with pytest.raises(ToleranceError, match=r"not hermitian \(1\.000e-06\)"):
+        approx._check_oscillator("harmonic", skew)
+    shifted = harmonic.copy()
+    shifted[3, 3] += 1e-6
+    with pytest.raises(ToleranceError, match="deviates from diag"):
+        approx._check_oscillator("harmonic", shifted)
+    normal = np.diag(np.arange(1.0, 33.0) * (1.0 + 1.0j))
+    with pytest.raises(ToleranceError, match="unexpectedly normal"):
+        approx._check_oscillator("complex_harmonic", normal)
 
 
 @pytest.mark.parametrize("nodes", [16, 48, 64, 100, 128, 200])

@@ -414,18 +414,37 @@ def test_env_override(tmp_path, mats, monkeypatch):
                      "--out", str(tmp_path / "out2")]) == 4
 
 
-# sha256 of manifest.csv (the digest of every artifact) for two seeded runs,
-# recorded with the per-entry "%.16e" writers that the formatting kernel
-# replaced; the numbers underneath come from LAPACK, so the digests hold for
-# the pinned numpy 2.4 / scipy 1.17 / OpenBLAS 0.3.31 build on x86_64
+# sha256 of manifest.csv (the digest of every artifact) for four seeded runs:
+# decompose and lift-calc recorded with the per-entry "%.16e" writers that the
+# formatting kernel replaced, converge and regularize with the SVD of every
+# node and resolvent norm that the certified bounds now prune; the numbers
+# underneath come from LAPACK, so the digests hold for the pinned numpy 2.4 /
+# scipy 1.17 / OpenBLAS 0.3.31 build on x86_64
 SEEDED_MANIFEST_SHA256 = {
     "decompose": "7406e2df45925af428601513830253294a0e71cdc42b0e69289c7ede5f1ace00",
     "lift-calc": "24c9494b9d7336e7f1392811012099780ab877c669b4ebf93aa3e013ddb428cc",
+    "converge": "4cc6b4dbe875bf1aa9ec539ca9576aceb664c58c6da667b3a48b8a885c2fb772",
+    "regularize": "e09aaee2bc06c78c50275d8b1f968eeb15194a2efcb21cdd583de0e181b69575",
 }
 
 
 def _seeded_config(tmp_path, command):
     rng = np.random.default_rng(2024)
+    if command == "converge":
+        return write_config(tmp_path, "cv.ini", {
+            "model": {"kind": "complex_harmonic", "ref_dim": 32},
+            "function": {"spec": "exp(-0.9*z1)"},
+            "experiment": {"z0": "-1.25", "n_list": "4, 8", "probes": 2},
+        })
+    if command == "regularize":
+        # K = D G: seeded, decaying rows, modestly bounded next to X
+        g = (rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))) / np.sqrt(32)
+        linalg.write_cmat(tmp_path / "k.cmat", g / np.arange(1.0, 33.0)[:, None])
+        return write_config(tmp_path, "rg.ini", {
+            "model": {"kind": "complex_harmonic", "ref_dim": 32},
+            "perturbation": {"kind": "file", "path": tmp_path / "k.cmat"},
+            "experiment": {"z0": "-1.25", "eps_list": "1e-1, 1e-2, 1e-3", "probes": 2},
+        })
     if command == "decompose":
         linalg.write_cmat(tmp_path / "x.cmat", synth.random_diagonalizable(rng, 16, spread=3.0))
         return write_config(tmp_path, "dec.ini", {"input": {"matrix": tmp_path / "x.cmat"}})

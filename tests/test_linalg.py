@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncalc import approx, linalg, synth
-from pncalc.errors import ConfigError, DimensionCapError, NearSingularError
+from pncalc.errors import (
+    ConfigError,
+    DimensionCapError,
+    NearSingularError,
+    ToleranceError,
+)
 
 
 def _rng(seed=0):
@@ -179,6 +184,105 @@ def test_node_resolvents_do_not_depend_on_the_node_set(kind):
     both, _ = fine.contract([w, v])
     assert np.array_equal(both[0], fine.contract([w])[0][0])
     assert np.array_equal(both[1], fine.contract([v])[0][0])
+
+
+def _bounded_inverses(seed, n, nodes, peak, gap):
+    """NodeResolvents of a seeded upper triangular T on a unit circle of
+    nodes, one eigenvalue at distance `gap` from node `peak`; that node's
+    inverse is nearly rank one, so its Frobenius norm is nearly its 2-norm."""
+    rng = _rng(seed)
+    zs = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    t = np.triu(_random_complex(rng, n)) * 0.1
+    t[np.diag_indices(n)] = 0.3 * _random_complex(rng, 1, n)[0]
+    t[n - 1, n - 1] = zs[peak] * (1.0 - gap)
+    return linalg.NodeResolvents(zs, np.eye(n, dtype=complex), t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(2, 12), st.sampled_from([1, 2, 4]),
+       st.integers(1, 5), st.integers(0, 31), st.sampled_from([1e-1, 1e-4, 1e-9]))
+def test_pruned_sup_is_the_batched_svd_max(seed, n, stride, chunk_nodes, peak, gap):
+    rs = _bounded_inverses(seed, n, 32, peak, gap)
+    picked = rs._inverses(rs.zs)[::stride]
+    want = np.linalg.norm(picked, 2, axis=(1, 2)).max()
+    assert linalg._max_norm(picked) == want
+    # chunks of 1..5 nodes put the peak anywhere relative to a chunk boundary
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_CHUNK_BYTES", 16 * n * n * chunk_nodes)
+        assert rs.sup(stride) == want
+
+
+@pytest.mark.parametrize("stride", [1, 2, 4])
+def test_pruned_sup_peak_on_a_chunk_boundary(monkeypatch, stride):
+    # chunks of 4 nodes: the peak is the last node of one chunk, then the
+    # first of the next; a near-rank-one peak has ||.||_F within 1e-6 of ||.||_2
+    n = 8
+    monkeypatch.setattr(linalg, "_CHUNK_BYTES", 16 * n * n * 4)
+    for peak in (stride * 4 - stride, stride * 4):
+        rs = _bounded_inverses(5, n, 32, peak, 1e-9)
+        inv = rs._inverses(rs.zs)
+        fro = np.linalg.norm(inv[peak])
+        assert fro <= (1.0 + 1e-6) * np.linalg.norm(inv[peak], 2)
+        assert rs.sup(stride) == np.linalg.norm(inv[::stride], 2, axis=(1, 2)).max()
+
+
+def test_norm_bounds_bracket_op_norm():
+    rng = _rng(8)
+    u = _random_complex(rng, 7, 1)
+    one_column = np.hstack([u, np.zeros((7, 6))])
+    cases = [_random_complex(rng, 6), np.triu(_random_complex(rng, 9)),
+             u @ u.conj().T, one_column, np.zeros((3, 3), dtype=complex),
+             1e-200 * _random_complex(rng, 5), 1e200 * _random_complex(rng, 5),
+             np.eye(4, dtype=complex)]
+    for a in cases:
+        low, high = linalg._norm_bounds(a)
+        assert 0.0 <= low <= linalg.op_norm(a) <= high
+        assert linalg._norm_bounds(a, lower=False) == (0.0, high)
+    # one nonzero column: both bounds are its norm, up to the allowance
+    low, high = linalg._norm_bounds(one_column)
+    assert high <= (1.0 + 1e-9) * low
+
+
+def _resolvent_case():
+    rng = _rng(2)
+    x = _random_complex(rng, 6)
+    z = 4.0 + 1.0j
+    a = z * np.eye(6) - x
+    r = np.linalg.solve(a, np.eye(6))
+    return x, z, a, r
+
+
+def test_resolvent_undecided_bounds_fall_back_to_the_svds(monkeypatch):
+    x, z, a, r = _resolvent_case()
+    fast, norm = linalg._resolvent(x, z)
+    assert np.array_equal(fast, r) and norm == linalg.op_norm(r)
+    # a tolerance between the residual's 2-norm and Frobenius norm: the bounds
+    # cannot certify the residual, the SVDs can, and R keeps its bits
+    residual = a @ r - np.eye(6)
+    op, fro = np.linalg.norm(residual, 2), np.linalg.norm(residual)
+    assert fro > 1.01 * op
+    tol = 1.001 * op / ((abs(z) + linalg.op_norm(x)) * norm)
+    monkeypatch.setattr(linalg, "_RESIDUAL_TOL", tol)
+    calls = []
+    real = linalg.op_norm
+    monkeypatch.setattr(linalg, "op_norm", lambda m: calls.append(1) or real(m))
+    slow, slow_norm = linalg._resolvent(x, z)
+    assert len(calls) == 4  # ||R||, then ||zI - x||, ||x|| and the residual
+    assert np.array_equal(slow, fast) and slow_norm == norm
+    assert np.array_equal(linalg.resolvent(x, z), fast)
+
+
+def test_resolvent_failures_keep_their_messages(monkeypatch):
+    x, z, _, _ = _resolvent_case()
+    with pytest.raises(NearSingularError, match=r"^resolvent at z=\(4\+1j\) is "
+                       r"near-singular \(condition estimate above 1\)$"):
+        linalg.resolvent(x, z, cond_limit=1.0)
+    with pytest.raises(NearSingularError, match=r"^resolvent point z=1 is in the spectrum$"):
+        linalg.resolvent(np.diag([1.0, 2.0]), 1)
+    monkeypatch.setattr(linalg, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ToleranceError, match=r"^resolvent residual \d\.\d{3}e-\d+ "
+                       r"exceeds certificate 0\.000e\+00$"):
+        linalg.resolvent(x, z)
 
 
 # signed zero, the smallest subnormal, huge and negative entries
