@@ -44,14 +44,20 @@ bases) both ends are the dense ||d||.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .calculus import _check_node_tuples, _kron_fold, _node_coeffs, _node_fold
+from .calculus import (
+    _axis_rows,
+    _check_node_tuples,
+    _kron_fold,
+    _kron_sum,
+    _node_coeffs,
+    _node_fold,
+)
 from .errors import (
     ClusterSeparationError,
     ConfigError,
@@ -59,7 +65,16 @@ from .errors import (
     ToleranceError,
 )
 from .functions import AnalyticFunction
-from .linalg import _norm_bounds, _resolvent, as_matrix, eig, op_norm, read_cmat, resolvent
+from .linalg import (
+    _norm_bounds,
+    _resolvent,
+    _write_csv,
+    as_matrix,
+    eig,
+    op_norm,
+    read_cmat,
+    resolvent,
+)
 from .spectra import Contour, _resolvent_stacks
 
 MODEL_KINDS = ("harmonic", "anharmonic_x4", "complex_harmonic", "jordan_toy", "custom_file")
@@ -424,7 +439,9 @@ def _padded_fold(f: AnalyticFunction, stacks, dims) -> np.ndarray:
     padding diagonal, so the fold splits into disjoint blocks, one per set of
     factors read on their padding: those factors are identities there, and
     the node coefficients take z^{-1} along them.  One factor is contracted
-    (`_pad`); several are folded from their dense stacks.
+    (`_pad`); several are folded from their dense stacks.  This is the fold
+    of an f without axis terms: `_fold_and_reads` pads and folds the
+    contracted blocks of the others term by term.
     """
     coeffs = _node_coeffs(f, stacks)
     if len(stacks) == 1:
@@ -477,8 +494,11 @@ def _fold_and_reads(f: AnalyticFunction, stacks, strides, dims=None):
     (padded to `dims` when given), each factor's quadrature projector
     sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th node.
 
-    Each factor takes one contraction pass; with one factor that pass also
-    gives the fold, with several the fold reads the dense stacks.
+    Each factor takes one contraction pass, whose rows are the projector's
+    weights and, with one factor, the node coefficients of f, or with
+    several, the rows of f's axis terms (`calculus._axis_rows`); the fold is
+    then sum_t kron_j of the contracted (padded) blocks.  Several factors of
+    an f without axis terms are folded from the dense stacks.
     """
     if len(stacks) == 1:
         [(zs, w, rs)] = stacks
@@ -487,9 +507,18 @@ def _fold_and_reads(f: AnalyticFunction, stacks, strides, dims=None):
         if dims is not None:
             fold = _pad(fold, coeffs, zs, dims[0])
         return fold, [p], [sup]
-    reads = [rs.contract([w], k) for (_, w, rs), k in zip(stacks, strides)]
-    fold = _node_fold(f, stacks) if dims is None else _padded_fold(f, stacks, dims)
-    return fold, [p for [p], _ in reads], [sup for _, sup in reads]
+    rows = _axis_rows(f, stacks)
+    reads = [rs.contract([w, *r], k) for r, (_, w, rs), k
+             in zip(rows or [[]] * len(stacks), stacks, strides)]
+    projectors, sups = [sums[0] for sums, _ in reads], [sup for _, sup in reads]
+    if rows is None:
+        fold = _node_fold(f, stacks) if dims is None else _padded_fold(f, stacks, dims)
+        return fold, projectors, sups
+    blocks = [sums[1:] for sums, _ in reads]
+    if dims is not None:
+        blocks = [[_pad(b, c, zs, dim) for b, c in zip(bs, r)]
+                  for bs, r, (zs, _, _), dim in zip(blocks, rows, stacks, dims)]
+    return _kron_sum(blocks), projectors, sups
 
 
 def _cluster_basis(projector: np.ndarray, eigenvalues, contour: Contour,
@@ -713,31 +742,28 @@ def regularization_sweep(x, k_mat, eps_list, z0: complex,
 # CSV export
 
 
-def write_convergence_csv(path, report: ConvergenceReport) -> None:
-    """Report table: one row per truncation point, fixed column layout."""
+def write_convergence_csv(path, report: ConvergenceReport, sha=None) -> None:
+    """Report table: one row per truncation point, fixed column layout.
+
+    The bytes are fed to the hashlib object `sha` too, when one is given.
+    """
     k = len(report.rows[0].probe_errors) if report.rows else 0
     header = (["n", "eps_global", "eps_cluster", "func_error_norm"]
               + [f"probe_err_{i}" for i in range(k)]
               + ["c_f", "bound_rhs", "level2_ok"])
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in report.rows:
-            w.writerow([repr(row.n), repr(row.eps_global), repr(row.eps_cluster),
-                        repr(row.func_error_norm)]
-                       + [repr(v) for v in row.probe_errors]
-                       + [repr(report.c_f), repr(row.bound_rhs),
-                          "true" if row.level2_ok else "false"])
+    _write_csv(path, [header] + [
+        [repr(row.n), repr(row.eps_global), repr(row.eps_cluster), repr(row.func_error_norm)]
+        + [repr(v) for v in row.probe_errors]
+        + [repr(report.c_f), repr(row.bound_rhs), "true" if row.level2_ok else "false"]
+        for row in report.rows], sha)
 
 
-def write_regularization_csv(path, report: RegularizationReport) -> None:
+def write_regularization_csv(path, report: RegularizationReport, sha=None) -> None:
     k = len(report.rows[0].probe_errors) if report.rows else 0
     header = (["eps"] + [f"probe_err_{i}" for i in range(k)]
               + [f"probe_bound_{i}" for i in range(k)] + ["norm_error", "ok"])
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in report.rows:
-            w.writerow([repr(row.eps)] + [repr(v) for v in row.probe_errors]
-                       + [repr(v) for v in row.probe_bounds]
-                       + [repr(row.norm_error), "true" if row.ok else "false"])
+    _write_csv(path, [header] + [
+        [repr(row.eps)] + [repr(v) for v in row.probe_errors]
+        + [repr(v) for v in row.probe_bounds]
+        + [repr(row.norm_error), "true" if row.ok else "false"]
+        for row in report.rows], sha)

@@ -13,7 +13,11 @@ Three independent routes compute it:
   (partial support) and s_full (full support) parts;
 * dunford_multivariate: iterated contour quadrature of
   f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened factorization
-  per factor and node count (`linalg.NodeResolvents`);
+  per factor (`linalg.NodeResolvents`).  Function nodes know their axis
+  terms, f = sum_t prod_j g_tj(z_j) (`AnalyticFunction.axis_terms`), so
+  the sum over node tuples is sum_t kron_j of one-factor contractions;
+  ratios, and specs with more terms than a factor has nodes, are folded
+  over the node tuples;
 * power_series_apply: a truncated lifted Taylor series about a factor-wise
   center, with a certified tail bound.
 
@@ -22,7 +26,6 @@ internal consistency check.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -37,7 +40,7 @@ from .errors import (
     TailBoundError,
 )
 from .functions import AnalyticFunction, taylor_coefficients
-from .linalg import KRON_CAP, NodeResolvents, as_matrix, eye_like, op_norm
+from .linalg import KRON_CAP, NodeResolvents, _write_csv, as_matrix, eye_like, op_norm
 from .spectra import Contour, Decomposition, _resolvent_stacks, decompose
 
 _DOUBLING_TOL = 1e-10
@@ -170,16 +173,30 @@ def _kron_fold(coeffs, stacks: list[np.ndarray]) -> np.ndarray:
     """
     if len(stacks) == 1:
         return np.tensordot(coeffs, stacks[0], axes=([0], [0]))
-    s = stacks[0]
-    t, d = s.shape[0], s.shape[1]
     if len(stacks) == 2:
         inner = np.tensordot(coeffs, stacks[1], axes=([1], [0]))
     else:
         inner = np.stack([_kron_fold(c, stacks[1:]) for c in coeffs])
-    dr = inner.shape[1]
-    m = s.reshape(t, d * d).T @ inner.reshape(t, dr * dr)
+    return _pair_sum(stacks[0], inner)
+
+
+def _pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum over t of kron(left[t], right[t]), as one matrix product."""
+    t, d, dr = left.shape[0], left.shape[1], right.shape[1]
+    m = left.reshape(t, d * d).T @ right.reshape(t, dr * dr)
     return np.ascontiguousarray(
         m.reshape(d, d, dr, dr).transpose(0, 2, 1, 3)).reshape(d * dr, d * dr)
+
+
+def _kron_sum(blocks) -> np.ndarray:
+    """sum over terms t of kron_j blocks[j][t], from one sequence of square
+    blocks per factor (two or more factors, equal term counts)."""
+    *head, last = [np.asarray(b) for b in blocks]
+    left = head[0]
+    for b in head[1:]:
+        t, a, d = left.shape[0], left.shape[1], b.shape[1]
+        left = (left[:, :, None, :, None] * b[:, None, :, None, :]).reshape(t, a * d, a * d)
+    return _pair_sum(left, last)
 
 
 def _masked_fold(coeffs, stacks, masks, tensor_dim):
@@ -241,22 +258,20 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
     return CalculusResult(value, s0, s_mixed, s_full, ledger, method)
 
 
-def write_term_ledger(path, result: CalculusResult) -> None:
-    """CSV export of the term ledger: eigenvalue tuple, alpha, contribution norm."""
+def write_term_ledger(path, result: CalculusResult, sha=None) -> None:
+    """CSV export of the term ledger: eigenvalue tuple, alpha, contribution norm.
+
+    The bytes are fed to the hashlib object `sha` too, when one is given.
+    """
     if not result.term_ledger:
         raise ConfigError("result has no term ledger")
     r = len(result.term_ledger[0].alpha)
     header = ([f"lambda_{j + 1}_re" for j in range(r)]
               + [f"lambda_{j + 1}_im" for j in range(r)]
               + [f"alpha_{j + 1}" for j in range(r)] + ["contribution_norm"])
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for e in result.term_ledger:
-            row = ([repr(l.real) for l in e.eigenvalues]
-                   + [repr(l.imag) for l in e.eigenvalues]
-                   + [str(a) for a in e.alpha] + [repr(e.norm)])
-            w.writerow(row)
+    _write_csv(path, [header] + [
+        [repr(l.real) for l in e.eigenvalues] + [repr(l.imag) for l in e.eigenvalues]
+        + [str(a) for a in e.alpha] + [repr(e.norm)] for e in result.term_ledger], sha)
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +325,39 @@ def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
     return coeffs
 
 
+def _axis_rows(f: AnalyticFunction, stacks):
+    """Per factor, the coefficient rows w * g_tj of f's axis terms on its
+    nodes, from one (nodes, weights, resolvents) per factor; None when f has
+    no axis terms, or more terms than the smallest factor has nodes (the
+    node-tuple coefficients never need more, so the dense fold is cheaper).
+    """
+    terms = f.axis_terms([zs for zs, _, _ in stacks])
+    if terms is None or len(terms) > min(zs.size for zs, _, _ in stacks):
+        return None
+    return [[w * term[j] for term in terms] for j, (_, w, _) in enumerate(stacks)]
+
+
 def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
     """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
-    (nodes, weights, resolvents) per factor: one factor's NodeResolvents are
-    contracted, several factors' are folded from their dense stacks.
+    (nodes, weights, resolvents) per factor.
 
-    Three factors take their coefficients one first-factor node at a time,
-    so the nodes^3 tensor (4 MB at 64 nodes) and the temporaries of its
-    evaluation are never formed; f is evaluated elementwise, so each slab
-    has the bits of the whole tensor's slab.
+    One factor's NodeResolvents are contracted with the node coefficients.
+    With several factors and f = sum_t prod_j g_tj(z_j) (`_axis_rows`) the
+    sum is sum_t kron_j (sum_k w_k g_tj(z_k) R_j(z_k)): each factor takes
+    one contraction pass, and no node-tuple grid or dense stack is formed.
+    Other f are folded from the dense stacks; three factors take their
+    coefficients one first-factor node at a time, so the nodes^3 tensor
+    (4 MB at 64 nodes) and the temporaries of its evaluation are never
+    formed, and f is evaluated elementwise, so each slab has the bits of the
+    whole tensor's slab.
     """
     [(zs, w, first), *rest] = stacks
-    if not rest and isinstance(first, NodeResolvents):
-        return first.contract([_node_coeffs(f, stacks)])[0][0]
+    if all(isinstance(rs, NodeResolvents) for _, _, rs in stacks):
+        if not rest:
+            return first.contract([_node_coeffs(f, stacks)])[0][0]
+        rows = _axis_rows(f, stacks)
+        if rows is not None:
+            return _kron_sum([rs.contract(r)[0] for r, (_, _, rs) in zip(rows, stacks)])
     dense = [np.asarray(rs) for _, _, rs in stacks]
     if len(stacks) < 3:
         return _kron_fold(_node_coeffs(f, stacks), dense)
@@ -336,9 +371,12 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
                          verify: bool = False, budget: int = NODE_BUDGET) -> np.ndarray:
     """Iterated contour quadrature of f(z) kron_j (z_j I - X_j)^{-1}.
 
-    Node tuples are capped at `budget` (cost guard).  Resolvents are built
-    per factor (original factor dimensions); the Kronecker accumulation is a
-    single contraction per factor.
+    Node tuples are capped at `budget` (cost guard).  Each factor is
+    factored once, at its own dimension, for all node counts.  An f with
+    axis terms f = sum_t prod_j g_tj(z_j) is folded as
+    sum_t kron_j (sum_k w_k g_tj(z_k) R_j(z_k)), one contraction pass per
+    factor; a ratio, or an f with more terms than the smallest factor has
+    nodes, is folded over the node tuples (`_node_fold`).
     """
     r = system.rank
     if f.arity != r:

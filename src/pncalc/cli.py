@@ -16,7 +16,6 @@ import configparser
 import csv
 import hashlib
 import os
-import pathlib
 import re
 import sys
 
@@ -217,36 +216,35 @@ def load_config(path: str, schema: dict) -> dict:
 
 
 class ArtifactWriter:
-    """Atomic artifact emission plus the closing checksum manifest."""
+    """Atomic artifact emission plus the closing checksum manifest.
+
+    Each artifact is hashed while its writer streams it, so `finalize` reads
+    nothing back from disk.
+    """
 
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
-        self.names: list[str] = []
+        self.digests: list[tuple[str, str]] = []
 
     def emit(self, name: str, write_fn) -> str:
+        """write_fn(path, sha) writes the artifact to path and feeds each of
+        its bytes to the sha256 object sha."""
         final = os.path.join(self.out_dir, name)
         tmp = final + ".tmp"
-        write_fn(tmp)
+        sha = hashlib.sha256()
+        write_fn(tmp, sha)
         os.replace(tmp, final)
-        self.names.append(name)
+        self.digests.append((name, sha.hexdigest()))
         return final
 
     def emit_text(self, name: str, text: str) -> str:
-        return self.emit(name, lambda p: pathlib.Path(p).write_text(text, newline="\n"))
+        return self.emit(name, lambda p, sha: linalg._write_parts(p, [text.encode()], sha))
 
     def finalize(self) -> str:
-        rows = []
-        for name in sorted(self.names):
-            with open(os.path.join(self.out_dir, name), "rb") as fh:
-                digest = hashlib.sha256(fh.read()).hexdigest()
-            rows.append((name, digest))
         final = os.path.join(self.out_dir, "manifest.csv")
         tmp = final + ".tmp"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["filename", "sha256"])
-            writer.writerows(rows)
+        linalg._write_csv(tmp, [("filename", "sha256"), *sorted(self.digests)])
         os.replace(tmp, final)
         return final
 
@@ -305,7 +303,7 @@ def cmd_decompose(cfg: dict, out_dir: str, seed: int | None) -> int:
         tol_nil=cfg["params"]["tol_nil"],
     )
     writer = ArtifactWriter(out_dir)
-    writer.emit("decomposition.txt", lambda p: spectra.write_decomposition(p, dec))
+    writer.emit("decomposition.txt", lambda p, sha: spectra.write_decomposition(p, dec, sha))
     rows = [[name, measured, bound, str(measured <= bound).lower()]
             for name, (measured, bound) in sorted(dec.report.items())]
     writer.emit_text("residuals.csv",
@@ -340,8 +338,8 @@ def cmd_funcalc(cfg: dict, out_dir: str, seed: int | None) -> int:
     threshold = cfg["params"]["tol"] * (1.0 + linalg.op_norm(spectral.value))
     ok = diff <= threshold
     writer = ArtifactWriter(out_dir)
-    writer.emit("value_spectral.cmat", lambda p: linalg.write_cmat(p, spectral.value))
-    writer.emit("value_contour.cmat", lambda p: linalg.write_cmat(p, quadrature))
+    writer.emit("value_spectral.cmat", lambda p, sha: linalg.write_cmat(p, spectral.value, sha))
+    writer.emit("value_contour.cmat", lambda p, sha: linalg.write_cmat(p, quadrature, sha))
     writer.emit_text("crosscheck.csv", _csv_text(
         ["method_a", "method_b", "difference_norm", "threshold", "ok"],
         [["spectral", "contour", diff, threshold, str(ok).lower()]]))
@@ -370,12 +368,12 @@ def cmd_lift_calc(cfg: dict, out_dir: str, seed: int | None) -> int:
     )
     result = calculus.func_multivariate(f, system)
     writer = ArtifactWriter(out_dir)
-    writer.emit("value.cmat", lambda p: linalg.write_cmat(p, result.value))
-    writer.emit("s0.cmat", lambda p: linalg.write_cmat(p, result.s0))
-    writer.emit("s_mixed.cmat", lambda p: linalg.write_cmat(p, result.s_mixed))
-    writer.emit("s_full.cmat", lambda p: linalg.write_cmat(p, result.s_full))
+    writer.emit("value.cmat", lambda p, sha: linalg.write_cmat(p, result.value, sha))
+    writer.emit("s0.cmat", lambda p, sha: linalg.write_cmat(p, result.s0, sha))
+    writer.emit("s_mixed.cmat", lambda p, sha: linalg.write_cmat(p, result.s_mixed, sha))
+    writer.emit("s_full.cmat", lambda p, sha: linalg.write_cmat(p, result.s_full, sha))
     writer.emit("term_ledger.csv",
-                lambda p: calculus.write_term_ledger(p, result))
+                lambda p, sha: calculus.write_term_ledger(p, result, sha))
     writer.finalize()
     print(f"lift-calc: tensor dim {system.tensor_dim}, "
           f"{len(result.term_ledger)} ledger terms, "
@@ -463,7 +461,7 @@ def cmd_converge(cfg: dict, out_dir: str, seed: int | None) -> int:
                                      stability_check=exp["stability"])
     name = f"{cfg['model']['kind']}_{_slug(cfg['function']['spec'])}_level.csv"
     writer = ArtifactWriter(out_dir)
-    writer.emit(name, lambda p: approx.write_convergence_csv(p, report))
+    writer.emit(name, lambda p, sha: approx.write_convergence_csv(p, report, sha))
     writer.finalize()
     print(f"converge: {len(report.rows)} truncation(s), level1 pass "
           f"{str(report.level1_pass).lower()}, level2 pass "
@@ -491,7 +489,7 @@ def cmd_converge_multi(cfg: dict, out_dir: str, seed: int | None) -> int:
     name = (f"{cfg['model_1']['kind']}+{cfg['model_2']['kind']}_"
             f"{_slug(cfg['function']['spec'])}_multi.csv")
     writer = ArtifactWriter(out_dir)
-    writer.emit(name, lambda p: approx.write_convergence_csv(p, report))
+    writer.emit(name, lambda p, sha: approx.write_convergence_csv(p, report, sha))
     writer.finalize()
     print(f"converge-multi: {len(report.rows)} pair(s), level1 pass "
           f"{str(report.level1_pass).lower()}, level2 pass "
@@ -515,7 +513,7 @@ def cmd_regularize(cfg: dict, out_dir: str, seed: int | None) -> int:
                                          probes=probes)
     name = f"{cfg['model']['kind']}_regularize.csv"
     writer = ArtifactWriter(out_dir)
-    writer.emit(name, lambda p: approx.write_regularization_csv(p, report))
+    writer.emit(name, lambda p, sha: approx.write_regularization_csv(p, report, sha))
     writer.finalize()
     print(f"regularize: {len(report.rows)} epsilon value(s), strictly decreasing "
           f"{str(report.strictly_decreasing).lower()}, bound pass "
@@ -551,8 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parsing leaves the parser unchanged
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         print("error [cli]: seed must be nonnegative", file=sys.stderr)
         return 2

@@ -3,14 +3,20 @@
 The builtin family is a tiny closed expression algebra: polynomials in
 coefficient-table form, exp/sin/cos of affine combinations, ratios of
 polynomials with declared (per-variable) pole sets, plus sums and products.
-Every node knows three things the calculus needs:
+Every node knows four things the calculus needs:
 
 * vectorized evaluation,
 * Taylor coefficient boxes at a center (series algebra: shift, convolution,
   series division); entry alpha is d^alpha f / alpha!, the one source of
   derivative coefficients for the spectral assembly, the power-series
   oracle and `mixed_partial`,
-* declared poles along each variable, for the analyticity checks.
+* declared poles along each variable, for the analyticity checks,
+* its axis terms: f as a finite sum of products of one-variable functions,
+  f = sum_t prod_j g_tj(z_j), evaluated on per-axis nodes (`axis_terms`).
+  A polynomial has one term per monomial, exp of an affine argument one,
+  sin and cos two; sums concatenate terms and products multiply them
+  pairwise.  Ratios have none.  The multivariate quadrature folds such an f
+  factor by factor instead of on the grid of node tuples.
 
 A Cauchy-integral route computes mixed partials by iterated contour
 quadrature with a node-doubling certificate; it exists so the Taylor boxes
@@ -85,6 +91,16 @@ class AnalyticFunction:
 
     def max_degree(self):
         """Per-variable degree bound tuple, or None for transcendental nodes."""
+        return None
+
+    def axis_terms(self, zs) -> list[list[np.ndarray]] | None:
+        """f as a sum of products of one-variable functions on per-axis nodes.
+
+        `zs` holds one 1-D node array per variable.  The result lists, per
+        term t, the values g_tj(zs[j]) for every axis j, with the term's
+        scalar on axis 0, so that f(z_1, .., z_r) = sum_t prod_j g_tj(z_j)
+        on every node tuple; None when f is not separable this way.
+        """
         return None
 
     # shared machinery -----------------------------------------------------
@@ -194,6 +210,11 @@ class Polynomial(AnalyticFunction):
             acc = acc + term
         return acc + np.zeros(np.broadcast_shapes(*(np.shape(p) for p in pt)), dtype=complex)
 
+    def axis_terms(self, zs):
+        zs = [np.asarray(z, dtype=complex) for z in zs]
+        return [[c * zs[0] ** alpha[0], *(z ** a for z, a in zip(zs[1:], alpha[1:]))]
+                for alpha, c in self.table.items()]
+
     def _partial(self, j):
         out = {}
         for alpha, c in self.table.items():
@@ -272,12 +293,28 @@ class _AffineTranscendental(AnalyticFunction):
     def to_spec(self):
         return f"{self._name}({self.affine.to_spec()})"
 
+    def _exp_terms(self, s, zs):
+        """The axis terms of exp(s * affine)."""
+        return ExpAffine(self.affine.scaled(s), self.arity).axis_terms(zs)
+
+
+def _scaled_terms(terms, s):
+    """Axis terms times the scalar s, which goes on axis 0."""
+    return [[s * term[0], *term[1:]] for term in terms]
+
 
 class ExpAffine(_AffineTranscendental):
     _name = "exp"
 
     def _eval(self, pt):
         return np.exp(self.affine(pt))
+
+    def axis_terms(self, zs):
+        # exp(c . z + d) = exp(c_1 z_1 + d) prod_{j > 1} exp(c_j z_j)
+        c = self.affine.coeffs
+        zs = [np.asarray(z, dtype=complex) for z in zs]
+        return [[np.exp(c[0] * zs[0] + self.affine.const),
+                 *(np.exp(cj * z) for cj, z in zip(c[1:], zs[1:]))]]
 
     def _partial(self, j):
         return Product(Polynomial({(0,) * self.arity: self.affine.coeffs[j]}, self.arity), self)
@@ -302,6 +339,11 @@ class SinAffine(_AffineTranscendental):
     def _eval(self, pt):
         return np.sin(self.affine(pt))
 
+    def axis_terms(self, zs):
+        # sin(a) = (e^{ia} - e^{-ia}) / 2i
+        return (_scaled_terms(self._exp_terms(1j, zs), 1 / 2j)
+                + _scaled_terms(self._exp_terms(-1j, zs), -1 / 2j))
+
     def _partial(self, j):
         return Product(Polynomial({(0,) * self.arity: self.affine.coeffs[j]}, self.arity),
                        CosAffine(self.affine, self.arity))
@@ -317,6 +359,11 @@ class CosAffine(_AffineTranscendental):
 
     def _eval(self, pt):
         return np.cos(self.affine(pt))
+
+    def axis_terms(self, zs):
+        # cos(a) = (e^{ia} + e^{-ia}) / 2
+        return (_scaled_terms(self._exp_terms(1j, zs), 0.5)
+                + _scaled_terms(self._exp_terms(-1j, zs), 0.5))
 
     def _partial(self, j):
         return Product(Polynomial({(0,) * self.arity: -self.affine.coeffs[j]}, self.arity),
@@ -353,6 +400,12 @@ class Sum(_Binary):
     def _eval(self, pt):
         return self.left._eval(pt) + self.right._eval(pt)
 
+    def axis_terms(self, zs):
+        left, right = self.left.axis_terms(zs), self.right.axis_terms(zs)
+        if left is None or right is None:
+            return None
+        return left + right
+
     def _partial(self, j):
         return Sum(self.left.partial(j), self.right.partial(j))
 
@@ -371,6 +424,12 @@ class Product(_Binary):
 
     def _eval(self, pt):
         return self.left._eval(pt) * self.right._eval(pt)
+
+    def axis_terms(self, zs):
+        left, right = self.left.axis_terms(zs), self.right.axis_terms(zs)
+        if left is None or right is None:
+            return None
+        return [[a * b for a, b in zip(s, t)] for s in left for t in right]
 
     def _partial(self, j):
         return Sum(Product(self.left.partial(j), self.right),

@@ -8,8 +8,11 @@ many nodes are kept as one factorization (`NodeResolvents`), not as a stack.
 """
 from __future__ import annotations
 
+import csv
 import functools
-from dataclasses import dataclass
+import io
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +181,15 @@ class NodeResolvents:
     zs: np.ndarray
     q: np.ndarray
     t: np.ndarray
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """The spectrum of X: diag(T), or the eigh values."""
+        return self.t if self.t.ndim == 1 else np.diag(self.t)
+
+    def at(self, zs) -> NodeResolvents:
+        """The resolvents of the same factorization at other nodes."""
+        return replace(self, zs=np.asarray(zs, dtype=complex).ravel())
 
     def _inverses(self, zs: np.ndarray) -> np.ndarray:
         """(z I - T)^{-1} for z in `zs`: (nodes, n) diagonals or (nodes, n, n)."""
@@ -487,17 +499,33 @@ def parse_entries(tokens) -> np.ndarray:
     return np.array(tokens, dtype=float).view(complex)
 
 
-def write_cmat(path, m) -> None:
+def _write_parts(path, parts, sha=None) -> None:
+    """Write the bytes-like `parts` to `path` in order, feeding each to the
+    hashlib object `sha` too when one is given."""
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
+            if sha is not None:
+                sha.update(part)
+
+
+def _write_csv(path, rows, sha=None) -> None:
+    """Write `rows` (header first) as CSV with "\n" line ends, through
+    `_write_parts`."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_parts(path, [buf.getvalue().encode()], sha)
+
+
+def write_cmat(path, m, sha=None) -> None:
     """Write a matrix in the cmat v1 text format.
 
     Line one is `rows cols`; then rows*cols lines of `re im` in scientific
-    notation with 17 significant digits, row major.
+    notation with 17 significant digits, row major.  The bytes are fed to
+    the hashlib object `sha` as they are written, when one is given.
     """
     m = as_matrix(m)
-    with open(path, "wb") as fh:
-        fh.write(b"%d %d\n" % m.shape)
-        for chunk in _entry_chunks(m):
-            fh.write(chunk)
+    _write_parts(path, itertools.chain([b"%d %d\n" % m.shape], _entry_chunks(m)), sha)
 
 
 def read_cmat(path) -> np.ndarray:

@@ -42,8 +42,9 @@ from .errors import (
 )
 from .linalg import (
     _norm_bounds,
+    _write_parts,
     as_matrix,
-    eig,
+    eig,  # not called here; perfbench/selftest.py reads spectra.eig
     eye_like,
     format_entries,
     op_norm,
@@ -192,14 +193,19 @@ def _resolvent_stacks(x, contour: Contour, node_counts=(None,), eigenvalues=None
                       require_full: bool = False, label: str = "quadrature"):
     """[(nodes, weights, NodeResolvents of x)] per node count (None: the contour's).
 
-    The spectrum (`eigenvalues`, computed when not supplied) is screened once,
-    before any solve: trapezoid leakage grows as an eigenvalue nears the circle
-    (Trefethen & Weideman 2014), so one within CIRCLE_GUARD * radius of it is
-    refused, and with `require_full` so is one outside it.
+    x is factored once for all node counts.  The spectrum is screened once,
+    before any solve: trapezoid leakage grows as an eigenvalue nears the
+    circle (Trefethen & Weideman 2014), so one within CIRCLE_GUARD * radius
+    of it is refused, and with `require_full` so is one outside it.  The
+    screen reads `eigenvalues` when they are supplied, before x is factored,
+    and otherwise the spectrum of the factorization itself (diag(T) of the
+    certified Schur form, or the eigh values).
     """
     x = as_matrix(x, square=True)
+    factored = None
     if eigenvalues is None:
-        eigenvalues = eig(x).eigenvalues
+        factored = resolvent_at_nodes(x, contour.points(node_counts[0]))
+        eigenvalues = factored.eigenvalues
     dist = contour.circle_distance(eigenvalues)
     if dist.size and float(np.min(dist)) < CIRCLE_GUARD * contour.radius:
         raise ContourTooCloseError(
@@ -208,10 +214,12 @@ def _resolvent_stacks(x, contour: Contour, node_counts=(None,), eigenvalues=None
     if require_full and not np.all(contour.encloses(eigenvalues)):
         raise PreconditionError(
             f"{label}: contour must enclose the whole spectrum (an eigenvalue lies outside)")
+    if factored is None:
+        factored = resolvent_at_nodes(x, contour.points(node_counts[0]))
     out = []
     for m in node_counts:
         zs = contour.points(m)
-        out.append((zs, contour.weights(m), resolvent_at_nodes(x, zs)))
+        out.append((zs, contour.weights(m), factored.at(zs)))
     return out
 
 
@@ -467,13 +475,14 @@ def verify_decomposition(x, dec: Decomposition) -> dict[str, tuple[float, float]
 _PNDEC_BLOCKS = ("V", "W", "M")
 
 
-def write_decomposition(path, dec: Decomposition) -> None:
+def write_decomposition(path, dec: Decomposition, sha=None) -> None:
     """Serialize a decomposition as the `pndec v2` text record.
 
     The header, then per component its eigenvalue, multiplicity and index
     and the dim x multiplicity factor blocks V, W and M in cmat-style
     entries: 3 n^2 numbers in all.  The entries of all blocks are formatted
-    in one `format_entries` call and cut at line ends.
+    in one `format_entries` call and cut at line ends.  The bytes are fed to
+    the hashlib object `sha` as they are written, when one is given.
     """
     blocks = [m for c in dec.components for m in (c.v, c.w, c.m)]
     body = memoryview(format_entries(
@@ -489,8 +498,7 @@ def write_decomposition(path, dec: Decomposition) -> None:
                       f"multiplicity {c.multiplicity}\nindex {c.index}\n").encode())
         for tag, m in zip(_PNDEC_BLOCKS, (c.v, c.w, c.m)):
             parts += [f"{tag} {m.shape[0]} {m.shape[1]}\n".encode(), next(texts)]
-    with open(path, "wb") as fh:
-        fh.writelines(parts)
+    _write_parts(path, parts, sha)
 
 
 def read_decomposition(path) -> Decomposition:

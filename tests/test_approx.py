@@ -274,7 +274,8 @@ def test_one_stack_per_matrix_and_node_count(monkeypatch):
     calls.clear()
     x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
     calculus.dunford(f, x, spectra.Contour(1.5, 2.0, 32), verify=True)
-    assert calls == [((2, 2), x.tobytes(), 32), ((2, 2), x.tobytes(), 64)]
+    # node doubling reads the 64 nodes from the factorization of the 32
+    assert calls == [((2, 2), x.tobytes(), 32)]
 
 
 @pytest.mark.parametrize("kind,ref_dim", [("harmonic", 32), ("complex_harmonic", 64)])

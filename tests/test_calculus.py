@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pncalc import approx, calculus, functions, linalg, spectra, synth
@@ -281,11 +283,14 @@ def test_dunford_multivariate_broadcasts_constant_and_one_variable_specs():
 
 
 def test_three_factor_fold_never_forms_the_node_tuple_tensor():
-    # 64^3 node tuples are a 4 MB coefficient tensor; the fold takes it one
-    # first-factor slab at a time and must keep the whole tensor's bits
+    # 64^3 node tuples are a 4 MB coefficient tensor; a ratio has no axis
+    # terms, so the fold takes it one first-factor slab at a time and must
+    # keep the whole tensor's bits
     x3 = np.array([[2, 1, 0], [0, 2, 1], [0, 0, 2]], dtype=complex)
     factors = [x3, X2, np.diag([0.5, -0.5, 1j, -1j]).astype(complex)]
-    f = parse("prod(exp(z1+2*z2-z3),sin(z2+0.5*z3))")
+    f = parse("ratio(prod(exp(z1+2*z2-z3),sin(z2+0.5*z3)),"
+              "poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
+    assert f.axis_terms([np.ones(2)] * 3) is None
     stacks = [spectra._resolvent_stacks(x, _enclosing(x))[0] for x in factors]
     whole = calculus._kron_fold(calculus._node_coeffs(f, stacks),
                                 [np.asarray(rs) for _, _, rs in stacks])
@@ -336,3 +341,136 @@ def test_each_factor_decomposed_once(monkeypatch):
     calculus.power_series_apply(f, system)
     assert len(seen) == 2
     assert all(a is b for a, b in zip(seen, system.factors))
+
+
+# ---------------------------------------------------------------------------
+# separable folds: f = sum_t prod_j g_tj(z_j) folds as sum_t kron_j of
+# one-factor contractions, which must match the fold on all node tuples
+
+_COEFFS = ("1", "-1", "0.5", "-0.5", "0.5j", "(0.3-0.4j)")
+
+
+def _affine(draw, r):
+    # every variable appears, with a coefficient that may be 0, so the spec
+    # has arity r
+    terms = [f"{draw(st.sampled_from(('0',) + _COEFFS))}*z{j + 1}" for j in range(r)]
+    return "+".join(terms + [draw(st.sampled_from(("0", "0.25", "-0.5j")))])
+
+
+@st.composite
+def _separable_specs(draw, r, depth=2):
+    head = draw(st.sampled_from(("exp", "sin", "cos", "poly", "sum", "prod")
+                                if depth else ("exp", "sin", "cos", "poly")))
+    if head in ("sum", "prod"):
+        return (f"{head}({draw(_separable_specs(r, depth - 1))},"
+                f"{draw(_separable_specs(r, depth - 1))})")
+    if head == "poly":
+        monomials = draw(st.lists(st.tuples(*[st.integers(0, 2)] * r), min_size=1,
+                                  max_size=3, unique=True))
+        return "poly{" + ",".join(
+            f"({','.join(map(str, a))}):{draw(st.sampled_from(_COEFFS))}"
+            for a in monomials) + "}"
+    return f"{head}({_affine(draw, r)})"
+
+
+def _factor(kind, rng, dim):
+    if kind == "jordan":
+        return synth.random_jordan_matrix(rng, dim, max_index=3)[0]
+    if kind == "hermitian":
+        return synth.random_hermitian(rng, dim, scale=0.4)
+    return synth.random_diagonalizable(rng, dim)
+
+
+def _dense_fold(f, stacks):
+    return calculus._kron_fold(calculus._node_coeffs(f, stacks),
+                               [np.asarray(rs) for _, _, rs in stacks])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 3), st.integers(0, 2 ** 31 - 1))
+def test_separable_fold_matches_the_node_tuple_fold(data, r, seed):
+    f = parse(data.draw(_separable_specs(r)))
+    assert f.arity == r and f.axis_terms([np.ones(2)] * r) is not None
+    rng = np.random.default_rng(seed)
+    kinds = data.draw(st.lists(st.sampled_from(("jordan", "hermitian", "diagonalizable")),
+                               min_size=r, max_size=r))
+    factors = [_factor(kind, rng, int(rng.integers(2, 5))) for kind in kinds]
+    stacks = [spectra._resolvent_stacks(x, _enclosing(x, 32))[0] for x in factors]
+    want = _dense_fold(f, stacks)
+    got = calculus._node_fold(f, stacks)
+    assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_separable_specs(2), st.sampled_from((3, 5)))
+def test_separable_padded_fold_matches_the_padded_dense_fold(spec, n):
+    # each factor is read on its leading n x n block and on its padding
+    f = parse(spec)
+    models = [approx.build_model("harmonic", 16), approx.build_model("complex_harmonic", 16)]
+    contours = [approx._meas_contour(c) for c in (
+        approx.lowest_cluster_contour(models[0], 2), spectra.Contour(0.0, 2.0))]
+    points = [approx.compress(m, n) for m in models]
+    stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
+              for tp, c in zip(points, contours)]
+    fold, projectors, sups = approx._fold_and_reads(f, stacks, [4, 4], [16, 16])
+    want = approx._padded_fold(f, stacks, [16, 16])
+    assert linalg.op_norm(fold - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
+    # the term rows leave the projector and the sup of the same pass unchanged
+    for (_, w, rs), p, sup in zip(stacks, projectors, sups):
+        [[p_alone], sup_alone] = rs.contract([w], 4)
+        assert np.array_equal(p, p_alone) and sup == sup_alone
+
+
+def test_axis_terms_of_each_node():
+    zs = [np.array([0.3 + 0.1j, -1.2, 2j]), np.array([0.5, -0.7j])]
+    grid = np.meshgrid(*zs, indexing="ij")
+    counts = {"poly{(0,0):1,(2,1):-0.5,(1,0):2}": 3, "exp(2*z1-z2+1)": 1,
+              "sin(z1+0.5j*z2)": 2, "cos(z2-1)": 2,
+              "sum(exp(z1),poly{(0,1):3})": 2, "prod(sin(z1+z2),poly{(1,1):1,(0,0):2})": 4}
+    for spec, count in counts.items():
+        f = parse(spec)
+        terms = f.axis_terms(zs)
+        assert len(terms) == count, spec
+        value = sum(np.multiply.outer(a, b) for a, b in terms)
+        assert np.allclose(value, f(*grid), rtol=1e-14, atol=1e-14), spec
+    assert parse("ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1})").axis_terms(zs) is None
+    assert parse("sum(exp(z1+z2),ratio(poly{(0,0):1},poly{(0,0):4,(0,1):1}))"
+                 ).axis_terms(zs) is None
+
+
+def test_only_specs_without_few_axis_terms_fold_dense_stacks(monkeypatch):
+    dense_calls = []
+    real = linalg.NodeResolvents.dense
+
+    def spy(self):
+        dense_calls.append(self.t.shape)
+        return real(self)
+
+    monkeypatch.setattr(linalg.NodeResolvents, "dense", spy)
+    x3 = np.array([[2, 1, 0], [0, 2, 1], [0, 0, 2]], dtype=complex)
+    system = calculus.lift([x3, X2, X1])
+    contours = [_enclosing(x, 16) for x in system.factors]
+    big = "poly{" + ",".join(f"({i},{i % 2},0):1" for i in range(5)) + "}"
+    for spec, dense in [
+            ("exp(z1+2*z2-z3)", False), ("sin(z1-z3)", False), (
+                "prod(cos(z1+z2),sum(poly{(1,0,1):1,(0,2,0):0.5},exp(z3)))", False),
+            # 16 terms on 16 nodes are still separable, 25 are not
+            ("prod(poly{(0,0,0):1,(1,0,0):1,(0,1,0):1,(0,0,1):1},"
+             "poly{(0,0,0):1,(2,0,0):1,(0,2,0):1,(0,0,2):1})", False),
+            (f"prod({big},{big})", True),
+            ("ratio(exp(z1+z2+z3),poly{(0,0,0):20,(1,1,0):1})", True)]:
+        f = parse(spec)
+        dense_calls.clear()
+        value = calculus.dunford_multivariate(f, system, contours)
+        assert dense_calls == ([(3, 3), (2, 2), (2, 2)] if dense else []), spec
+        spectral = calculus.func_multivariate(f, system).value
+        assert linalg.op_norm(value - spectral) <= 1e-8 * (1.0 + linalg.op_norm(spectral)), spec
+
+    # the truncation study of an exp spec folds its references and truncations
+    # from the contracted blocks alone
+    dense_calls.clear()
+    models = [approx.build_model("harmonic", 32), approx.build_model("complex_harmonic", 32)]
+    contours = [approx.lowest_cluster_contour(m, 2) for m in models]
+    approx.multivariate_experiment(models, parse("exp(-z1-z2)"), [-1.0, -1.0], contours,
+                                   [2, 4, 8])
+    assert dense_calls == []

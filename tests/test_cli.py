@@ -107,6 +107,35 @@ def test_manifest_checksums(tmp_path, mats):
             assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
+def test_artifacts_are_hashed_as_they_are_written(tmp_path):
+    out = tmp_path / "out"
+    writer = cli.ArtifactWriter(str(out))
+    m = synth.random_hermitian(np.random.default_rng(5), 7)
+    writer.emit("m.cmat", lambda p, sha: linalg.write_cmat(p, m, sha))
+    writer.emit_text("t.csv", "a,b\n1,2\n")
+    written = {name: (out / name).read_bytes() for name in ("m.cmat", "t.csv")}
+    # finalize reads nothing back: clobbered files keep their written digests
+    for name in written:
+        (out / name).write_bytes(b"clobbered")
+    writer.finalize()
+    assert read_csv(out / "manifest.csv") == [["filename", "sha256"]] + [
+        [name, hashlib.sha256(data).hexdigest()] for name, data in sorted(written.items())]
+
+
+def test_main_reuses_one_parser(tmp_path, mats, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    cfg = write_config(tmp_path, "dec.ini", {"input": {"matrix": mats[0]}})
+    for i in range(2):
+        assert cli.main(["decompose", "--config", str(cfg), "--out", str(tmp_path / f"o{i}")]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["decompose", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "usage: pncalc decompose" in capsys.readouterr().err
+
+
 def test_funcalc_exp_jordan(tmp_path, mats):
     cfg = write_config(tmp_path, "fc.ini", {
         "input": {"matrix": mats[0]},

@@ -10,6 +10,7 @@ from pncalc.errors import (
     ConfigError,
     ContourTooCloseError,
     DecompositionError,
+    PreconditionError,
 )
 
 
@@ -571,3 +572,33 @@ def test_zero_matrix_decomposes():
     c = dec.components[0]
     assert c.eigenvalue == 0.0 and c.multiplicity == 3 and c.index == 1
     assert np.linalg.norm(c.projector - np.eye(3), 2) <= 1e-12
+
+
+def test_resolvent_stacks_screen_on_their_one_factorization(monkeypatch):
+    calls = []
+    real_schur = linalg.schur
+    monkeypatch.setattr(linalg, "schur", lambda x: calls.append("schur") or real_schur(x))
+    monkeypatch.setattr(linalg, "eig", lambda x: calls.append("eig"))
+    monkeypatch.setattr(spectra, "eig", lambda x: calls.append("eig"))
+    x = _jordan(1.0, 3, 0.5) + np.diag([0.0, 0.0, 0.5])
+    contour = spectra.Contour(1.0, 2.0, 32)
+    stacks = spectra._resolvent_stacks(x, contour, (32, 64), require_full=True)
+    # one Schur form serves both node counts, and its diagonal is the screen
+    assert calls == ["schur"]
+    assert [rs.zs.size for _, _, rs in stacks] == [32, 64]
+    assert stacks[0][2].q is stacks[1][2].q
+    for zs, w, rs in stacks:
+        assert np.array_equal(rs.dense(), linalg.resolvent_at_nodes(x, zs).dense())
+    # the same form refuses a circle through an eigenvalue, and one that
+    # leaves an eigenvalue outside, before any solve
+    monkeypatch.setattr(linalg.NodeResolvents, "_inverses",
+                        lambda self, zs: pytest.fail("solved before the screen"))
+    with pytest.raises(ContourTooCloseError):
+        spectra._resolvent_stacks(x, spectra.Contour(0.5, 0.5, 32))
+    with pytest.raises(PreconditionError, match="enclose the whole spectrum"):
+        spectra._resolvent_stacks(x, spectra.Contour(3.0, 1.0, 32), require_full=True)
+    # supplied eigenvalues are screened before the matrix is factored
+    calls.clear()
+    with pytest.raises(ContourTooCloseError):
+        spectra._resolvent_stacks(x, spectra.Contour(0.5, 0.5, 32), eigenvalues=[1.0])
+    assert calls == []
