@@ -508,8 +508,8 @@ def _fold_and_reads(f: AnalyticFunction, stacks, strides, dims=None):
             fold = _pad(fold, coeffs, zs, dims[0])
         return fold, [p], [sup]
     rows = _axis_rows(f, stacks)
-    reads = [rs.contract([w, *r], k) for r, (_, w, rs), k
-             in zip(rows or [[]] * len(stacks), stacks, strides)]
+    term_rows = [[]] * len(stacks) if rows is None else rows
+    reads = [rs.contract([w, *r], k) for r, (_, w, rs), k in zip(term_rows, stacks, strides)]
     projectors, sups = [sums[0] for sums, _ in reads], [sup for _, sup in reads]
     if rows is None:
         fold = _node_fold(f, stacks) if dims is None else _padded_fold(f, stacks, dims)

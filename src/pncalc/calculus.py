@@ -44,6 +44,8 @@ from .linalg import KRON_CAP, NodeResolvents, _write_csv, as_matrix, eye_like, o
 from .spectra import Contour, Decomposition, _resolvent_stacks, decompose
 
 _DOUBLING_TOL = 1e-10
+# entries of the Kronecker-sum product a fold holds besides its result: 2 MB
+_SLAB_ENTRIES = 1 << 17
 NODE_BUDGET = 300_000
 TAIL_TOL = 1e-12
 _MAX_SERIES_CAP = 64
@@ -181,11 +183,20 @@ def _kron_fold(coeffs, stacks: list[np.ndarray]) -> np.ndarray:
 
 
 def _pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum over t of kron(left[t], right[t]), as one matrix product."""
+    """sum over t of kron(left[t], right[t]), as matrix products.
+
+    Each product covers a slab of the rows of left[t] and is written into
+    place, so no second array of the result's size is formed; results of
+    up to _SLAB_ENTRIES entries are one product.
+    """
     t, d, dr = left.shape[0], left.shape[1], right.shape[1]
-    m = left.reshape(t, d * d).T @ right.reshape(t, dr * dr)
-    return np.ascontiguousarray(
-        m.reshape(d, d, dr, dr).transpose(0, 2, 1, 3)).reshape(d * dr, d * dr)
+    out = np.empty((d, dr, d, dr), dtype=complex)
+    flat = right.reshape(t, dr * dr)
+    rows = max(1, _SLAB_ENTRIES // (d * dr * dr))
+    for i in range(0, d, rows):
+        m = left[:, i:i + rows].reshape(t, -1).T @ flat
+        out[i:i + rows] = m.reshape(-1, d, dr, dr).transpose(0, 2, 1, 3)
+    return out.reshape(d * dr, d * dr)
 
 
 def _kron_sum(blocks) -> np.ndarray:
@@ -328,8 +339,9 @@ def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
 def _axis_rows(f: AnalyticFunction, stacks):
     """Per factor, the coefficient rows w * g_tj of f's axis terms on its
     nodes, from one (nodes, weights, resolvents) per factor; None when f has
-    no axis terms, or more terms than the smallest factor has nodes (the
-    node-tuple coefficients never need more, so the dense fold is cheaper).
+    no axis terms, or more terms than the smallest factor has nodes: the
+    node-tuple coefficients are a sum of at most that many products, so
+    more terms only add work to the dense fold's.
     """
     terms = f.axis_terms([zs for zs, _, _ in stacks])
     if terms is None or len(terms) > min(zs.size for zs, _, _ in stacks):
