@@ -8,9 +8,9 @@ Three independent routes compute it:
 
 * func_multivariate: the spectral assembly
     sum over eigenvalue tuples and multi-indices alpha of
-    d^alpha f(lambda) / alpha! * kron_j N_j^{alpha_j} P_j,
-  with the terms ledgered and split into s0 (alpha = 0), s_mixed
-  (partial support) and s_full (full support) parts;
+    d^alpha f(lambda) / alpha! * kron_j N_j^{alpha_j} P_j
+  from the components' n x m factors, one fold per power tuple alpha,
+  ledgered and split into s0 (alpha = 0), s_mixed and s_full parts;
 * dunford_multivariate: iterated contour quadrature of
   f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened factorization
   per factor (`linalg.NodeResolvents`).  Function nodes know their axis
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .functions import AnalyticFunction, taylor_coefficients
 from .linalg import KRON_CAP, NodeResolvents, _write_csv, as_matrix, eye_like, op_norm
-from .spectra import Contour, Decomposition, _resolvent_stacks, decompose
+from .spectra import Contour, Decomposition, _resolvent_stacks, _triangular_factors, decompose
 
 _DOUBLING_TOL = 1e-10
 # entries of the Kronecker-sum product a fold holds besides its result: 2 MB
@@ -128,45 +129,6 @@ def lift(factors, cap: int = KRON_CAP, cluster_tol: float | None = None,
 # spectral assembly
 
 
-def _component_terms(dec: Decomposition):
-    """Flatten one factor's components into (lam, q, basis, norm) term lists.
-
-    basis is P for q = 0 and N^q for q >= 1 (N^q P = N^q on the component).
-    """
-    lams, qs, mats, norms = [], [], [], []
-    for c in dec.components:
-        for q in range(c.index):
-            b = c.projector if q == 0 else np.linalg.matrix_power(c.nilpotent, q)
-            lams.append(c.eigenvalue)
-            qs.append(q)
-            mats.append(b)
-            norms.append(op_norm(b))
-    return (np.array(lams), np.array(qs, dtype=int),
-            np.stack(mats), np.array(norms))
-
-
-def _coefficient_tensor(f: AnalyticFunction, lams, qs):
-    """C[t_1..t_r] = d^alpha f(lambda) / alpha! over flattened factor terms.
-
-    The alpha = 0 entries are one vectorized evaluation over the eigenvalue
-    grid.  Each tuple of components with a nilpotent part reads its other
-    entries from one Taylor box at its eigenvalues.
-    """
-    zero = [q == 0 for q in qs]
-    grid = np.meshgrid(*[l[z] for l, z in zip(lams, zero)], indexing="ij")
-    values = np.asarray(f(*grid), dtype=complex)
-    c = np.zeros(tuple(len(x) for x in lams), dtype=complex)
-    # a component's terms are contiguous, q = 0 .. index - 1
-    comps = [np.split(np.arange(q.size), np.flatnonzero(z)[1:]) for q, z in zip(qs, zero)]
-    for block in itertools.product(*comps):
-        cap = max(b.size for b in block) - 1
-        if cap:
-            box = taylor_coefficients(f, [l[b[0]] for l, b in zip(lams, block)], cap)
-            c[np.ix_(*block)] = box[tuple(slice(0, b.size) for b in block)]
-    c[np.ix_(*zero)] = values
-    return c
-
-
 def _kron_fold(coeffs, stacks: list[np.ndarray]) -> np.ndarray:
     """sum over tuples t of coeffs[t] * kron(stacks[0][t0], stacks[1][t1], ...).
 
@@ -210,13 +172,6 @@ def _kron_sum(blocks) -> np.ndarray:
     return _pair_sum(left, last)
 
 
-def _masked_fold(coeffs, stacks, masks, tensor_dim):
-    sel = coeffs[np.ix_(*masks)]
-    if sel.size == 0 or not np.any(sel):
-        return np.zeros((tensor_dim, tensor_dim), dtype=complex)
-    return _kron_fold(sel, [s[m] for s, m in zip(stacks, masks)])
-
-
 def func_univariate(f: AnalyticFunction, dec: Decomposition) -> CalculusResult:
     """f(X) = sum_k [f(lambda_k) P_k + sum_q f^(q)(lambda_k)/q! N_k^q]."""
     if f.arity != 1:
@@ -232,40 +187,90 @@ def func_multivariate(f: AnalyticFunction, system: LiftedSystem) -> CalculusResu
     return _assemble(f, system.decompositions, system.tensor_dim, "func_multivariate")
 
 
+def _fold_powers(coeffs, lefts, w_conj, cols, alphas, dim: int) -> np.ndarray | None:
+    """sum over alpha in `alphas` of (kron_j L_{j,alpha_j}) diag(K_alpha)
+    (kron_j W_j)^H, or None when every K_alpha is 0.
+
+    lefts[j][q] stacks factor j's L_q, w_conj[j] is conj(W_j), and K_alpha
+    is coeffs[..., alpha] read onto the components cols[j] of the columns.
+    Per alpha the first factor's L diag(K) W^H is one product and the other
+    L are multiplied in elementwise; the other W^H are applied to the sum,
+    one tensordot per factor.  No N x N Kronecker product is formed.
+    """
+    r, acc = len(lefts), None
+    for alpha in alphas:
+        k = coeffs[(Ellipsis,) + alpha][np.ix_(*cols)]
+        if not k.any():
+            continue
+        x = np.moveaxis(k, 0, -1)[..., None, :] * lefts[0][alpha[0]]
+        x = (x.reshape(-1, len(w_conj[0])) @ w_conj[0].T).reshape(x.shape)
+        # axes (rows_1..rows_r, rows_1, columns_2..columns_r)
+        term = np.expand_dims(np.moveaxis(x, (-2, -1), (0, 1)), tuple(range(1, r)))
+        for j in range(1, r):
+            shape = [1] * (2 * r)
+            shape[j] = shape[r + j] = len(w_conj[j])
+            term = np.multiply(term, lefts[j][alpha[j]].reshape(shape), order="C")
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return None
+    for w in w_conj[1:]:
+        acc = np.tensordot(acc, w, axes=([r + 1], [1]))
+    return acc.reshape(dim, dim)
+
+
 def _assemble(f, decompositions: list[Decomposition], dim: int,
               method: str) -> CalculusResult:
-    terms = [_component_terms(dec) for dec in decompositions]
-    lams = [t[0] for t in terms]
-    qs = [t[1] for t in terms]
-    stacks = [t[2] for t in terms]
-    norms = [t[3] for t in terms]
-    coeffs = _coefficient_tensor(f, lams, qs)
+    """Spectral assembly from each component's n x m factors alone.
 
-    zero = [q == 0 for q in qs]
-    pos = [~z for z in zero]
-    every = [np.ones_like(z, dtype=bool) for z in zero]
+    A component's term of power q is L_q W^H: L_0 = V gives its projector
+    and L_q = M C^(q-1), C = W^H M, its N^q.  Per factor the components' W
+    and L_q (0 from a component's index on) stack to n x n matrices, and
+    d^alpha f(lambda)/alpha! sits on axes (component_1..component_r,
+    power_1..power_r): alpha = 0 from one vectorized evaluation, the rest
+    from one Taylor box per component tuple with a nilpotent part.  s0 is
+    alpha = 0, s_full every alpha with all alpha_j >= 1 and s_mixed the
+    rest (`_fold_powers`).  A ledger norm is |coefficient| prod_j
+    ||L_j W_j^H||, from m x m cores R_L R_W^H of thin QRs, one batched SVD
+    per core size.
+    """
+    comps = [dec.components for dec in decompositions]
+    r = len(comps)
+    lams = [np.array([c.eigenvalue for c in cs]) for cs in comps]
+    nus = [[c.index for c in cs] for cs in comps]
+    coeffs = np.zeros(tuple(map(len, nus)) + tuple(map(max, nus)), dtype=complex)
+    for block in itertools.product(*[range(len(nu)) for nu in nus]):
+        depth = [nu[i] for nu, i in zip(nus, block)]
+        if max(depth) > 1:
+            powers = tuple(map(slice, depth))
+            box = taylor_coefficients(f, [l[i] for l, i in zip(lams, block)], max(depth) - 1)
+            coeffs[block + powers] = box[powers]
+    coeffs[(Ellipsis,) + (0,) * r] = f(*np.meshgrid(*lams, indexing="ij"))
 
-    s0 = _masked_fold(coeffs, stacks, zero, dim)
-    s_full = _masked_fold(coeffs, stacks, pos, dim)
-    if len(stacks) == 1:
-        s_mixed = np.zeros_like(s0)
-    else:
-        interior = coeffs.copy()
-        interior[np.ix_(*zero)] = 0.0
-        interior[np.ix_(*pos)] = 0.0
-        s_mixed = _masked_fold(interior, stacks, every, dim)
-    value = s0 + s_mixed + s_full
+    lefts = [[[c.v, c.m][:c.index] for c in cs] for cs in comps]
+    for c, pw in zip(itertools.chain(*comps), itertools.chain(*lefts)):
+        while len(pw) < c.index:
+            pw.append(pw[-1] @ (c.w.conj().T @ c.m))
+    stacked = [[np.hstack([pw[q] if q < len(pw) else np.zeros_like(pw[0]) for pw in ls])
+                for q in range(max(nu))] for ls, nu in zip(lefts, nus)]
+    w_conj = [np.hstack([c.w for c in cs]).conj() for cs in comps]
+    cols = [np.repeat(np.arange(len(cs)), [c.multiplicity for c in cs]) for cs in comps]
+    parts = [[a for a in np.ndindex(coeffs.shape[r:]) if any(a) + all(a) == k] for k in range(3)]
+    folds = [_fold_powers(coeffs, stacked, w_conj, cols, alphas, dim) for alphas in parts]
+    value = sum((p for p in folds if p is not None), np.zeros((dim, dim), dtype=complex))
+    s0, s_mixed, s_full = (np.zeros((dim, dim), dtype=complex) if p is None else p for p in folds)
 
-    mag = np.abs(coeffs)
-    for n in norms:
-        mag = mag * n.reshape((-1,) + (1,) * (mag.ndim - 1))
-        mag = np.moveaxis(mag, 0, -1)
-    ledger = []
-    for t in np.ndindex(coeffs.shape):
-        ledger.append(LedgerEntry(
-            tuple(complex(lams[j][t[j]]) for j in range(len(stacks))),
-            tuple(int(qs[j][t[j]]) for j in range(len(stacks))),
-            float(mag[t])))
+    terms = []
+    for cs, ls in zip(comps, lefts):
+        pick = [(c.eigenvalue, i, q) for i, c in enumerate(cs) for q in range(c.index)]
+        rs = _triangular_factors([l for pw in ls for l in pw] + [c.w for c in cs])
+        cores = [r_l @ rs[len(pick) + i].conj().T for (_, i, _), r_l in zip(pick, rs)]
+        norms = np.empty(len(cores))
+        for size in {len(a) for a in cores}:
+            idx = [t for t, a in enumerate(cores) if len(a) == size]
+            norms[idx] = np.linalg.svd(np.stack([cores[t] for t in idx]), compute_uv=False)[:, 0]
+        terms.append([p + (n,) for p, n in zip(pick, norms.tolist())])
+    ledger = [LedgerEntry(lam, q, math.prod(norm, start=float(abs(coeffs[i + q]))))
+              for lam, i, q, norm in (zip(*t) for t in itertools.product(*terms))]
     return CalculusResult(value, s0, s_mixed, s_full, ledger, method)
 
 

@@ -99,8 +99,9 @@ class SpectralComponent:
 
     P = V W^H and N = M W^H: V = Q1 holds orthonormal Schur vectors of the
     range of P, W^H = Q1^H - R Q2^H (Bavely & Stewart 1979), and
-    M = (X - lambda I) V.  `projector` and `nilpotent` are built from the
-    factors on first read and cached; they cannot be assigned.
+    M = (X - lambda I) V.  The package reads only these factors; the dense
+    n x n `projector` and `nilpotent` serve callers and are formed on each
+    read.
     """
     eigenvalue: complex
     multiplicity: int
@@ -111,18 +112,11 @@ class SpectralComponent:
 
     @property
     def projector(self) -> np.ndarray:
-        return self._dense("projector", self.v)
+        return self.v @ self.w.conj().T
 
     @property
     def nilpotent(self) -> np.ndarray:
-        return self._dense("nilpotent", self.m)
-
-    def _dense(self, name: str, left: np.ndarray) -> np.ndarray:
-        if name not in self.__dict__:
-            dense = left @ self.w.conj().T
-            dense.flags.writeable = False
-            self.__dict__[name] = dense
-        return self.__dict__[name]
+        return self.m @ self.w.conj().T
 
 
 @dataclass

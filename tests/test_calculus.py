@@ -1,4 +1,5 @@
 import csv
+import functools
 import time
 import tracemalloc
 
@@ -341,6 +342,123 @@ def test_each_factor_decomposed_once(monkeypatch):
     calculus.power_series_apply(f, system)
     assert len(seen) == 2
     assert all(a is b for a, b in zip(seen, system.factors))
+
+
+# ---------------------------------------------------------------------------
+# spectral assembly from the component factors, against the dense route
+
+
+def _dense_assembly(f, decompositions):
+    """(value, [s0, s_mixed, s_full], ledger) by the dense route: each term's
+    P or N^q as an n x n matrix with an n x n SVD norm, one Kronecker fold per
+    part, coefficients from one Taylor box per term."""
+    terms = [[(c, q) for c in dec.components for q in range(c.index)] for dec in decompositions]
+    stacks = [np.stack([c.projector if q == 0 else np.linalg.matrix_power(c.nilpotent, q)
+                        for c, q in ts]) for ts in terms]
+    norms = [[linalg.op_norm(b) for b in s] for s in stacks]
+    coeffs = np.zeros([len(ts) for ts in terms], dtype=complex)
+    ledger = []
+    for t in np.ndindex(coeffs.shape):
+        picked = [ts[i] for ts, i in zip(terms, t)]
+        box = functions.taylor_coefficients(f, [c.eigenvalue for c, _ in picked],
+                                            max(c.index for c, _ in picked) - 1)
+        alpha = tuple(q for _, q in picked)
+        coeffs[t] = box[alpha]
+        ledger.append((tuple(c.eigenvalue for c, _ in picked), alpha,
+                       abs(coeffs[t]) * np.prod([n[i] for n, i in zip(norms, t)])))
+    powers = np.array(np.meshgrid(*[[q for _, q in ts] for ts in terms], indexing="ij"))
+    some, every = powers.any(axis=0), powers.all(axis=0)
+    split = [calculus._kron_fold(np.where(mask, coeffs, 0.0), stacks)
+             for mask in (~some, some & ~every, every)]
+    return sum(split), split, ledger
+
+
+def _assembly_system(rng, r, deep):
+    # with `deep`, the first factor is one Jordan block of index 6
+    dims = {1: (2, 10), 2: (2, 7), 3: (2, 4)}[r]
+    factors = []
+    for _ in range(r):
+        kind, dim = rng.integers(0, 3), int(rng.integers(*dims))
+        if kind == 0:
+            factors.append(synth.random_jordan_matrix(rng, dim, max_index=6, cond=3.0)[0])
+        elif kind == 1:
+            factors.append(synth.random_hermitian(rng, dim, scale=0.4))
+        else:
+            factors.append(synth.random_diagonalizable(rng, dim))
+    if deep:
+        s = synth.conditioned_similarity(rng, 6, 3.0)
+        factors[0] = s @ synth.jordan_block(0.2 + 0.1j, 6, 0.3) @ np.linalg.inv(s)
+    tol = 1e-2 * max(1.0, max(linalg.op_norm(x) for x in factors))
+    return calculus.lift(factors, cluster_tol=tol)
+
+
+_ASSEMBLY_SPECS = {1: ("exp(z1)", "ratio(poly{0:1},poly{0:4,1:-1})"),
+                   2: ("exp(0.5*z1+z2)", "prod(sin(z1),poly{(0,0):1,(0,1):2,(1,1):-1})"),
+                   3: ("exp(z1-z2+0.3*z3)", "prod(cos(z1+z2),poly{(0,0,1):1,(0,0,0):1})")}
+
+
+def test_factored_assembly_matches_the_dense_route():
+    rng = np.random.default_rng(2617)
+    deepest = 0
+    for case in range(24):
+        r = 1 + case % 3
+        system = _assembly_system(rng, r, case < 3)
+        f = parse(_ASSEMBLY_SPECS[r][case // 3 % 2])
+        deepest = max([deepest] + [c.index for d in system.decompositions for c in d.components])
+        res = (calculus.func_univariate(f, system.decompositions[0]) if r == 1
+               else calculus.func_multivariate(f, system))
+        value, split, ledger = _dense_assembly(f, system.decompositions)
+        bound = 1e-13 * (1.0 + linalg.op_norm(value))
+        for got, want in zip((res.value, res.s0, res.s_mixed, res.s_full), [value] + split):
+            assert linalg.op_norm(got - want) <= bound, case
+        assert [(e.eigenvalues, e.alpha) for e in res.term_ledger] == [e[:2] for e in ledger]
+        for e, (_, _, norm) in zip(res.term_ledger, ledger):
+            assert abs(e.norm - norm) <= 1e-12 * norm, case
+    assert deepest == 6
+
+
+def test_assembly_reads_only_the_component_factors(monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense component operator read")
+
+    monkeypatch.setattr(spectra.SpectralComponent, "projector", property(refuse))
+    monkeypatch.setattr(spectra.SpectralComponent, "nilpotent", property(refuse))
+    rng = np.random.default_rng(2618)
+    blocks = [synth.random_jordan_matrix(rng, dim, max_index=3, cond=3.0)[0] for dim in (5, 4, 3)]
+    tol = 1e-2 * max(linalg.op_norm(x) for x in blocks)
+    dec = spectra.decompose(blocks[0], cluster_tol=tol)
+    assert max(c.index for c in dec.components) > 1
+    one = calculus.func_univariate(parse("exp(z1)"), dec).value
+    assert linalg.op_norm(one - expm(blocks[0])) <= 1e-10 * linalg.op_norm(expm(blocks[0]))
+    for spec, factors in (("exp(z1+z2)", blocks[:2]), ("exp(z1+z2+z3)", blocks)):
+        value = calculus.func_multivariate(parse(spec), calculus.lift(factors, cluster_tol=tol)).value
+        want = functools.reduce(np.kron, [expm(x) for x in factors])
+        assert linalg.op_norm(value - want) <= 1e-10 * linalg.op_norm(want), spec
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_assembly_memory_stays_quadratic_in_the_dimension():
+    # a dense stack of every component's P is k n^2 entries (128 n^2 here);
+    # the factored fold holds a few n x n arrays
+    rng = np.random.default_rng(2619)
+    x = synth.random_diagonalizable(rng, 128, spread=3.0, min_sep=0.15)
+    dec = spectra.decompose(x)
+    assert len(dec.components) == 128
+    peak = _peak_bytes(lambda: calculus.func_univariate(parse("exp(z1)"), dec))
+    assert peak < 16 * 128 ** 2 * 16
+    jordan = np.array([[0.3, 1.0], [0.0, 0.3]], dtype=complex)
+    system = calculus.lift([jordan, x])
+    system.decompositions
+    peak = _peak_bytes(lambda: calculus.func_multivariate(parse("exp(0.5*z1+z2)"), system))
+    assert peak < 16 * 256 ** 2 * 16
 
 
 # ---------------------------------------------------------------------------

@@ -444,14 +444,17 @@ def test_env_override(tmp_path, mats, monkeypatch):
 
 
 # sha256 of manifest.csv (the digest of every artifact) for four seeded runs:
-# decompose and lift-calc recorded with the per-entry "%.16e" writers that the
-# formatting kernel replaced, converge and regularize with the SVD of every
-# node and resolvent norm that the certified bounds now prune; the numbers
-# underneath come from LAPACK, so the digests hold for the pinned numpy 2.4 /
-# scipy 1.17 / OpenBLAS 0.3.31 build on x86_64
+# decompose recorded with the per-entry "%.16e" writers that the formatting
+# kernel replaced, converge and regularize with the SVD of every node and
+# resolvent norm that the certified bounds now prune, lift-calc with the
+# spectral assembly from the component factors (its sums run in another
+# order than the dense term stacks' did, so value, s0 and the ledger norms
+# moved in their last digits); the numbers underneath come from LAPACK, so
+# the digests hold for the pinned numpy 2.4 / scipy 1.17 / OpenBLAS 0.3.31
+# build on x86_64
 SEEDED_MANIFEST_SHA256 = {
     "decompose": "7406e2df45925af428601513830253294a0e71cdc42b0e69289c7ede5f1ace00",
-    "lift-calc": "24c9494b9d7336e7f1392811012099780ab877c669b4ebf93aa3e013ddb428cc",
+    "lift-calc": "fe6a089a28614f85ed5f0928355d779facd95d554e712e15344525e1b4df3e35",
     "converge": "4cc6b4dbe875bf1aa9ec539ca9576aceb664c58c6da667b3a48b8a885c2fb772",
     "regularize": "e09aaee2bc06c78c50275d8b1f968eeb15194a2efcb21cdd583de0e181b69575",
 }
