@@ -9,7 +9,7 @@ Three independent routes compute it:
 * func_multivariate: the spectral assembly
     sum over eigenvalue tuples and multi-indices alpha of
     d^alpha f(lambda) / alpha! * kron_j N_j^{alpha_j} P_j
-  from the components' n x m factors, one fold per power tuple alpha,
+  from the components' n x m factors, each part folded factor by factor,
   ledgered and split into s0 (alpha = 0), s_mixed and s_full parts;
 * dunford_multivariate: iterated contour quadrature of
   f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened factorization
@@ -187,34 +187,23 @@ def func_multivariate(f: AnalyticFunction, system: LiftedSystem) -> CalculusResu
     return _assemble(f, system.decompositions, system.tensor_dim, "func_multivariate")
 
 
-def _fold_powers(coeffs, lefts, w_conj, cols, alphas, dim: int) -> np.ndarray | None:
-    """sum over alpha in `alphas` of (kron_j L_{j,alpha_j}) diag(K_alpha)
-    (kron_j W_j)^H, or None when every K_alpha is 0.
-
-    lefts[j][q] stacks factor j's L_q, w_conj[j] is conj(W_j), and K_alpha
-    is coeffs[..., alpha] read onto the components cols[j] of the columns.
-    Per alpha the first factor's L diag(K) W^H is one product and the other
-    L are multiplied in elementwise; the other W^H are applied to the sum,
-    one tensordot per factor.  No N x N Kronecker product is formed.
+def _fold_powers(k, lefts, w_conj, dim: int) -> np.ndarray:
+    """sum over power tuples alpha of (kron_j L_{j,alpha_j}) diag(K_alpha)
+    (kron_j W_j)^H, with K on axes (columns_1, power_1, .., columns_r,
+    power_r), lefts[j][q] = L_q and w_conj[j] = conj(W_j).  Per factor, one
+    product batched over the columns turns the axes (rows done, columns,
+    powers, rest) into (rows done, columns, rows, rest) and one more applies
+    W^H: (rows done, rows, rest, columns after W^H).  rest holds the later
+    factors' axes and the columns done; no N x N Kronecker product is formed.
     """
-    r, acc = len(lefts), None
-    for alpha in alphas:
-        k = coeffs[(Ellipsis,) + alpha][np.ix_(*cols)]
-        if not k.any():
-            continue
-        x = np.moveaxis(k, 0, -1)[..., None, :] * lefts[0][alpha[0]]
-        x = (x.reshape(-1, len(w_conj[0])) @ w_conj[0].T).reshape(x.shape)
-        # axes (rows_1..rows_r, rows_1, columns_2..columns_r)
-        term = np.expand_dims(np.moveaxis(x, (-2, -1), (0, 1)), tuple(range(1, r)))
-        for j in range(1, r):
-            shape = [1] * (2 * r)
-            shape[j] = shape[r + j] = len(w_conj[j])
-            term = np.multiply(term, lefts[j][alpha[j]].reshape(shape), order="C")
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return None
-    for w in w_conj[1:]:
-        acc = np.tensordot(acc, w, axes=([r + 1], [1]))
+    if not k.any():
+        return np.zeros((dim, dim), dtype=complex)
+    acc, done = k, 1
+    for ls, w in zip(lefts, w_conj):
+        lt = np.ascontiguousarray(ls.transpose(2, 1, 0))  # (columns, rows, powers)
+        acc = np.matmul(lt, acc.reshape(done, len(w), len(ls), -1))
+        acc = np.matmul(acc.reshape(done, len(w), -1).transpose(0, 2, 1), w.T)
+        done *= len(w)
     return acc.reshape(dim, dim)
 
 
@@ -222,16 +211,11 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
               method: str) -> CalculusResult:
     """Spectral assembly from each component's n x m factors alone.
 
-    A component's term of power q is L_q W^H: L_0 = V gives its projector
-    and L_q = M C^(q-1), C = W^H M, its N^q.  Per factor the components' W
-    and L_q (0 from a component's index on) stack to n x n matrices, and
-    d^alpha f(lambda)/alpha! sits on axes (component_1..component_r,
-    power_1..power_r): alpha = 0 from one vectorized evaluation, the rest
-    from one Taylor box per component tuple with a nilpotent part.  s0 is
-    alpha = 0, s_full every alpha with all alpha_j >= 1 and s_mixed the
-    rest (`_fold_powers`).  A ledger norm is |coefficient| prod_j
-    ||L_j W_j^H||, from m x m cores R_L R_W^H of thin QRs, one batched SVD
-    per core size.
+    A component's term of power q is L_q W^H: L_0 = V gives P, and L_q =
+    M C^(q-1), C = W^H M, gives N^q.  d^alpha f(lambda)/alpha! sits on axes
+    (component_1..component_r, power_1..power_r); s0, s_mixed and s_full
+    fold the power tuples with none, some and all r powers nonzero.  Ledger
+    norms are |coefficient| prod_j ||L_j W_j^H||, from m x m cores R_L R_W^H.
     """
     comps = [dec.components for dec in decompositions]
     r = len(comps)
@@ -246,18 +230,26 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
             coeffs[block + powers] = box[powers]
     coeffs[(Ellipsis,) + (0,) * r] = f(*np.meshgrid(*lams, indexing="ij"))
 
-    lefts = [[[c.v, c.m][:c.index] for c in cs] for cs in comps]
-    for c, pw in zip(itertools.chain(*comps), itertools.chain(*lefts)):
-        while len(pw) < c.index:
-            pw.append(pw[-1] @ (c.w.conj().T @ c.m))
-    stacked = [[np.hstack([pw[q] if q < len(pw) else np.zeros_like(pw[0]) for pw in ls])
-                for q in range(max(nu))] for ls, nu in zip(lefts, nus)]
+    lefts = []  # lefts[j][i][q] is L_q of factor j's component i
+    for cs in comps:
+        lefts.append([])
+        for c in cs:
+            pw = [c.v, c.m][:c.index]
+            while len(pw) < c.index:
+                pw.append(pw[-1] @ (c.w.conj().T @ c.m))
+            lefts[-1].append(pw)
+    # stacked[j][q]: factor j's L_q side by side, 0 from a component's index on
+    stacked = [np.stack([np.hstack([pw[q] if q < len(pw) else np.zeros_like(pw[0]) for pw in ls])
+                         for q in range(max(nu))]) for ls, nu in zip(lefts, nus)]
     w_conj = [np.hstack([c.w for c in cs]).conj() for cs in comps]
     cols = [np.repeat(np.arange(len(cs)), [c.multiplicity for c in cs]) for cs in comps]
-    parts = [[a for a in np.ndindex(coeffs.shape[r:]) if any(a) + all(a) == k] for k in range(3)]
-    folds = [_fold_powers(coeffs, stacked, w_conj, cols, alphas, dim) for alphas in parts]
-    value = sum((p for p in folds if p is not None), np.zeros((dim, dim), dtype=complex))
-    s0, s_mixed, s_full = (np.zeros((dim, dim), dtype=complex) if p is None else p for p in folds)
+    # K on axes (columns_1, power_1, .., columns_r, power_r); support: nonzero powers
+    k = coeffs[np.ix_(*cols)].transpose([a for j in range(r) for a in (j, r + j)])
+    support = np.count_nonzero(np.indices([d for nu in nus for d in (1, max(nu))]), axis=0)
+    s0, s_mixed, s_full = (_fold_powers(np.where(part, k, 0.0), stacked, w_conj, dim)
+                           for part in (support == 0, (support > 0) & (support < r),
+                                        support == r))
+    value = s0 + s_mixed + s_full
 
     terms = []
     for cs, ls in zip(comps, lefts):
@@ -269,8 +261,10 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
             idx = [t for t, a in enumerate(cores) if len(a) == size]
             norms[idx] = np.linalg.svd(np.stack([cores[t] for t in idx]), compute_uv=False)[:, 0]
         terms.append([p + (n,) for p, n in zip(pick, norms.tolist())])
-    ledger = [LedgerEntry(lam, q, math.prod(norm, start=float(abs(coeffs[i + q]))))
-              for lam, i, q, norm in (zip(*t) for t in itertools.product(*terms))]
+    ledger = []
+    for t in itertools.product(*terms):
+        lam, i, q, norm = zip(*t)
+        ledger.append(LedgerEntry(lam, q, math.prod(norm, start=float(abs(coeffs[i + q])))))
     return CalculusResult(value, s0, s_mixed, s_full, ledger, method)
 
 

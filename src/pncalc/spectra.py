@@ -99,9 +99,8 @@ class SpectralComponent:
 
     P = V W^H and N = M W^H: V = Q1 holds orthonormal Schur vectors of the
     range of P, W^H = Q1^H - R Q2^H (Bavely & Stewart 1979), and
-    M = (X - lambda I) V.  The package reads only these factors; the dense
-    n x n `projector` and `nilpotent` serve callers and are formed on each
-    read.
+    M = (X - lambda I) V.  The package reads the factors; `projector` and
+    `nilpotent` are built for callers on first read, cached and read-only.
     """
     eigenvalue: complex
     multiplicity: int
@@ -112,11 +111,18 @@ class SpectralComponent:
 
     @property
     def projector(self) -> np.ndarray:
-        return self.v @ self.w.conj().T
+        return self._dense("projector", self.v)
 
     @property
     def nilpotent(self) -> np.ndarray:
-        return self.m @ self.w.conj().T
+        return self._dense("nilpotent", self.m)
+
+    def _dense(self, name: str, left: np.ndarray) -> np.ndarray:
+        if name not in self.__dict__:
+            dense = left @ self.w.conj().T
+            dense.flags.writeable = False
+            self.__dict__[name] = dense
+        return self.__dict__[name]
 
 
 @dataclass

@@ -454,7 +454,7 @@ def test_env_override(tmp_path, mats, monkeypatch):
 # build on x86_64
 SEEDED_MANIFEST_SHA256 = {
     "decompose": "7406e2df45925af428601513830253294a0e71cdc42b0e69289c7ede5f1ace00",
-    "lift-calc": "fe6a089a28614f85ed5f0928355d779facd95d554e712e15344525e1b4df3e35",
+    "lift-calc": "f17bd33aa1b9a424d947fc1df38844e7c56dbe3e5634e740f5187289bb10819a",
     "converge": "4cc6b4dbe875bf1aa9ec539ca9576aceb664c58c6da667b3a48b8a885c2fb772",
     "regularize": "e09aaee2bc06c78c50275d8b1f968eeb15194a2efcb21cdd583de0e181b69575",
 }
