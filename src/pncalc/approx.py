@@ -51,6 +51,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .calculus import (
+    _SLAB_ENTRIES,
     _axis_rows,
     _check_node_tuples,
     _kron_fold,
@@ -317,7 +318,9 @@ def lowest_cluster_contour(model: OperatorModel, k: int,
 
 
 def default_probes(dim: int, count: int = DEFAULT_PROBES) -> list[np.ndarray]:
-    return [np.eye(dim, dtype=complex)[:, i] for i in range(min(count, dim))]
+    """The first min(count, dim) unit vectors of C^dim, as the rows of one
+    count x dim array."""
+    return list(np.eye(min(count, dim), dim, dtype=complex))
 
 
 def _error_constant(f: AnalyticFunction, contours, sups) -> float:
@@ -400,12 +403,25 @@ def _norm_bracket(d: np.ndarray, qa: np.ndarray, qb: np.ndarray,
     """
     core = qa.conj().T @ d @ qb
     lower = op_norm(core) if core.size else 0.0
-    resid = qa @ core @ qb.conj().T
-    rho = float(np.linalg.norm(np.subtract(d, resid, out=resid)))
+    rho = _residual_norm(d, qa @ core, qb.conj().T)
     if rho <= _THIN_RTOL * lower or lower + rho <= floor:
         return lower, lower + rho
     dense = op_norm(d)
     return dense, dense
+
+
+def _residual_norm(d: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
+    """||d - left right||_F, formed in row slabs of one buffer of at most
+    _SLAB_ENTRIES entries (one row at least), never as a second array of
+    d's size."""
+    rows = min(len(d), max(1, _SLAB_ENTRIES // d.shape[1]))
+    buf = np.empty((rows, d.shape[1]), dtype=complex)
+    norms = []
+    for i in range(0, len(d), rows):
+        slab = buf[:min(rows, len(d) - i)]
+        np.matmul(left[i:i + rows], right, out=slab)
+        norms.append(np.linalg.norm(np.subtract(d[i:i + rows], slab, out=slab)))
+    return float(np.linalg.norm(norms))
 
 
 def _report(kind: str, f: AnalyticFunction, z0: complex, c_f: float, floor: float,
@@ -582,6 +598,7 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
         d -= g_ref
         points.append((n, eps_g, eps_c, *_norm_bracket(d, qa, qb, floor),
                        _probe_errors(d, probes)))
+        del d  # the next point's fold is the only N x N array beside g_ref
     c_f = _error_constant(f, contours, sups)
     return _report("+".join(m.kind for m in models), f, z0s[0], c_f, floor, points,
                    len(probes))

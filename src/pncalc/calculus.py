@@ -187,24 +187,59 @@ def func_multivariate(f: AnalyticFunction, system: LiftedSystem) -> CalculusResu
     return _assemble(f, system.decompositions, system.tensor_dim, "func_multivariate")
 
 
-def _fold_powers(k, lefts, w_conj, dim: int) -> np.ndarray:
+def _fold_powers(k, lefts, w_conj, batch: int = 1) -> np.ndarray:
     """sum over power tuples alpha of (kron_j L_{j,alpha_j}) diag(K_alpha)
-    (kron_j W_j)^H, with K on axes (columns_1, power_1, .., columns_r,
-    power_r), lefts[j][q] = L_q and w_conj[j] = conj(W_j).  Per factor, one
-    product batched over the columns turns the axes (rows done, columns,
-    powers, rest) into (rows done, columns, rows, rest) and one more applies
-    W^H: (rows done, rows, rest, columns after W^H).  rest holds the later
-    factors' axes and the columns done; no N x N Kronecker product is formed.
+    (kron_j W_j)^H, with K on axes (batch, columns_1, power_1, ..,
+    columns_r, power_r), lefts[j][q] = L_q and w_conj[j] = conj(W_j), as a
+    (batch, N, N) array.  Per factor, one product batched over the columns
+    turns the axes (rows done, columns, powers, rest) into (rows done,
+    columns, rows, rest) and one more applies W^H: (rows done, rows, rest,
+    columns after W^H).  rest holds the later factors' axes and the columns
+    done; no N x N Kronecker product is formed.
     """
-    if not k.any():
-        return np.zeros((dim, dim), dtype=complex)
-    acc, done = k, 1
+    acc, done = k, batch
     for ls, w in zip(lefts, w_conj):
         lt = np.ascontiguousarray(ls.transpose(2, 1, 0))  # (columns, rows, powers)
         acc = np.matmul(lt, acc.reshape(done, len(w), len(ls), -1))
         acc = np.matmul(acc.reshape(done, len(w), -1).transpose(0, 2, 1), w.T)
         done *= len(w)
-    return acc.reshape(dim, dim)
+    dim = done // batch
+    return acc.reshape(batch, dim, dim)
+
+
+def _fold_part(k, lefts, w_conj, starts, dim: int) -> np.ndarray:
+    """One part of the assembly: `_fold_powers` of K, which is 0 outside the
+    part, on axes (columns_1, power_1, .., columns_r, power_r).
+
+    Powers that no coefficient of the part reaches are dropped on every
+    factor.  K is constant over each component's columns, which start at
+    `starts` on the first factor, so the part is also
+    sum_t (L_q W_i^H) kron (fold of the other factors on K's slab t), over
+    the first factor's terms t = (component i, power q).  Per entry of the
+    result, that pair product takes one multiply-add per term; the column
+    fold's last factor takes one per column for W^H and one per power
+    after the first.  The cheaper one is used, and the column fold on a
+    tie, as for index-1 factors with k = n whose first is at least as
+    large as the last.
+    """
+    if not k.any():
+        return np.zeros((dim, dim), dtype=complex)
+    lefts = list(lefts)
+    for j in range(len(lefts)):
+        axis = 2 * j + 1
+        reached = np.flatnonzero(k.any(axis=tuple(a for a in range(k.ndim) if a != axis)))
+        powers = slice(reached[0], reached[-1] + 1)
+        k = k[(slice(None),) * axis + (powers,)]
+        lefts[j] = lefts[j][powers]
+    slabs = k[starts].reshape(len(starts) * len(lefts[0]), *k.shape[2:])
+    terms = np.flatnonzero(slabs.reshape(len(slabs), -1).any(axis=1))
+    if terms.size >= len(w_conj[-1]) + len(lefts[-1]) - 1:
+        return _fold_powers(k, lefts, w_conj)[0]
+    ends = np.append(starts[1:], len(w_conj[0]))
+    dense = np.stack([lefts[0][q][:, starts[i]:ends[i]] @ w_conj[0][:, starts[i]:ends[i]].T
+                      for i, q in zip(*np.divmod(terms, len(lefts[0])))])
+    rest = _fold_powers(slabs[terms], lefts[1:], w_conj[1:], terms.size)
+    return _pair_sum(dense, rest)
 
 
 def _assemble(f, decompositions: list[Decomposition], dim: int,
@@ -246,7 +281,8 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
     # K on axes (columns_1, power_1, .., columns_r, power_r); support: nonzero powers
     k = coeffs[np.ix_(*cols)].transpose([a for j in range(r) for a in (j, r + j)])
     support = np.count_nonzero(np.indices([d for nu in nus for d in (1, max(nu))]), axis=0)
-    s0, s_mixed, s_full = (_fold_powers(np.where(part, k, 0.0), stacked, w_conj, dim)
+    starts = np.flatnonzero(np.diff(cols[0], prepend=-1))
+    s0, s_mixed, s_full = (_fold_part(np.where(part, k, 0.0), stacked, w_conj, starts, dim)
                            for part in (support == 0, (support > 0) & (support < r),
                                         support == r))
     value = s0 + s_mixed + s_full

@@ -17,6 +17,7 @@ import csv
 import hashlib
 import os
 import re
+import shutil
 import sys
 
 import numpy as np
@@ -226,16 +227,35 @@ class ArtifactWriter:
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
         self.digests: list[tuple[str, str]] = []
+        # (64-bit words, path, digest) of each cmat written
+        self._cmats: list[tuple[np.ndarray, str, str]] = []
 
     def emit(self, name: str, write_fn) -> str:
         """write_fn(path, sha) writes the artifact to path and feeds each of
         its bytes to the sha256 object sha."""
-        final = os.path.join(self.out_dir, name)
-        tmp = final + ".tmp"
         sha = hashlib.sha256()
-        write_fn(tmp, sha)
-        os.replace(tmp, final)
-        self.digests.append((name, sha.hexdigest()))
+        write_fn(os.path.join(self.out_dir, name) + ".tmp", sha)
+        return self._commit(name, sha.hexdigest())
+
+    def _commit(self, name: str, digest: str) -> str:
+        """Move the written name.tmp into place and record its digest."""
+        final = os.path.join(self.out_dir, name)
+        os.replace(final + ".tmp", final)
+        self.digests.append((name, digest))
+        return final
+
+    def emit_cmat(self, name: str, m) -> str:
+        """Emit the matrix m as a cmat.  A matrix with the shape and bytes of
+        one this writer emitted before is written as a byte copy of that
+        file, with its digest, so it is formatted once."""
+        m = np.ascontiguousarray(linalg.as_matrix(m))
+        words = m.view(np.uint64)
+        for seen, path, digest in self._cmats:
+            if seen.shape == words.shape and np.array_equal(seen, words):
+                shutil.copyfile(path, os.path.join(self.out_dir, name) + ".tmp")
+                return self._commit(name, digest)
+        final = self.emit(name, lambda p, sha: linalg.write_cmat(p, m, sha))
+        self._cmats.append((words, final, self.digests[-1][1]))
         return final
 
     def emit_text(self, name: str, text: str) -> str:
@@ -338,8 +358,8 @@ def cmd_funcalc(cfg: dict, out_dir: str, seed: int | None) -> int:
     threshold = cfg["params"]["tol"] * (1.0 + linalg.op_norm(spectral.value))
     ok = diff <= threshold
     writer = ArtifactWriter(out_dir)
-    writer.emit("value_spectral.cmat", lambda p, sha: linalg.write_cmat(p, spectral.value, sha))
-    writer.emit("value_contour.cmat", lambda p, sha: linalg.write_cmat(p, quadrature, sha))
+    writer.emit_cmat("value_spectral.cmat", spectral.value)
+    writer.emit_cmat("value_contour.cmat", quadrature)
     writer.emit_text("crosscheck.csv", _csv_text(
         ["method_a", "method_b", "difference_norm", "threshold", "ok"],
         [["spectral", "contour", diff, threshold, str(ok).lower()]]))
@@ -368,10 +388,9 @@ def cmd_lift_calc(cfg: dict, out_dir: str, seed: int | None) -> int:
     )
     result = calculus.func_multivariate(f, system)
     writer = ArtifactWriter(out_dir)
-    writer.emit("value.cmat", lambda p, sha: linalg.write_cmat(p, result.value, sha))
-    writer.emit("s0.cmat", lambda p, sha: linalg.write_cmat(p, result.s0, sha))
-    writer.emit("s_mixed.cmat", lambda p, sha: linalg.write_cmat(p, result.s_mixed, sha))
-    writer.emit("s_full.cmat", lambda p, sha: linalg.write_cmat(p, result.s_full, sha))
+    for name, m in (("value", result.value), ("s0", result.s0),
+                    ("s_mixed", result.s_mixed), ("s_full", result.s_full)):
+        writer.emit_cmat(f"{name}.cmat", m)
     writer.emit("term_ledger.csv",
                 lambda p, sha: calculus.write_term_ledger(p, result, sha))
     writer.finalize()

@@ -70,7 +70,7 @@ def kron(a, b, cap: int = KRON_CAP) -> np.ndarray:
 def op_norm(a) -> float:
     """Operator norm (largest singular value)."""
     m = as_matrix(a)
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def _norm_bounds(a: np.ndarray, lower: bool = True) -> tuple[float, float]:
@@ -475,12 +475,27 @@ def _format_floats(v: np.ndarray) -> np.ndarray:
     return text[text != 0]
 
 
+_ZERO_ENTRY = b"0.0000000000000000e+00 0.0000000000000000e+00\n"
+
+
+@functools.cache
+def _zero_text() -> memoryview:
+    """The text of a chunk of _CHUNK_ENTRIES entries equal to +0.0."""
+    return memoryview(_ZERO_ENTRY * _CHUNK_ENTRIES)
+
+
 def _entry_chunks(m):
-    """The cmat entry body of `m`, row major, one ASCII uint8 array per chunk."""
+    """The cmat entry body of `m`, row major, one bytes-like ASCII text per
+    chunk.  A chunk whose words are all 0 (every part +0.0) is a slice of
+    one cached text; -0.0 goes through the kernel."""
     flat = np.ascontiguousarray(m, dtype=complex).view(float).ravel()
     step = 2 * _CHUNK_ENTRIES
     for start in range(0, flat.size, step):
-        yield _format_floats(flat[start:start + step])
+        chunk = flat[start:start + step]
+        if chunk.view(np.uint64).any():
+            yield _format_floats(chunk)
+        else:
+            yield _zero_text()[:len(_ZERO_ENTRY) * (chunk.size // 2)]
 
 
 def format_entries(m: np.ndarray) -> bytes:

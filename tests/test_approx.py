@@ -596,6 +596,30 @@ def test_default_probes_are_basis_vectors():
         assert u[i] == 1.0
 
 
+def test_default_probes_share_one_small_array():
+    probes = approx.default_probes(1024, 4)
+    assert len(probes) == 4
+    for i, u in enumerate(probes):
+        assert np.array_equal(u, np.eye(1024)[i])
+        assert (u if u.base is None else u.base).size <= 4 * 1024
+
+
+def test_two_factor_study_holds_g_ref_and_one_d():
+    # N = 1024: each N x N complex array is 16 MiB; the study keeps f(X) and
+    # the current d, and forms its residual norm in row slabs
+    models = [approx.build_model("harmonic", 32)] * 2
+    contours = [approx.lowest_cluster_contour(m, 3) for m in models]
+    f = parse("exp(-z1-0.9*z2)")
+    tracemalloc.start()
+    try:
+        approx.multivariate_experiment(models, f, [-1.2, -1.2], contours, [4, 8, 16],
+                                       probes=approx.default_probes(1024, 4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024 ** 2 * 16
+
+
 def test_one_factor_study_holds_one_chunk_of_resolvents():
     # n = 128 on 256 nodes: the stack of the resolvents would be 67 MB; the
     # contraction builds one chunk of inverses at a time, and the next only

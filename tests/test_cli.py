@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from pncalc import approx, cli, functions, linalg, spectra, synth
+from pncalc import approx, calculus, cli, functions, linalg, spectra, synth
 
 X1 = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 X2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -191,6 +191,75 @@ def test_lift_calc_golden_pair(tmp_path, mats):
     ledger = read_csv(out / "term_ledger.csv")
     assert ledger[0][:2] == ["lambda_1_re", "lambda_2_re"]
     assert len(ledger) == 5  # header + one row per multi-index of the pair
+
+
+def _lift_calc_formatting(tmp_path, monkeypatch, factors, spec):
+    """Run lift-calc on `factors`; returns the output dir, its manifest
+    digests and the number of floats the formatting kernel printed."""
+    paths = {}
+    for j, x in enumerate(factors):
+        paths[f"matrix_{j + 1}"] = tmp_path / f"x{j + 1}.cmat"
+        linalg.write_cmat(paths[f"matrix_{j + 1}"], x)
+    cfg = write_config(tmp_path, "lift.ini", {"input": paths, "function": {"spec": spec},
+                                               "params": {"cluster_tol": 0.01}})
+    printed = []
+    real = linalg._format_floats
+    monkeypatch.setattr(linalg, "_format_floats", lambda v: printed.append(v.size) or real(v))
+    out = tmp_path / "out"
+    assert cli.main(["lift-calc", "--config", str(cfg), "--out", str(out)]) == 0
+    digests = dict(read_csv(out / "manifest.csv")[1:])
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    return out, digests, sum(printed)
+
+
+def test_lift_calc_formats_each_distinct_matrix_once(tmp_path, monkeypatch):
+    # index-1 factors: s_mixed = s_full = 0 and value = s0 bit for bit, so one
+    # matrix is formatted, one zero matrix takes the cached text, and the
+    # other two files are byte copies with the same digests
+    rng = np.random.default_rng(31)
+    factors = [synth.random_diagonalizable(rng, 6), synth.random_hermitian(rng, 5)]
+    out, digests, printed = _lift_calc_formatting(tmp_path, monkeypatch, factors,
+                                                  "exp(0.5*z1+z2)")
+    assert printed == 2 * 30 ** 2
+    text = {k: (out / f"{k}.cmat").read_bytes() for k in ("value", "s0", "s_mixed", "s_full")}
+    assert text["s0"] == text["value"] and text["s_full"] == text["s_mixed"]
+    assert digests["s0.cmat"] == digests["value.cmat"]
+    assert digests["s_full.cmat"] == digests["s_mixed.cmat"]
+    assert not linalg.read_cmat(out / "s_mixed.cmat").any()
+
+
+def test_lift_calc_formats_every_part_of_a_jordan_pair(tmp_path, monkeypatch):
+    factors = [X1 + 0.5 * np.eye(2), synth.jordan_block(0.3j, 3, 0.5)]
+    out, digests, printed = _lift_calc_formatting(tmp_path, monkeypatch, factors,
+                                                  "exp(0.5*z1+z2)")
+    assert printed == 4 * 2 * 6 ** 2
+    result = calculus.func_multivariate(functions.parse_function("exp(0.5*z1+z2)"),
+                                        calculus.lift(factors, cluster_tol=0.01))
+    for name in ("value", "s0", "s_mixed", "s_full"):
+        assert linalg.read_cmat(out / f"{name}.cmat").tobytes() == getattr(result, name).tobytes()
+    assert len({digests[f"{k}.cmat"] for k in ("value", "s0", "s_mixed", "s_full")}) == 4
+
+
+def test_artifact_writer_copies_only_equal_bytes(tmp_path):
+    writer = cli.ArtifactWriter(str(tmp_path / "out"))
+    m = np.zeros((2, 3), dtype=complex)
+    writer.emit_cmat("a.cmat", m)
+    writer.emit_cmat("b.cmat", m.reshape(3, 2))  # same bytes, other shape
+    writer.emit_cmat("c.cmat", np.negative(m))   # -0.0 everywhere
+    writer.emit_cmat("d.cmat", m.copy())
+    writer.finalize()
+    digests = dict(read_csv(tmp_path / "out" / "manifest.csv")[1:])
+    assert len({digests[k] for k in ("a.cmat", "b.cmat", "c.cmat")}) == 3
+    assert digests["d.cmat"] == digests["a.cmat"]
+    for name in digests:
+        want = linalg.read_cmat(tmp_path / "out" / name)
+        assert (tmp_path / "out" / name).read_bytes() == reference_cmat(want)
+
+
+def reference_cmat(m):
+    return "".join([f"{m.shape[0]} {m.shape[1]}\n"] + [
+        f"{v.real:.16e} {v.imag:.16e}\n" for v in m.ravel()]).encode()
 
 
 def test_lift_calc_cap_exit3(tmp_path, mats):

@@ -63,6 +63,12 @@ def test_op_norm_on_known_matrices():
     assert abs(linalg.op_norm(m) - 25.0) < 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 36, 64])
+def test_op_norm_is_the_largest_singular_value_bitwise(n):
+    m = _random_complex(_rng(n), n)
+    assert linalg.op_norm(m) == float(np.linalg.norm(m, 2))
+
+
 def test_resolvent_identity():
     rng = _rng(2)
     x = _random_complex(rng, 6)
@@ -506,6 +512,23 @@ def test_format_kernel_sizes_around_a_chunk(delta):
     m[-1] = complex(-0.0, 1e300)
     m[min(n, linalg._CHUNK_ENTRIES) - 1] = complex(1e-300, -5e-324)
     assert_kernel_matches(m.view(float))
+
+
+def test_zero_chunks_print_like_the_kernel():
+    # chunks of +0.0 words take one cached text; a -0.0 part must not
+    size = 2 * linalg._CHUNK_ENTRIES + 5
+    zeros = np.zeros(2 * size)
+    assert_kernel_matches(zeros)
+    signed = zeros.copy()
+    signed[[0, 3, 2 * linalg._CHUNK_ENTRIES + 1, -1]] = -0.0
+    assert_kernel_matches(signed)
+    lone = zeros.copy()
+    lone[2 * linalg._CHUNK_ENTRIES + 7] = 1.25e-300
+    assert_kernel_matches(lone)
+    for n in (1, linalg._CHUNK_ENTRIES - 1, linalg._CHUNK_ENTRIES + 1):
+        assert_kernel_matches(np.zeros(2 * n))
+    assert linalg.format_entries(np.zeros((3, 2), dtype=complex)) == (
+        b"0.0000000000000000e+00 0.0000000000000000e+00\n" * 6)
 
 
 def test_format_kernel_small_sizes(tmp_path):
