@@ -207,10 +207,9 @@ def _fold_powers(k, lefts, w_conj, batch: int = 1) -> np.ndarray:
     return acc.reshape(batch, dim, dim)
 
 
-def _fold_part(k, lefts, w_conj, starts, powers: slice, dim: int) -> np.ndarray:
-    """One part of the assembly: `_fold_powers` of K on axes (columns_1,
-    power_1, .., columns_r, power_r), which is 0 outside the part, and
-    whose powers lie in `powers` on every factor.
+def _fold_part(k, lefts, w_conj, starts, dim: int) -> np.ndarray:
+    """One part of the assembly: `_fold_powers` of K, which is 0 outside the
+    part, on axes (columns_1, power_1, .., columns_r, power_r).
 
     K is constant over each component's columns, which start at `starts`
     on the first factor, so the part is also
@@ -224,8 +223,6 @@ def _fold_part(k, lefts, w_conj, starts, powers: slice, dim: int) -> np.ndarray:
     """
     if not k.any():
         return np.zeros((dim, dim), dtype=complex)
-    k = k[(slice(None), powers) * len(lefts)]
-    lefts = [ls[powers] for ls in lefts]
     slabs = k[starts].reshape(len(starts) * len(lefts[0]), *k.shape[2:])
     terms = np.flatnonzero(slabs.reshape(len(slabs), -1).any(axis=1))
     if terms.size >= len(w_conj[-1]) + len(lefts[-1]) - 1:
@@ -277,11 +274,9 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
     k = coeffs[np.ix_(*cols)].transpose([a for j in range(r) for a in (j, r + j)])
     support = np.count_nonzero(np.indices([d for nu in nus for d in (1, max(nu))]), axis=0)
     starts = np.flatnonzero(np.diff(cols[0], prepend=-1))
-    s0, s_mixed, s_full = (
-        _fold_part(np.where(part, k, 0.0), stacked, w_conj, starts, powers, dim)
-        for part, powers in ((support == 0, slice(0, 1)),
-                             ((support > 0) & (support < r), slice(None)),
-                             (support == r, slice(1, None))))
+    s0, s_mixed, s_full = (_fold_part(np.where(part, k, 0.0), stacked, w_conj, starts, dim)
+                           for part in (support == 0, (support > 0) & (support < r),
+                                        support == r))
     value = s0 + s_mixed + s_full
 
     terms = []

@@ -232,15 +232,12 @@ class ArtifactWriter:
 
     def emit(self, name: str, write_fn) -> str:
         """write_fn(path, sha) writes the artifact to path and feeds each of
-        its bytes to the sha256 object sha."""
-        sha = hashlib.sha256()
-        write_fn(os.path.join(self.out_dir, name) + ".tmp", sha)
-        return self._commit(name, sha.hexdigest())
-
-    def _commit(self, name: str, digest: str) -> str:
-        """Move the written name.tmp into place and record its digest."""
+        its bytes to the sha256 object sha, or returns their hex digest."""
         final = os.path.join(self.out_dir, name)
-        os.replace(final + ".tmp", final)
+        tmp = final + ".tmp"
+        sha = hashlib.sha256()
+        digest = write_fn(tmp, sha) or sha.hexdigest()
+        os.replace(tmp, final)
         self.digests.append((name, digest))
         return final
 
@@ -252,8 +249,7 @@ class ArtifactWriter:
         words = m.view(np.uint64)
         for seen, path, digest in self._cmats:
             if seen.shape == words.shape and np.array_equal(seen, words):
-                shutil.copyfile(path, os.path.join(self.out_dir, name) + ".tmp")
-                return self._commit(name, digest)
+                return self.emit(name, lambda p, sha: shutil.copyfile(path, p) and digest)
         final = self.emit(name, lambda p, sha: linalg.write_cmat(p, m, sha))
         self._cmats.append((words, final, self.digests[-1][1]))
         return final
