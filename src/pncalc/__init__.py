@@ -67,7 +67,6 @@ from .calculus import (
     func_univariate,
     lift,
     power_series_apply,
-    three_term_split,
     write_term_ledger,
 )
 from .approx import (
@@ -108,7 +107,7 @@ __all__ = [
     "taylor_coefficients",
     "CalculusResult", "LedgerEntry", "LiftedSystem", "dunford",
     "dunford_multivariate", "func_multivariate", "func_univariate", "lift",
-    "power_series_apply", "three_term_split", "write_term_ledger",
+    "power_series_apply", "write_term_ledger",
     "MODEL_KINDS", "ConvergenceReport", "OperatorModel",
     "RegularizationReport", "build_model", "compress", "default_probes",
     "error_constant", "error_constant_multi", "level_experiment",

@@ -6,10 +6,13 @@ polynomials with declared (per-variable) pole sets, plus sums and products.
 Every node knows four things the calculus needs:
 
 * vectorized evaluation,
-* Taylor coefficient boxes at a center (series algebra: shift, convolution,
-  series division); entry alpha is d^alpha f / alpha!, the one source of
-  derivative coefficients for the spectral assembly, the power-series
-  oracle and `mixed_partial`,
+* its Taylor terms (`taylor_terms`): the Taylor coefficients
+  d^alpha f / alpha! at a center, as a finite sum of products of one
+  per-axis coefficient vector each, for every center of a per-axis grid;
+  the one source of derivative coefficients for the spectral assembly, the
+  power-series route and `mixed_partial`.  A tree holding a ratio has none
+  and keeps a dense coefficient box (series shift, convolution and
+  division),
 * declared poles along each variable, for the analyticity checks,
 * its axis terms: f as a finite sum of products of one-variable functions,
   f = sum_t prod_j g_tj(z_j), evaluated on per-axis nodes (`axis_terms`).
@@ -27,7 +30,7 @@ Multi-indices are plain int tuples throughout.
 """
 from __future__ import annotations
 
-import itertools
+import functools
 import re
 from math import comb, factorial, prod
 
@@ -43,6 +46,34 @@ _DEN_FLOOR = 1e-250
 # factor; FFT convolution leaves a coefficient floor near 1e-17 that stops
 # the power-series tail bound from decaying.
 SPARSE_CONVOLVE_NONZEROS = 8
+
+
+def _inv_factorials(cap: int) -> np.ndarray:
+    """1/q! for q = 0..cap, read from one table that grows on first need
+    (0 past q = 170, where q! leaves the float range)."""
+    global _INV_FACTORIALS
+    if len(_INV_FACTORIALS) <= cap:
+        _INV_FACTORIALS = np.array([1.0 / float(factorial(q)) if q <= 170 else 0.0
+                                    for q in range(max(cap + 1, 2 * len(_INV_FACTORIALS)))])
+    return _INV_FACTORIALS[:cap + 1]
+
+
+_INV_FACTORIALS = np.ones(1)
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of truncated series: out[:, k] = sum_q a[:, q] b[:, k - q].
+
+    Summed over the nonzero columns of the sparser side, so the product is
+    exact where one side is a polynomial.
+    """
+    if np.count_nonzero(a.any(axis=0)) < np.count_nonzero(b.any(axis=0)):
+        a, b = b, a
+    out = np.zeros_like(a)
+    width = a.shape[1]
+    for q in np.flatnonzero(b.any(axis=0)):
+        out[:, q:] += b[:, q, None] * a[:, :width - q]
+    return out
 
 
 def as_multi_index(alpha, arity: int) -> tuple[int, ...]:
@@ -78,8 +109,8 @@ class AnalyticFunction:
     def _partial(self, j: int) -> "AnalyticFunction":
         raise NotImplementedError
 
-    def taylor_box(self, center, cap: int) -> np.ndarray:
-        """Box of Taylor coefficients a_beta, shape (cap+1,)*arity."""
+    def _dense_box(self, center, cap: int) -> np.ndarray:
+        """The coefficient box of a tree without Taylor terms."""
         raise NotImplementedError
 
     def to_spec(self) -> str:
@@ -103,9 +134,30 @@ class AnalyticFunction:
         """
         return None
 
+    def taylor_terms(self, centers, cap: int) -> list[list[np.ndarray]] | None:
+        """The Taylor coefficients of f as a sum of per-axis products.
+
+        `centers` holds one 1-D array of center values per variable.  The
+        result lists, per term t, one (len(centers[j]), cap+1) array per
+        axis j, with the term's scalar on axis 0, so that the coefficient
+        d^beta f / beta! at (centers[0][i_0], .., centers[r-1][i_r-1]) is
+        sum_t prod_j terms[t][j][i_j, beta_j] for |beta|_inf <= cap; None
+        when f holds a ratio.
+        """
+        return None
+
     # shared machinery -----------------------------------------------------
     def __call__(self, *zs):
         return self._eval(_broadcast_point(zs, self.arity))
+
+    def taylor_box(self, center, cap: int) -> np.ndarray:
+        """Box of Taylor coefficients a_beta at `center`, shape (cap+1,)*arity:
+        the contraction of the Taylor terms, or the dense box of a tree that
+        holds a ratio."""
+        terms = self.taylor_terms([np.array([c], dtype=complex) for c in center], cap)
+        if terms is None:
+            return self._dense_box(center, cap)
+        return sum(functools.reduce(np.multiply.outer, [row[0] for row in term]) for term in terms)
 
     def partial(self, j: int) -> "AnalyticFunction":
         if not 0 <= j < self.arity:
@@ -182,10 +234,6 @@ class AnalyticFunction:
         return f"<{type(self).__name__} {self.to_spec()}>"
 
 
-def _empty_box(arity, cap):
-    return np.zeros((cap + 1,) * arity, dtype=complex)
-
-
 class Polynomial(AnalyticFunction):
     """Coefficient table {multi-index: coefficient}."""
 
@@ -223,16 +271,20 @@ class Polynomial(AnalyticFunction):
                 out[beta] = out.get(beta, 0) + c * alpha[j]
         return Polynomial(out, self.arity)
 
-    def taylor_box(self, center, cap):
-        center = [complex(c) for c in center]
-        box = _empty_box(self.arity, cap)
+    def taylor_terms(self, centers, cap):
+        # z^a = sum_q comb(a, q) x^(a - q) (z - x)^q about x
+        terms = []
         for alpha, c in self.table.items():
-            for beta in itertools.product(*(range(min(a, cap) + 1) for a in alpha)):
-                w = c
-                for j in range(self.arity):
-                    w *= comb(alpha[j], beta[j]) * center[j] ** (alpha[j] - beta[j])
-                box[beta] += w
-        return box
+            rows = []
+            for x, a in zip(centers, alpha):
+                q = np.arange(min(a, cap) + 1)
+                row = np.zeros((len(x), cap + 1), dtype=complex)
+                row[:, :q.size] = (np.array([float(comb(a, k)) for k in range(q.size)])
+                                   * np.asarray(x, dtype=complex)[:, None] ** (a - q))
+                rows.append(row)
+            rows[0] *= c
+            terms.append(rows)
+        return terms
 
     def max_degree(self):
         return tuple(max(a[j] for a in self.table) for j in range(self.arity))
@@ -293,15 +345,6 @@ class _AffineTranscendental(AnalyticFunction):
     def to_spec(self):
         return f"{self._name}({self.affine.to_spec()})"
 
-    def _exp_terms(self, s, zs):
-        """The axis terms of exp(s * affine)."""
-        return ExpAffine(self.affine.scaled(s), self.arity).axis_terms(zs)
-
-
-def _scaled_terms(terms, s):
-    """Axis terms times the scalar s, which goes on axis 0."""
-    return [[s * term[0], *term[1:]] for term in terms]
-
 
 class ExpAffine(_AffineTranscendental):
     _name = "exp"
@@ -316,63 +359,68 @@ class ExpAffine(_AffineTranscendental):
         return [[np.exp(c[0] * zs[0] + self.affine.const),
                  *(np.exp(cj * z) for cj, z in zip(c[1:], zs[1:]))]]
 
+    def taylor_terms(self, centers, cap):
+        # exp(c . z + d) = exp(c . m + d) prod_j exp(c_j (x_j - m_j)) exp(c_j (z_j - x_j))
+        # about x, with m_j the mean of axis j's centers: at one center per
+        # axis the rows are c_j^q / q! and the scalar is f(x), so no factor
+        # overflows where f is finite
+        centers = [np.asarray(x, dtype=complex) for x in centers]
+        means = [x.mean() for x in centers]
+        q = np.arange(cap + 1)
+        inv = _inv_factorials(cap)
+        rows = [np.multiply.outer(np.exp(c * (x - m)), c ** q * inv)
+                for c, x, m in zip(self.affine.coeffs, centers, means)]
+        rows[0] *= np.exp(sum(c * m for c, m in zip(self.affine.coeffs, means))
+                          + self.affine.const)
+        return [rows]
+
     def _partial(self, j):
         return Product(Polynomial({(0,) * self.arity: self.affine.coeffs[j]}, self.arity), self)
 
-    def taylor_box(self, center, cap):
-        w0 = complex(np.exp(self.affine([complex(c) for c in center])))
-        axes = []
-        for j in range(self.arity):
-            k = np.arange(cap + 1)
-            # factorial(21) overflows int64; round each exact integer to float
-            fact = np.array([float(factorial(int(q))) for q in k])
-            axes.append(self.affine.coeffs[j] ** k / fact)
-        box = np.array(w0, dtype=complex)
-        for ax in axes:
-            box = np.multiply.outer(box, ax)
-        return box.reshape((cap + 1,) * self.arity)
+
+class _Trigonometric(_AffineTranscendental):
+    """A weighted sum w_+ exp(i a) + w_- exp(-i a) of the affine argument a;
+    subclasses set `_weights` = (w_+, w_-)."""
+
+    def _exp_parts(self):
+        return [(ExpAffine(self.affine.scaled(s), self.arity), w)
+                for s, w in zip((1j, -1j), self._weights)]
+
+    def axis_terms(self, zs):
+        return [t for e, w in self._exp_parts() for t in _scaled_terms(e.axis_terms(zs), w)]
+
+    def taylor_terms(self, centers, cap):
+        return [t for e, w in self._exp_parts()
+                for t in _scaled_terms(e.taylor_terms(centers, cap), w)]
 
 
-class SinAffine(_AffineTranscendental):
+def _scaled_terms(terms, s):
+    """Axis or Taylor terms times the scalar s, which goes on axis 0."""
+    return [[s * term[0], *term[1:]] for term in terms]
+
+
+class SinAffine(_Trigonometric):
     _name = "sin"
+    _weights = (1 / 2j, -1 / 2j)   # sin(a) = (e^{ia} - e^{-ia}) / 2i
 
     def _eval(self, pt):
         return np.sin(self.affine(pt))
-
-    def axis_terms(self, zs):
-        # sin(a) = (e^{ia} - e^{-ia}) / 2i
-        return (_scaled_terms(self._exp_terms(1j, zs), 1 / 2j)
-                + _scaled_terms(self._exp_terms(-1j, zs), -1 / 2j))
 
     def _partial(self, j):
         return Product(Polynomial({(0,) * self.arity: self.affine.coeffs[j]}, self.arity),
                        CosAffine(self.affine, self.arity))
 
-    def taylor_box(self, center, cap):
-        up = ExpAffine(self.affine.scaled(1j), self.arity).taylor_box(center, cap)
-        dn = ExpAffine(self.affine.scaled(-1j), self.arity).taylor_box(center, cap)
-        return (up - dn) / 2j
 
-
-class CosAffine(_AffineTranscendental):
+class CosAffine(_Trigonometric):
     _name = "cos"
+    _weights = (0.5, 0.5)   # cos(a) = (e^{ia} + e^{-ia}) / 2
 
     def _eval(self, pt):
         return np.cos(self.affine(pt))
 
-    def axis_terms(self, zs):
-        # cos(a) = (e^{ia} + e^{-ia}) / 2
-        return (_scaled_terms(self._exp_terms(1j, zs), 0.5)
-                + _scaled_terms(self._exp_terms(-1j, zs), 0.5))
-
     def _partial(self, j):
         return Product(Polynomial({(0,) * self.arity: -self.affine.coeffs[j]}, self.arity),
                        SinAffine(self.affine, self.arity))
-
-    def taylor_box(self, center, cap):
-        up = ExpAffine(self.affine.scaled(1j), self.arity).taylor_box(center, cap)
-        dn = ExpAffine(self.affine.scaled(-1j), self.arity).taylor_box(center, cap)
-        return (up + dn) / 2.0
 
 
 class _Binary(AnalyticFunction):
@@ -406,10 +454,17 @@ class Sum(_Binary):
             return None
         return left + right
 
+    def taylor_terms(self, centers, cap):
+        left = self.left.taylor_terms(centers, cap)
+        right = None if left is None else self.right.taylor_terms(centers, cap)
+        if right is None:
+            return None
+        return left + right
+
     def _partial(self, j):
         return Sum(self.left.partial(j), self.right.partial(j))
 
-    def taylor_box(self, center, cap):
+    def _dense_box(self, center, cap):
         return self.left.taylor_box(center, cap) + self.right.taylor_box(center, cap)
 
     def max_degree(self):
@@ -431,11 +486,18 @@ class Product(_Binary):
             return None
         return [[a * b for a, b in zip(s, t)] for s in left for t in right]
 
+    def taylor_terms(self, centers, cap):
+        left = self.left.taylor_terms(centers, cap)
+        right = None if left is None else self.right.taylor_terms(centers, cap)
+        if right is None:
+            return None
+        return [[_convolve_rows(a, b) for a, b in zip(s, t)] for s in left for t in right]
+
     def _partial(self, j):
         return Sum(Product(self.left.partial(j), self.right),
                    Product(self.left, self.right.partial(j)))
 
-    def taylor_box(self, center, cap):
+    def _dense_box(self, center, cap):
         a = self.left.taylor_box(center, cap)
         b = self.right.taylor_box(center, cap)
         if np.count_nonzero(a) < np.count_nonzero(b):
@@ -443,7 +505,7 @@ class Product(_Binary):
         nonzero = np.nonzero(b)
         if nonzero[0].size > SPARSE_CONVOLVE_NONZEROS:
             # imported here: scipy.signal takes about 1 s to import, and only
-            # dense products of boxes reach this line
+            # dense products of boxes, under a ratio, reach this line
             from scipy.signal import fftconvolve
             full = fftconvolve(a, b)
             return np.ascontiguousarray(full[(slice(0, cap + 1),) * self.arity])
@@ -483,7 +545,7 @@ class Ratio(_Binary):
                           Product(self.left, self.right.partial(j))))
         return Ratio(num, Product(self.right, self.right))
 
-    def taylor_box(self, center, cap):
+    def _dense_box(self, center, cap):
         num = self.left.taylor_box(center, cap)
         den = self.right.taylor_box(center, cap)
         d0 = den[(0,) * self.arity]
@@ -551,6 +613,9 @@ def taylor_coefficients(f: AnalyticFunction, center, degree_cap: int) -> np.ndar
     """Taylor coefficient box a_alpha of f at `center`, |alpha|_inf <= cap.
 
     Shape (degree_cap+1,)*arity; entry alpha is d^alpha f(center)/alpha!.
+    The box is the contraction sum_t outer_j a_tj of f's Taylor terms
+    (`AnalyticFunction.taylor_terms`); a tree that holds a ratio composes
+    dense boxes instead (sums, convolutions and series division).
     """
     if degree_cap < 0:
         raise ConfigError("degree cap must be nonnegative")

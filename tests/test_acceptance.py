@@ -148,7 +148,7 @@ def test_criterion_04_self_adjoint_collapse():
         f = parse(spec)
         system = calculus.lift([h1, h2])
         res = calculus.func_multivariate(f, system)
-        s0, s_mixed, s_full = three = calculus.three_term_split(res)
+        s0, s_mixed, s_full = three = res.s0, res.s_mixed, res.s_full
         scale = linalg.op_norm(res.value)
         worst_split = max(worst_split, linalg.op_norm(s_mixed) / scale,
                           linalg.op_norm(s_full) / scale)

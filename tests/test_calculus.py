@@ -98,26 +98,17 @@ def test_func_univariate_matches_expm():
     assert np.linalg.norm(val - expm(x), 2) <= 1e-9 * max(1.0, np.linalg.norm(expm(x), 2))
 
 
-def test_three_term_split_returns_components():
-    system = calculus.lift([X1, X2])
-    res = calculus.func_multivariate(parse("exp(z1+z2)"), system)
-    s0, s_mixed, s_full = calculus.three_term_split(res)
-    assert np.array_equal(s0, res.s0)
-    assert np.array_equal(s_mixed, res.s_mixed)
-    assert np.array_equal(s_full, res.s_full)
-    # on the golden pair: s0 = e * I, mixed = e (N1 + N2), full = e N1 N2
-    n1 = np.kron(X1 - np.eye(2), np.eye(2))
-    n2 = np.kron(np.eye(2), X2)
-    assert np.linalg.norm(s0 - np.e * np.eye(4), 2) <= 1e-12
-    assert np.linalg.norm(s_mixed - np.e * (n1 + n2), 2) <= 1e-12
-    assert np.linalg.norm(s_full - np.e * (n1 @ n2), 2) <= 1e-12
-
-
 def test_split_sums_to_value_and_r1_convention():
     system = calculus.lift([X1, X2])
     res = calculus.func_multivariate(parse("exp(z1+z2)"), system)
     recon = res.s0 + res.s_mixed + res.s_full
     assert np.linalg.norm(res.value - recon, 2) <= 1e-13 * max(1.0, np.linalg.norm(res.value, 2))
+    # on the golden pair: s0 = e * I, mixed = e (N1 + N2), full = e N1 N2
+    n1 = np.kron(X1 - np.eye(2), np.eye(2))
+    n2 = np.kron(np.eye(2), X2)
+    assert np.linalg.norm(res.s0 - np.e * np.eye(4), 2) <= 1e-12
+    assert np.linalg.norm(res.s_mixed - np.e * (n1 + n2), 2) <= 1e-12
+    assert np.linalg.norm(res.s_full - np.e * (n1 @ n2), 2) <= 1e-12
     # r = 1: no partial-support multi-indices exist
     dec = spectra.decompose(X1)
     one = calculus.func_univariate(parse("exp(z1)"), dec)
@@ -592,3 +583,177 @@ def test_only_specs_without_few_axis_terms_fold_dense_stacks(monkeypatch):
     approx.multivariate_experiment(models, parse("exp(-z1-z2)"), [-1.0, -1.0], contours,
                                    [2, 4, 8])
     assert dense_calls == []
+
+
+# ---------------------------------------------------------------------------
+# Taylor terms: one per-axis coefficient source for the assembly and series
+
+
+def _exp_spec(r, scale=0.3):
+    return "exp(" + "+".join(f"{scale}*z{j + 1}" for j in range(r)) + ")"
+
+
+def _grid_shells(w, ks):
+    """Shell sums over |alpha|_inf = k read from a full index grid."""
+    level = np.maximum.reduce(np.meshgrid(*[np.arange(n) for n in w.shape], indexing="ij"))
+    return np.array([w[level == k].sum() for k in ks])
+
+
+def test_series_shell_bounds_against_the_index_grid():
+    rng = np.random.default_rng(2627)
+    for shape in ((9,), (6, 6), (5, 5, 5)):
+        w = rng.random(shape)
+        assert np.allclose(calculus._box_shells(w, [2, 3, 4]), _grid_shells(w, [2, 3, 4]),
+                           rtol=1e-14, atol=0)
+    # one exp term: the per-axis bound is the box's shell sum; several terms
+    # bound it from above
+    center, radii, ks = [0.2 + 0.1j, -0.3, 0.4j], np.array([0.7, 1.3, 0.9]), [5, 6, 7]
+    for spec, exact in (("exp(0.5*z1-z2+(0.3+0.2j)*z3)", True),
+                        ("prod(sin(z1+z2-z3),poly{(0,0,0):1,(1,1,0):2,(0,0,2):-0.5})", False)):
+        f = parse(spec)
+        scale = radii[:, None] ** np.arange(8.0)
+        rows = np.array([[row[0] for row in term]
+                         for term in f.taylor_terms([np.array([c]) for c in center], 7)])
+        bound = calculus._term_shells(np.abs(rows) * scale, ks)
+        box = np.abs(functions.taylor_coefficients(f, center, 7))
+        shells = _grid_shells(box * functools.reduce(np.multiply.outer, scale), ks)
+        if exact:
+            assert np.allclose(bound, shells, rtol=1e-13, atol=0), spec
+        else:
+            assert np.all(bound >= shells) and np.all(bound < 10 * shells), spec
+
+
+def test_series_on_four_and_five_factors_holds_about_one_result():
+    # the factored series forms no coefficient box and no N x N array per
+    # power: past its one N x N result it holds per-factor pieces
+    for dim, r in ((6, 4), (5, 5)):
+        rng = np.random.default_rng(2621)
+        factors = [synth.random_factor(rng, dim, 3, 3.0) for _ in range(r)]
+        system = calculus.lift(factors, cluster_tol=1e-3 * max(
+            1.0, max(linalg.op_norm(x) for x in factors)))
+        system.decompositions
+        f = parse(_exp_spec(r))
+        out = []
+        t0 = time.perf_counter()
+        peak = _peak_bytes(lambda: out.append(calculus.power_series_apply(f, system)))
+        elapsed = time.perf_counter() - t0
+        n = dim ** r
+        assert peak < 1.5 * 16 * n * n, (dim, r, peak / (16 * n * n))
+        if r == 5:
+            assert elapsed < 1.0
+            continue
+        spectral = calculus.func_multivariate(f, system).value
+        assert linalg.op_norm(out[0] - spectral) <= 1e-12 * linalg.op_norm(spectral)
+
+
+_ORACLE_SHAPE_SPECS = {
+    2: ("exp(z1+z2)", "sin(z1+0.5*z2)", "poly{(1,1): 1, (2,0): 0.25}",
+        "prod(exp(z1), poly{(0,0): 1, (0,1): 1})"),
+    3: ("exp(z1+z2+z3)", "sin(z1+z2-z3)", "poly{(1,1,1): 1, (0,0,2): 0.5}",
+        "prod(exp(z1), poly{(0,0,0): 1, (0,1,1): 1})")}
+
+
+def _oracle_shape_factor(rng, dim, kind):
+    if kind == 0:
+        return np.diag(synth.separated_eigenvalues(rng, dim)).astype(complex)
+    if kind == 1:
+        return synth.random_hermitian(rng, dim, 0.5).astype(complex)
+    if kind == 2:
+        return synth.random_jordan_matrix(rng, dim, 3, 6.0)[0]
+    return synth.random_diagonalizable(rng, dim, 6.0)
+
+
+def test_series_certifies_every_oracle_spec_from_its_terms():
+    # the per-term shell bound is no smaller than the box's shells; it must
+    # still certify the oracle's cases (dims 2..6, four factor families)
+    rng = np.random.default_rng(2623)
+    for r, specs in _ORACLE_SHAPE_SPECS.items():
+        for which, spec in enumerate(specs):
+            f = parse(spec)
+            for case in range(3):
+                factors = [_oracle_shape_factor(rng, int(rng.integers(2, 7)),
+                                                (which + case + j) % 4) for j in range(r)]
+                system = calculus.lift(factors, cluster_tol=1e-3 * max(
+                    1.0, max(linalg.op_norm(x) for x in factors)))
+                series = calculus.power_series_apply(f, system)
+                spectral = calculus.func_multivariate(f, system).value
+                assert linalg.op_norm(series - spectral) <= 1e-9 * (
+                    1.0 + linalg.op_norm(spectral)), (spec, case)
+
+
+def test_ratio_series_keeps_its_dense_box_and_cap(monkeypatch):
+    # a ratio has no Taylor terms: its series reads dense boxes, and the
+    # shell sums taken from slices certify at the cap the index grid did
+    caps = []
+    real = calculus.taylor_coefficients
+    monkeypatch.setattr(calculus, "taylor_coefficients",
+                        lambda f, center, cap: caps.append(cap) or real(f, center, cap))
+    rng = np.random.default_rng(2625)
+    factors = [0.5 * synth.random_jordan_matrix(rng, d, max_index=3, cond=3.0)[0]
+               for d in (3, 2, 4)]
+    system = calculus.lift(factors, cluster_tol=1e-2)
+    assert [max(c.index for c in d.components) for d in system.decompositions] == [3, 2, 3]
+    f = parse("ratio(poly{(0,0,0):1},poly{(0,0,0):4,(1,0,0):-1,(0,1,0):-1,(0,0,1):-1})")
+    series = calculus.power_series_apply(f, system)
+    assert caps == [11, 17]   # caps 8 and 14, each read 3 degrees further
+    spectral = calculus.func_multivariate(f, system).value
+    quad = calculus.dunford_multivariate(f, system, [_enclosing(x) for x in factors])
+    scale = 1.0 + linalg.op_norm(spectral)
+    assert linalg.op_norm(series - spectral) <= 1e-12 * scale
+    assert linalg.op_norm(quad - spectral) <= 1e-10 * scale
+
+
+def test_assembly_takes_its_coefficients_from_one_terms_call(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("per-tuple Taylor box")
+
+    monkeypatch.setattr(calculus, "taylor_coefficients", refuse)
+    rng = np.random.default_rng(2624)
+    for spec, dims in (("prod(sin(z1-z2),poly{(0,0):1,(1,1):0.5})", (5, 4)),
+                       ("exp(0.5*z1-z2+0.3*z3)", (4, 3, 3))):
+        factors = [synth.random_jordan_matrix(rng, d, max_index=3, cond=3.0)[0] for d in dims]
+        system = calculus.lift(factors, cluster_tol=1e-2 * max(linalg.op_norm(x) for x in factors))
+        assert max(c.index for d in system.decompositions for c in d.components) > 1
+        f = parse(spec)
+        calls = []
+        terms = f.taylor_terms
+        f.taylor_terms = lambda centers, cap: calls.append(cap) or terms(centers, cap)
+        quad = calculus.dunford_multivariate(f, system, [_enclosing(x) for x in factors])
+        value = calculus.func_multivariate(f, system).value
+        assert len(calls) == 1, spec
+        assert linalg.op_norm(value - quad) <= 1e-10 * (1.0 + linalg.op_norm(value)), spec
+    # coefficients are zero from each component's index on: an index-3 and an
+    # index-1 component (3 + 1 columns) against an index-2 one (2 columns)
+    # give s0 4*2 entries, s_mixed 3*2*2 + 4*2 and s_full 3*2*2
+    parts = []
+    real = calculus._fold_part
+    monkeypatch.setattr(calculus, "_fold_part", lambda k, *args: parts.append(k) or real(k, *args))
+    x = synth.block_diag([synth.jordan_block(0.2, 3, 0.3), np.array([[0.9]])])
+    system = calculus.lift([x, synth.jordan_block(-0.1, 2, 0.3)], cluster_tol=1e-3)
+    calculus.func_multivariate(parse("exp(z1+z2)"), system)
+    assert [np.count_nonzero(k) for k in parts] == [8, 20, 12]
+    # an index-1 system builds no terms
+    system = calculus.lift([synth.random_hermitian(rng, 4), synth.random_diagonalizable(rng, 3)],
+                           cluster_tol=1e-4)
+    f = parse("exp(z1+z2)")
+    f.taylor_terms = refuse
+    calculus.func_multivariate(f, system)
+
+
+def test_fold_part_takes_the_pair_product_only_where_the_result_dominates(monkeypatch):
+    # the pair product saves multiply-adds per entry of the result but pays
+    # a small product per term: tiny tensors take the column fold
+    pairs = []
+    real = calculus._pair_sum
+    monkeypatch.setattr(calculus, "_pair_sum", lambda a, b: pairs.append(a.shape) or real(a, b))
+    rng = np.random.default_rng(2626)
+    jordan = np.array([[0.3, 1.0], [0.0, 0.3]], dtype=complex)
+    for second, count in ((synth.random_jordan_matrix(rng, 6, max_index=3)[0], 0),
+                          (synth.random_diagonalizable(rng, 64, spread=3.0, min_sep=0.15), 2)):
+        pairs.clear()
+        system = calculus.lift([jordan, second],
+                               cluster_tol=1e-3 * max(1.0, linalg.op_norm(second)))
+        value = calculus.func_multivariate(parse("exp(0.5*z1+z2)"), system).value
+        want = np.kron(expm(0.5 * jordan), expm(second))
+        assert linalg.op_norm(value - want) <= 1e-10 * linalg.op_norm(want)
+        assert len(pairs) == count

@@ -1,3 +1,7 @@
+import functools
+import itertools
+from math import comb, factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,9 +186,10 @@ def test_vectorized_evaluation_matches_scalar():
 
 
 def test_dense_product_box_is_fft_convolved(monkeypatch):
-    # both factor boxes are dense, so the product takes the FFT convolution;
-    # exp(z1 + z2) exp(z1 - z2) = exp(2 z1) has the box 2^k e^(2 c1) / k! on
-    # its first column and zeros elsewhere
+    # a product under which a ratio sits has no Taylor terms, and both factor
+    # boxes are dense, so it takes the FFT convolution; (exp(z1 + z2) / 1)
+    # exp(z1 - z2) = exp(2 z1) has the box 2^k e^(2 c1) / k! on its first
+    # column and zeros elsewhere
     import scipy.signal
 
     calls = []
@@ -198,10 +203,87 @@ def test_dense_product_box_is_fft_convolved(monkeypatch):
     center, cap = [0.3 + 0.1j, -0.2 + 0.4j], 6
     sparser = parse("exp(z1-z2)").taylor_box(center, cap)
     assert np.count_nonzero(sparser) > functions.SPARSE_CONVOLVE_NONZEROS
-    box = parse("prod(exp(z1+z2), exp(z1-z2))").taylor_box(center, cap)
+    box = parse("prod(ratio(exp(z1+z2),poly{(0,0):1}), exp(z1-z2))").taylor_box(center, cap)
     assert calls == [((cap + 1,) * 2, (cap + 1,) * 2)]
     k = np.arange(cap + 1)
     want = np.zeros((cap + 1, cap + 1), dtype=complex)
     want[:, 0] = 2.0 ** k * np.exp(2.0 * center[0]) / np.cumprod(np.maximum(k, 1))
     assert box.shape == want.shape
     assert np.max(np.abs(box - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _dense_reference_box(f, center, cap):
+    """The per-class dense Taylor boxes that came before Taylor terms."""
+    r = f.arity
+    if isinstance(f, functions.Polynomial):
+        box = np.zeros((cap + 1,) * r, dtype=complex)
+        for alpha, c in f.table.items():
+            for beta in itertools.product(*(range(min(a, cap) + 1) for a in alpha)):
+                w = c
+                for j in range(r):
+                    w *= comb(alpha[j], beta[j]) * center[j] ** (alpha[j] - beta[j])
+                box[beta] += w
+        return box
+    if isinstance(f, functions.ExpAffine):
+        box = np.array(np.exp(f.affine(center)), dtype=complex)
+        for c in f.affine.coeffs:
+            box = np.multiply.outer(box, [c ** q / float(factorial(q)) for q in range(cap + 1)])
+        return box
+    if isinstance(f, (functions.SinAffine, functions.CosAffine)):
+        up, dn = (_dense_reference_box(functions.ExpAffine(f.affine.scaled(s), r), center, cap)
+                  for s in (1j, -1j))
+        return (up - dn) / 2j if isinstance(f, functions.SinAffine) else (up + dn) / 2.0
+    a = _dense_reference_box(f.left, center, cap)
+    b = _dense_reference_box(f.right, center, cap)
+    if isinstance(f, functions.Sum):
+        return a + b
+    out = np.zeros_like(a)
+    if isinstance(f, functions.Product):
+        for shift in zip(*np.nonzero(b)):
+            dst = tuple(slice(s, None) for s in shift)
+            src = tuple(slice(0, cap + 1 - s) for s in shift)
+            out[dst] += b[shift] * a[src]
+        return out
+    for alpha in np.ndindex(a.shape):   # ratio: series division
+        low = tuple(slice(0, k + 1) for k in alpha)
+        rev = tuple(slice(k, None, -1) for k in alpha)
+        out[alpha] = (a[alpha] - np.sum(b[low] * out[rev][low])) / b[(0,) * r]
+    return out
+
+
+_BOX_SPECS = ["poly{(0,0):1,(2,1):-0.5,(1,0):2,(3,3):(0.5-1j)}", "exp(2*z1-z2+1)",
+              "sin(z1+0.5j*z2-0.3)", "cos((0.3+0.2j)*z2-1)", "sum(exp(z1),poly{(0,1):3})",
+              "prod(sin(z1+z2),poly{(1,1):1,(0,0):2})", "prod(exp(z1+z2),exp(z1-z2))",
+              "sum(prod(cos(z1-0.3*z2),sum(exp(0.5*z1),sin(z2))),prod(poly{(2,0):1},exp(-z2)))",
+              "ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1,(0,1):-1})",
+              "prod(ratio(exp(z1),poly{(0,0):3,(0,1):1}),sum(sin(z2),poly{(1,1):2}))"]
+
+
+def test_taylor_terms_match_the_dense_boxes():
+    for spec in _BOX_SPECS:
+        f = parse(spec)
+        for center, cap in (((0.3 + 0.1j, -0.2 + 0.4j), 0), ((0.3 + 0.1j, -0.2 + 0.4j), 9),
+                            ((1.5, -2.0), 5)):
+            want = _dense_reference_box(f, center, cap)
+            got = functions.taylor_coefficients(f, center, cap)
+            assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want))), spec
+        # every center of a per-axis grid, from one call
+        axes = [np.array([0.3 + 0.1j, -0.7, 1.2j]), np.array([0.5, -0.4 - 0.2j])]
+        terms = f.taylor_terms(axes, 6)
+        assert (terms is None) == ("ratio" in spec), spec
+        if terms is None:
+            continue
+        for idx in itertools.product(*(range(len(x)) for x in axes)):
+            got = sum(functools.reduce(np.multiply.outer, [row[i] for row, i in zip(term, idx)])
+                      for term in terms)
+            want = _dense_reference_box(f, [x[i] for x, i in zip(axes, idx)], 6)
+            assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want))), spec
+    # exp(z1 - z2) = 1 at (800, 800), though e^800 overflows on either axis alone
+    f = parse("exp(z1-z2)")
+    box = functions.taylor_coefficients(f, (800.0, 800.0), 4)
+    assert np.all(np.isfinite(box))
+    assert np.max(np.abs(box - _dense_reference_box(f, (800.0, 800.0), 4))) <= 1e-14
+    near = [np.array([799.5, 800.0, 800.5])] * 2
+    got = sum(functools.reduce(np.multiply.outer, [row[1] for row in term])
+              for term in f.taylor_terms(near, 4))
+    assert np.all(np.isfinite(got)) and np.max(np.abs(got - box)) <= 1e-14
