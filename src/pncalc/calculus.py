@@ -40,7 +40,7 @@ from .errors import (
     QuadratureError,
     TailBoundError,
 )
-from .functions import AnalyticFunction, taylor_coefficients
+from .functions import AnalyticFunction, taylor_coefficients, terms_box
 from .linalg import KRON_CAP, NodeResolvents, _write_csv, as_matrix, eye_like, op_norm
 from .spectra import Contour, Decomposition, _resolvent_stacks, _triangular_factors, decompose
 
@@ -500,14 +500,17 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
     """Truncated lifted Taylor series sum_alpha a_alpha prod_j (X~_j - c_j)^alpha_j.
 
     The center defaults to the factor-wise mean of the component eigenvalues.
-    An f with Taylor terms, a_alpha = sum_t prod_j a_tj[alpha_j]
-    (`AnalyticFunction.taylor_terms`), is evaluated in factored form,
-    sum_t kron_j p_tj(X_j) with p_tj(X_j) = sum_{q<=cap} a_tj[q] (X_j - c_j)^q,
-    so neither the coefficient box nor an N x N array per power is formed.
+    An f with at most cap + 1 Taylor terms, a_alpha = sum_t prod_j
+    a_tj[alpha_j] (`AnalyticFunction.taylor_terms`), is evaluated in
+    factored form, sum_t kron_j p_tj(X_j) with p_tj(X_j) =
+    sum_{q<=cap} a_tj[q] (X_j - c_j)^q, so neither the coefficient box nor
+    an N x N array per power is formed.  Any other f (a ratio, or a sum of
+    many monomials or products) folds its coefficient box, which costs
+    about (cap + 1) N^2 multiply-adds against N^2 per term.
     The truncation is certified: coefficients are computed three degrees
     past the cap, the discarded shells |alpha|_inf = k are bounded with
     weights prod ||X_j - c_j I||^alpha_j (per term and axis, `_term_shells`;
-    on the dense box of a ratio, `_box_shells`), and a geometric extension
+    on a folded box, `_box_shells`), and a geometric extension
     of the last shell must bring the whole tail under `tail_tol`
     (TailBoundError otherwise).  Polynomials get an exact cap from their
     degree.
@@ -539,16 +542,19 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
         ks = list(range(cap + 1, cap + pad + 1))
         scale = np.array([radius ** np.arange(cap + pad + 1.0) for radius in radii])
         terms = f.taylor_terms([np.array([c]) for c in center], cap + pad)
-        if terms is None:
-            box = taylor_coefficients(f, center, cap + pad)
+        # the factored sum takes about N^2 multiply-adds per term, the box's
+        # fold (cap + 1) N^2
+        factored = terms is not None and len(terms) <= cap + 1
+        if factored:
+            # (terms, r, cap + pad + 1)
+            rows = np.array([[row[0] for row in term] for term in terms])
+            shells = _term_shells(np.abs(rows) * scale, ks)
+        else:
+            box = taylor_coefficients(f, center, cap + pad) if terms is None else terms_box(terms)
             weights = np.abs(box)
             for j in range(r):
                 weights *= scale[j].reshape([-1 if i == j else 1 for i in range(r)])
             shells = _box_shells(weights, ks)
-        else:
-            # (terms, r, cap + pad + 1)
-            rows = np.array([[row[0] for row in term] for term in terms])
-            shells = _term_shells(np.abs(rows) * scale, ks)
         tail = float(np.sum(shells))
         if shells[-1] > 0:
             prev = shells[-2] if len(shells) > 1 else np.inf
@@ -567,7 +573,7 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
                 for k in range(1, cap + 1):
                     pw[k] = pw[k - 1] @ shifted[j]
                 stacks.append(pw)
-            if terms is None:
+            if not factored:
                 core = box[(slice(0, cap + 1),) * r]
                 return _kron_fold(np.ascontiguousarray(core), stacks)
             blocks = [np.tensordot(rows[:, j, :cap + 1], pw, axes=1)

@@ -30,7 +30,7 @@ Multi-indices are plain int tuples throughout.
 """
 from __future__ import annotations
 
-import functools
+import itertools
 import re
 from math import comb, factorial, prod
 
@@ -46,6 +46,9 @@ _DEN_FLOOR = 1e-250
 # factor; FFT convolution leaves a coefficient floor near 1e-17 that stops
 # the power-series tail bound from decaying.
 SPARSE_CONVOLVE_NONZEROS = 8
+# the widest spread of Re(c_j x_j) over the centers of one axis that one
+# Taylor term of exp(c . z + d) covers (`ExpAffine.taylor_terms`)
+_EXP_RUN_SPAN = 32.0
 
 
 def _inv_factorials(cap: int) -> np.ndarray:
@@ -61,19 +64,45 @@ def _inv_factorials(cap: int) -> np.ndarray:
 _INV_FACTORIALS = np.ones(1)
 
 
+def _runs(v: np.ndarray, span: float) -> list[np.ndarray]:
+    """Indices of v in runs of its sorted values, each run spanning at most
+    `span` from its first value; one run when all of v does."""
+    if np.ptp(v) <= span:
+        return [np.arange(len(v))]
+    runs, start = [], None
+    for i in np.argsort(v, kind="stable"):
+        if start is None or v[i] - start > span:
+            runs.append([])
+            start = v[i]
+        runs[-1].append(i)
+    return [np.array(run) for run in runs]
+
+
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise product of truncated series: out[:, k] = sum_q a[:, q] b[:, k - q].
+    """Product of truncated series along the last axis, broadcast over the
+    others: out[..., k] = sum_q a[..., q] b[..., k - q].
 
     Summed over the nonzero columns of the sparser side, so the product is
     exact where one side is a polynomial.
     """
-    if np.count_nonzero(a.any(axis=0)) < np.count_nonzero(b.any(axis=0)):
-        a, b = b, a
-    out = np.zeros_like(a)
-    width = a.shape[1]
-    for q in np.flatnonzero(b.any(axis=0)):
-        out[:, q:] += b[:, q, None] * a[:, :width - q]
+    used_a, used_b = (np.flatnonzero(x.reshape(-1, x.shape[-1]).any(axis=0)) for x in (a, b))
+    if used_a.size < used_b.size:
+        a, b, used_b = b, a, used_a
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    width = a.shape[-1]
+    for q in used_b:
+        out[..., q:] += b[..., q, None] * a[..., :width - q]
     return out
+
+
+def terms_box(terms) -> np.ndarray:
+    """The coefficient box sum_t outer_j terms[t][j][0] of Taylor terms at
+    the first center of each axis."""
+    rows = np.array([[row[0] for row in term] for term in terms])   # (terms, axes, cap + 1)
+    box = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        box = box[..., None] * rows[:, j].reshape(len(rows), *(1,) * j, -1)
+    return box.sum(axis=0)
 
 
 def as_multi_index(alpha, arity: int) -> tuple[int, ...]:
@@ -157,7 +186,7 @@ class AnalyticFunction:
         terms = self.taylor_terms([np.array([c], dtype=complex) for c in center], cap)
         if terms is None:
             return self._dense_box(center, cap)
-        return sum(functools.reduce(np.multiply.outer, [row[0] for row in term]) for term in terms)
+        return terms_box(terms)
 
     def partial(self, j: int) -> "AnalyticFunction":
         if not 0 <= j < self.arity:
@@ -272,19 +301,18 @@ class Polynomial(AnalyticFunction):
         return Polynomial(out, self.arity)
 
     def taylor_terms(self, centers, cap):
-        # z^a = sum_q comb(a, q) x^(a - q) (z - x)^q about x
-        terms = []
-        for alpha, c in self.table.items():
-            rows = []
-            for x, a in zip(centers, alpha):
-                q = np.arange(min(a, cap) + 1)
-                row = np.zeros((len(x), cap + 1), dtype=complex)
-                row[:, :q.size] = (np.array([float(comb(a, k)) for k in range(q.size)])
-                                   * np.asarray(x, dtype=complex)[:, None] ** (a - q))
-                rows.append(row)
-            rows[0] *= c
-            terms.append(rows)
-        return terms
+        # z^a = sum_q comb(a, q) x^(a - q) (z - x)^q about x, for every
+        # monomial and center of an axis at once
+        alphas = np.array(list(self.table), dtype=int)
+        binom = np.array([[comb(a, k) for k in range(cap + 1)] for a in range(alphas.max() + 1)],
+                         dtype=float)
+        q = np.arange(cap + 1)
+        axes = []
+        for x, a in zip(centers, alphas.T):
+            x = np.asarray(x, dtype=complex)
+            axes.append(binom[a][:, None] * x[:, None] ** np.maximum(a[:, None] - q, 0)[:, None])
+        axes[0] *= np.array(list(self.table.values()), dtype=complex)[:, None, None]
+        return [list(rows) for rows in zip(*axes)]
 
     def max_degree(self):
         return tuple(max(a[j] for a in self.table) for j in range(self.arity))
@@ -361,18 +389,27 @@ class ExpAffine(_AffineTranscendental):
 
     def taylor_terms(self, centers, cap):
         # exp(c . z + d) = exp(c . m + d) prod_j exp(c_j (x_j - m_j)) exp(c_j (z_j - x_j))
-        # about x, with m_j the mean of axis j's centers: at one center per
-        # axis the rows are c_j^q / q! and the scalar is f(x), so no factor
-        # overflows where f is finite
+        # about x.  Each axis's centers are split into runs over which
+        # Re(c_j x_j) spans at most _EXP_RUN_SPAN, with one term per tuple of
+        # runs, m_j the mean of its run on axis j and its rows 0 off the runs.
+        # One mean for a whole axis could overflow a row where f is finite;
+        # within a run a row is at most e^span off c_j^q / q! and the scalar
+        # at most e^(r span) off f, so the products stay in range wherever
+        # |log |f|| < 709 - 2 r span.  At one center per axis the rows are
+        # c_j^q / q! and the scalar is f(x).
+        coeffs = self.affine.coeffs
         centers = [np.asarray(x, dtype=complex) for x in centers]
-        means = [x.mean() for x in centers]
-        q = np.arange(cap + 1)
-        inv = _inv_factorials(cap)
-        rows = [np.multiply.outer(np.exp(c * (x - m)), c ** q * inv)
-                for c, x, m in zip(self.affine.coeffs, centers, means)]
-        rows[0] *= np.exp(sum(c * m for c, m in zip(self.affine.coeffs, means))
-                          + self.affine.const)
-        return [rows]
+        powers = [c ** np.arange(cap + 1) * _inv_factorials(cap) for c in coeffs]
+        runs = [_runs((c * x).real, _EXP_RUN_SPAN) for c, x in zip(coeffs, centers)]
+        terms = []
+        for pick in itertools.product(*runs):
+            means = [x[run].mean() for x, run in zip(centers, pick)]
+            rows = [np.zeros((len(x), cap + 1), dtype=complex) for x in centers]
+            for row, c, x, run, m, p in zip(rows, coeffs, centers, pick, means, powers):
+                row[run] = np.multiply.outer(np.exp(c * (x[run] - m)), p)
+            rows[0] *= np.exp(sum(c * m for c, m in zip(coeffs, means)) + self.affine.const)
+            terms.append(rows)
+        return terms
 
     def _partial(self, j):
         return Product(Polynomial({(0,) * self.arity: self.affine.coeffs[j]}, self.arity), self)
@@ -491,7 +528,11 @@ class Product(_Binary):
         right = None if left is None else self.right.taylor_terms(centers, cap)
         if right is None:
             return None
-        return [[_convolve_rows(a, b) for a, b in zip(s, t)] for s in left for t in right]
+        # every pair of terms at once, (left term, right term, center, power) per axis
+        axes = [_convolve_rows(np.stack([s[j] for s in left])[:, None],
+                               np.stack([t[j] for t in right])[None])
+                for j in range(self.arity)]
+        return [list(rows) for rows in zip(*(a.reshape(-1, *a.shape[2:]) for a in axes))]
 
     def _partial(self, j):
         return Sum(Product(self.left.partial(j), self.right),

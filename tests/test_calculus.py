@@ -740,6 +740,46 @@ def test_assembly_takes_its_coefficients_from_one_terms_call(monkeypatch):
     calculus.func_multivariate(f, system)
 
 
+def test_assembly_of_a_stiff_exp_over_a_wide_spectrum():
+    # Re(-10 z1) spans 1500 over the eigenvalues {0 (index 2), 150}: every
+    # coefficient stays finite, and the Jordan block's e^0 (1 - 10 N) survives
+    x1 = synth.block_diag([synth.jordan_block(0.0, 2, 1.0), np.array([[150.0]])])
+    x2 = synth.jordan_block(1.0, 2, 1.0)
+    for spec, factors, want in (
+            ("exp(-10*z1)", [x1], expm(-10 * x1)),
+            ("exp(-10*z1+0.5*z2)", [x1, x2], np.kron(expm(-10 * x1), expm(0.5 * x2)))):
+        value = calculus.func_multivariate(parse(spec), calculus.lift(factors)).value
+        assert np.all(np.isfinite(value)), spec
+        assert linalg.op_norm(value - want) <= 1e-13 * linalg.op_norm(want), spec
+
+
+def test_series_folds_the_box_of_a_spec_with_more_terms_than_powers(monkeypatch):
+    # the factored sum costs about N^2 per Taylor term and the box's fold
+    # (cap + 1) N^2: a degree-4 polynomial with 15 monomials folds its box,
+    # and an exp (one term) or a product of two sums (9 terms) is factored
+    routes = []
+    for name in ("_kron_fold", "_kron_sum"):
+        real = getattr(calculus, name)
+        monkeypatch.setattr(calculus, name,
+                            functools.partial(lambda real, name, *a: routes.append(name)
+                                              or real(*a), real, name))
+    dense = "poly{" + ",".join(f"({i},{j}):{(i + 2 * j + 1) / 10}"
+                               for i in range(5) for j in range(5 - i)) + "}"
+    rng = np.random.default_rng(2628)
+    factors = [0.5 * synth.random_jordan_matrix(rng, d, max_index=3, cond=3.0)[0]
+               for d in (5, 4)]
+    system = calculus.lift(factors, cluster_tol=1e-2)
+    for spec, route in ((dense, "_kron_fold"), ("exp(0.3*z1-0.2*z2)", "_kron_sum"),
+                        ("prod(sum(exp(z1),cos(z1-z2)),sum(sin(0.5*z2),poly{(1,1):2}))",
+                         "_kron_sum")):
+        f = parse(spec)
+        routes.clear()
+        series = calculus.power_series_apply(f, system)
+        assert routes[0] == route, spec
+        spectral = calculus.func_multivariate(f, system).value
+        assert linalg.op_norm(series - spectral) <= 1e-12 * (1.0 + linalg.op_norm(spectral)), spec
+
+
 def test_fold_part_takes_the_pair_product_only_where_the_result_dominates(monkeypatch):
     # the pair product saves multiply-adds per entry of the result but pays
     # a small product per term: tiny tensors take the column fold

@@ -287,3 +287,21 @@ def test_taylor_terms_match_the_dense_boxes():
     got = sum(functools.reduce(np.multiply.outer, [row[1] for row in term])
               for term in f.taylor_terms(near, 4))
     assert np.all(np.isfinite(got)) and np.max(np.abs(got - box)) <= 1e-14
+
+
+def test_exp_taylor_terms_split_a_wide_axis_into_runs():
+    # Re(-10 z1) spans 4000 over these centers, past the float exponent
+    # range: e^(c (x - m)) about one mean would overflow on one side and
+    # underflow on the other, so each run of the axis gets its own term
+    f = parse("exp(-10*z1+0.5*z2+1)")
+    axes = [np.array([0.0, 150.0, 0.3 + 0.2j, 400.0, 151.0]), np.array([1.0, -2.0 + 1j])]
+    terms = f.taylor_terms(axes, 3)
+    assert len(terms) == 3   # runs {0, 0.3 + 0.2j}, {150, 151}, {400}
+    for idx in itertools.product(*(range(len(x)) for x in axes)):
+        got = sum(functools.reduce(np.multiply.outer, [row[i] for row, i in zip(term, idx)])
+                  for term in terms)
+        want = _dense_reference_box(f, [x[i] for x, i in zip(axes, idx)], 3)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want))), idx
+    # one run per axis: one term, its scalar f at the axes' means
+    assert len(f.taylor_terms([np.array([0.0, 3.0]), np.array([1.0])], 3)) == 1
