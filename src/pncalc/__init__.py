@@ -83,7 +83,6 @@ from .approx import (
     lowest_cluster_contour,
     multivariate_experiment,
     perturbation_experiment,
-    reference_eigenvalues,
     regularization_sweep,
     resolvent_error,
     write_convergence_csv,
@@ -112,8 +111,7 @@ __all__ = [
     "RegularizationReport", "build_model", "compress", "default_probes",
     "error_constant", "error_constant_multi", "level_experiment",
     "lowest_cluster_contour", "multivariate_experiment",
-    "perturbation_experiment", "reference_eigenvalues",
-    "regularization_sweep", "resolvent_error", "write_convergence_csv",
-    "write_regularization_csv",
+    "perturbation_experiment", "regularization_sweep", "resolvent_error",
+    "write_convergence_csv", "write_regularization_csv",
     "__version__",
 ]

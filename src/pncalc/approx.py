@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import string
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -54,10 +56,8 @@ from .calculus import (
     _SLAB_ENTRIES,
     _axis_rows,
     _check_node_tuples,
-    _kron_fold,
     _kron_sum,
     _node_coeffs,
-    _node_fold,
 )
 from .errors import (
     ClusterSeparationError,
@@ -290,10 +290,6 @@ def _check_z0(model: OperatorModel, point: TruncationPoint, z0: complex) -> None
                 f"z0={z0} is at distance {d:.3f} < 1 from the {label} spectrum")
 
 
-def reference_eigenvalues(model: OperatorModel) -> np.ndarray:
-    return np.sort_complex(model.eigenvalues)
-
-
 def lowest_cluster_contour(model: OperatorModel, k: int,
                            nodes: int = 64) -> Contour:
     """Circle around the k lowest (by real part) reference eigenvalues.
@@ -447,94 +443,56 @@ def _relative_change(a: float, b: float) -> float:
     return abs(a - b) / max(a, 1e-12)
 
 
-def _padded_fold(f: AnalyticFunction, stacks, dims) -> np.ndarray:
-    """The node fold of the resolvents of blockdiag(X_jn, 0) at sizes `dims`,
-    from the resolvents of the X_jn, without forming the padded stacks.
+def _padded_sum(blocks, scalars, dims) -> np.ndarray:
+    """sum over terms t of kron_j blockdiag(blocks[j][t], scalars[j][t] I)
+    at sizes `dims`, without forming the padded blocks.
 
-    A padded resolvent is R_jn(z) on the leading block plus z^{-1} on the
-    padding diagonal, so the fold splits into disjoint blocks, one per set of
-    factors read on their padding: those factors are identities there, and
-    the node coefficients take z^{-1} along them.  One factor is contracted
-    (`_pad`); several are folded from their dense stacks.  This is the fold
-    of an f without axis terms: `_fold_and_reads` pads and folds the
-    contracted blocks of the others term by term.
+    The sum splits into disjoint blocks, one per set of factors read on
+    their padding: those factors are identities there, their scalars scale
+    each term, and the others keep their blocks at the unpadded size.  The
+    contracted block of a padded resolvent blockdiag(R_n(z), z^{-1} I) over
+    coefficients c has the scalar sum_k c_k / z_k.
     """
-    coeffs = _node_coeffs(f, stacks)
-    if len(stacks) == 1:
-        [(zs, _, rs)] = stacks
-        return _pad(rs.contract([coeffs])[0][0], coeffs, zs, dims[0])
-    r = len(stacks)
-    dense = [np.asarray(rs) for _, _, rs in stacks]
-    sizes = [rs.shape[1] for rs in dense]
+    blocks = [np.asarray(b) for b in blocks]
+    sizes = [b.shape[1] for b in blocks]
+    ones = np.ones(len(blocks[0]))
     out = np.zeros(tuple(dims) * 2, dtype=complex)
-    for on_pad in itertools.product((False, True), repeat=r):
-        kept = [j for j in range(r) if not on_pad[j]]
-        padded = [j for j in range(r) if on_pad[j]]
-        c = coeffs
-        for j in padded:
-            c = np.sum(c * _on_axis(1.0 / stacks[j][0], j, r), axis=j, keepdims=True)
-        block = _kron_fold(c, [np.ones((1, 1, 1)) if on_pad[j] else dense[j]
-                               for j in range(r)])
-        # index arrays on 2 axes per kept factor (row, column) and one shared
-        # axis per padded factor (its diagonal)
-        axes = 2 * len(kept) + len(padded)
-        rows, cols = [None] * r, [None] * r
-        for k, j in enumerate(kept):
-            rows[j] = _on_axis(np.arange(sizes[j]), k, axes)
-            cols[j] = _on_axis(np.arange(sizes[j]), len(kept) + k, axes)
-        for k, j in enumerate(padded):
-            rows[j] = cols[j] = _on_axis(np.arange(sizes[j], dims[j]), 2 * len(kept) + k, axes)
-        out[tuple(rows + cols)] = block.reshape([sizes[j] for j in kept] * 2
-                                                + [1] * len(padded))
-    dim = int(np.prod(dims))
-    return out.reshape(dim, dim)
-
-
-def _on_axis(a: np.ndarray, axis: int, axes: int) -> np.ndarray:
-    return a.reshape([-1 if i == axis else 1 for i in range(axes)])
-
-
-def _pad(block: np.ndarray, coeffs: np.ndarray, zs: np.ndarray, dim: int) -> np.ndarray:
-    """blockdiag(block, (sum_k c_k / z_k) I) at size `dim`: the one-factor
-    fold of a padded resolvent, read on its leading block and its padding."""
-    n = block.shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    out[:n, :n] = block
-    pad = np.arange(n, dim)
-    out[pad, pad] = np.sum(coeffs * (1.0 / zs))
-    return out
+    rows = string.ascii_lowercase[:len(blocks)]
+    for on_pad in itertools.product((False, True), repeat=len(blocks)):
+        kept = [j for j, p in enumerate(on_pad) if not p]
+        scale = math.prod((s for s, p in zip(scalars, on_pad) if p), start=ones)
+        block = (_kron_sum([blocks[kept[0]] * scale[:, None, None]]
+                           + [blocks[j] for j in kept[1:]]) if kept else scale.sum())
+        # the part of `out` on each factor's leading block or padding, viewed
+        # with a padded factor's rows and columns on one axis (its diagonal):
+        # einsum returns that diagonal as a writeable view
+        part = out[tuple(slice(n, None) if p else slice(n) for n, p in zip(sizes, on_pad)) * 2]
+        cols = "".join(c if p else c.upper() for c, p in zip(rows, on_pad))
+        view = np.einsum(f"{rows}{cols}->{rows}" + "".join(filter(str.isupper, cols)), part)
+        view[...] = block.reshape([1 if p else n for n, p in zip(sizes, on_pad)]
+                                  + [sizes[j] for j in kept])
+    return out.reshape(math.prod(dims), -1)
 
 
 def _fold_and_reads(f: AnalyticFunction, stacks, strides, dims=None):
-    """(fold, projectors, sups) of one matrix per factor: the node fold of f
-    (padded to `dims` when given), each factor's quadrature projector
-    sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th node.
+    """(fold, projectors, sups) of one matrix per factor (one or two): the
+    node fold of f (padded to `dims` when given), each factor's quadrature
+    projector sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th
+    node.
 
     Each factor takes one contraction pass, whose rows are the projector's
-    weights and, with one factor, the node coefficients of f, or with
-    several, the rows of f's axis terms (`calculus._axis_rows`); the fold is
-    then sum_t kron_j of the contracted (padded) blocks.  Several factors of
-    an f without axis terms are folded from the dense stacks.
+    weights and the coefficient rows of `calculus._axis_rows`; the fold is
+    then sum_t kron_j of the contracted blocks, padded by `_padded_sum`.
     """
-    if len(stacks) == 1:
-        [(zs, w, rs)] = stacks
-        coeffs = _node_coeffs(f, stacks)
-        (p, fold), sup = rs.contract([w, coeffs], strides[0])
-        if dims is not None:
-            fold = _pad(fold, coeffs, zs, dims[0])
-        return fold, [p], [sup]
     rows = _axis_rows(f, stacks)
-    term_rows = [[]] * len(stacks) if rows is None else rows
-    reads = [rs.contract([w, *r], k) for r, (_, w, rs), k in zip(term_rows, stacks, strides)]
+    reads = [rs.contract([w, *r], k) for r, (_, w, rs), k in zip(rows, stacks, strides)]
     projectors, sups = [sums[0] for sums, _ in reads], [sup for _, sup in reads]
-    if rows is None:
-        fold = _node_fold(f, stacks) if dims is None else _padded_fold(f, stacks, dims)
-        return fold, projectors, sups
     blocks = [sums[1:] for sums, _ in reads]
-    if dims is not None:
-        blocks = [[_pad(b, c, zs, dim) for b, c in zip(bs, r)]
-                  for bs, r, (zs, _, _), dim in zip(blocks, rows, stacks, dims)]
-    return _kron_sum(blocks), projectors, sups
+    if dims is None:
+        return _kron_sum(blocks), projectors, sups
+    scalars = [np.array([np.sum(c * (1.0 / zs)) for c in r])
+               for r, (zs, _, _) in zip(rows, stacks)]
+    return _padded_sum(blocks, scalars, dims), projectors, sups
 
 
 def _cluster_basis(projector: np.ndarray, eigenvalues, contour: Contour,

@@ -13,11 +13,12 @@ Three independent routes compute it:
   ledgered and split into s0 (alpha = 0), s_mixed and s_full parts;
 * dunford_multivariate: iterated contour quadrature of
   f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened factorization
-  per factor (`linalg.NodeResolvents`).  Function nodes know their axis
-  terms, f = sum_t prod_j g_tj(z_j) (`AnalyticFunction.axis_terms`), so
-  the sum over node tuples is sum_t kron_j of one-factor contractions;
-  ratios, and specs with more terms than a factor has nodes, are folded
-  over the node tuples;
+  per factor (`linalg.NodeResolvents`).  The order-0 column of f's Taylor
+  terms on the nodes is f = sum_t prod_j g_tj(z_j)
+  (`AnalyticFunction.taylor_terms`), so the sum over node tuples is
+  sum_t kron_j of one-factor contractions; at two factors a ratio, or a
+  spec with more terms than a factor has nodes, takes one term per
+  first-factor node, and at three it is folded over the node tuples;
 * power_series_apply: a truncated lifted Taylor series about a factor-wise
   center, with a certified tail bound.
 
@@ -41,7 +42,7 @@ from .errors import (
     TailBoundError,
 )
 from .functions import AnalyticFunction, taylor_coefficients, terms_box
-from .linalg import KRON_CAP, NodeResolvents, _write_csv, as_matrix, eye_like, op_norm
+from .linalg import KRON_CAP, _write_csv, as_matrix, eye_like, op_norm
 from .spectra import Contour, Decomposition, _resolvent_stacks, _triangular_factors, decompose
 
 _DOUBLING_TOL = 1e-10
@@ -164,10 +165,12 @@ def _pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _kron_sum(blocks) -> np.ndarray:
     """sum over terms t of kron_j blocks[j][t], from one sequence of square
-    blocks per factor (two or more factors, equal term counts)."""
-    *head, last = [np.asarray(b) for b in blocks]
-    left = head[0]
-    for b in head[1:]:
+    blocks per factor (equal term counts)."""
+    left, *rest = [np.asarray(b) for b in blocks]
+    if not rest:
+        return left.sum(axis=0)
+    *mid, last = rest
+    for b in mid:
         t, a, d = left.shape[0], left.shape[1], b.shape[1]
         left = (left[:, :, None, :, None] * b[:, None, :, None, :]).reshape(t, a * d, a * d)
     return _pair_sum(left, last)
@@ -386,45 +389,48 @@ def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
 
 
 def _axis_rows(f: AnalyticFunction, stacks):
-    """Per factor, the coefficient rows w * g_tj of f's axis terms on its
-    nodes, from one (nodes, weights, resolvents) per factor; None when f has
-    no axis terms, or more terms than the smallest factor has nodes: the
-    node-tuple coefficients are a sum of at most that many products, so
-    more terms only add work to the dense fold's.
+    """Per factor, coefficient rows c_tj on its nodes, from one (nodes,
+    weights, resolvents) per factor, such that the node-tuple coefficients
+    f(z) prod_j w_j are sum_t prod_j c_tj: the node fold is then
+    sum_t kron_j (sum_k c_tj[k] R_j(z_k)).
+
+    With several factors the rows are w_j g_tj(z_j), the order-0 column of
+    f's Taylor terms on the nodes (`AnalyticFunction.taylor_terms`).  One
+    factor, and two factors of an f without terms or with more terms than
+    the smallest factor has nodes, take the node coefficients themselves:
+    the second factor takes row k of them and the first the unit row e_k,
+    one term per first-factor node.  None for three such factors.
     """
-    terms = f.axis_terms([zs for zs, _, _ in stacks])
-    if terms is None or len(terms) > min(zs.size for zs, _, _ in stacks):
-        return None
-    return [[w * term[j] for term in terms] for j, (_, w, _) in enumerate(stacks)]
+    if len(stacks) > 1:
+        terms = f.taylor_terms([zs for zs, _, _ in stacks], 0)
+        if terms is not None and len(terms) <= min(zs.size for zs, _, _ in stacks):
+            return [[w * term[j][:, 0] for term in terms] for j, (_, w, _) in enumerate(stacks)]
+        if len(stacks) > 2:
+            return None
+    coeffs = _node_coeffs(f, stacks)
+    return [[coeffs]] if len(stacks) == 1 else [np.eye(len(coeffs)), coeffs]
 
 
 def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
     """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
-    (nodes, weights, resolvents) per factor.
+    (nodes, weights, NodeResolvents) per factor.
 
-    One factor's NodeResolvents are contracted with the node coefficients.
-    With several factors and f = sum_t prod_j g_tj(z_j) (`_axis_rows`) the
-    sum is sum_t kron_j (sum_k w_k g_tj(z_k) R_j(z_k)): each factor takes
-    one contraction pass, and no node-tuple grid or dense stack is formed.
-    Other f are folded from the dense stacks; three factors take their
-    coefficients one first-factor node at a time, so the nodes^3 tensor
-    (4 MB at 64 nodes) and the temporaries of its evaluation are never
-    formed, and f is evaluated elementwise, so each slab has the bits of the
-    whole tensor's slab.
+    Each factor takes one contraction pass over the rows of `_axis_rows`,
+    and the fold is the Kronecker sum of the contracted blocks; no
+    node-tuple grid or dense stack is formed.  Three factors of an f
+    without terms, or with more than a factor has nodes, are folded from
+    the dense stacks, their coefficients taken one first-factor node at a
+    time, so the nodes^3 tensor (4 MB at 64 nodes) and the temporaries of
+    its evaluation are never formed, and f is evaluated elementwise, so
+    each slab has the bits of the whole tensor's slab.
     """
+    rows = _axis_rows(f, stacks)
+    if rows is not None:
+        return _kron_sum([rs.contract(r)[0] for r, (_, _, rs) in zip(rows, stacks)])
     [(zs, w, first), *rest] = stacks
-    if all(isinstance(rs, NodeResolvents) for _, _, rs in stacks):
-        if not rest:
-            return first.contract([_node_coeffs(f, stacks)])[0][0]
-        rows = _axis_rows(f, stacks)
-        if rows is not None:
-            return _kron_sum([rs.contract(r)[0] for r, (_, _, rs) in zip(rows, stacks)])
-    dense = [np.asarray(rs) for _, _, rs in stacks]
-    if len(stacks) < 3:
-        return _kron_fold(_node_coeffs(f, stacks), dense)
     slabs = (_node_coeffs(f, [(zs[i:i + 1], w[i:i + 1], first), *rest])[0]
              for i in range(zs.size))
-    return _kron_fold(slabs, dense)
+    return _kron_fold(slabs, [np.asarray(rs) for _, _, rs in stacks])
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
@@ -434,10 +440,11 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
 
     Node tuples are capped at `budget` (cost guard).  Each factor is
     factored once, at its own dimension, for all node counts.  An f with
-    axis terms f = sum_t prod_j g_tj(z_j) is folded as
+    Taylor terms, f = sum_t prod_j g_tj(z_j) on the nodes, is folded as
     sum_t kron_j (sum_k w_k g_tj(z_k) R_j(z_k)), one contraction pass per
-    factor; a ratio, or an f with more terms than the smallest factor has
-    nodes, is folded over the node tuples (`_node_fold`).
+    factor; at two factors a ratio, or an f with more terms than the
+    smallest factor has nodes, takes one term per first-factor node, and at
+    three it is folded over the node tuples (`_node_fold`).
     """
     r = system.rank
     if f.arity != r:
@@ -576,9 +583,8 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
             if not factored:
                 core = box[(slice(0, cap + 1),) * r]
                 return _kron_fold(np.ascontiguousarray(core), stacks)
-            blocks = [np.tensordot(rows[:, j, :cap + 1], pw, axes=1)
-                      for j, pw in enumerate(stacks)]
-            return blocks[0].sum(axis=0) if r == 1 else _kron_sum(blocks)
+            return _kron_sum([np.tensordot(rows[:, j, :cap + 1], pw, axes=1)
+                              for j, pw in enumerate(stacks)])
     raise TailBoundError(
         f"power series tail {last_tail:.3e} not certified below {tail_tol:g} "
         f"within degree cap {caps[-1]}")

@@ -3,23 +3,21 @@
 The builtin family is a tiny closed expression algebra: polynomials in
 coefficient-table form, exp/sin/cos of affine combinations, ratios of
 polynomials with declared (per-variable) pole sets, plus sums and products.
-Every node knows four things the calculus needs:
+Every node knows three things the calculus needs:
 
 * vectorized evaluation,
 * its Taylor terms (`taylor_terms`): the Taylor coefficients
   d^alpha f / alpha! at a center, as a finite sum of products of one
-  per-axis coefficient vector each, for every center of a per-axis grid;
-  the one source of derivative coefficients for the spectral assembly, the
-  power-series route and `mixed_partial`.  A tree holding a ratio has none
-  and keeps a dense coefficient box (series shift, convolution and
-  division),
-* declared poles along each variable, for the analyticity checks,
-* its axis terms: f as a finite sum of products of one-variable functions,
-  f = sum_t prod_j g_tj(z_j), evaluated on per-axis nodes (`axis_terms`).
-  A polynomial has one term per monomial, exp of an affine argument one,
-  sin and cos two; sums concatenate terms and products multiply them
-  pairwise.  Ratios have none.  The multivariate quadrature folds such an f
-  factor by factor instead of on the grid of node tuples.
+  per-axis coefficient vector each, for every center of a per-axis grid.
+  A polynomial has one term per monomial, exp of an affine argument one
+  (more on an axis whose centers spread widely), sin and cos two; sums
+  concatenate terms and products pair them.  They are the one per-axis form
+  of f: the spectral assembly, the power-series route and `mixed_partial`
+  read its derivative coefficients, and the multivariate quadrature reads
+  f = sum_t prod_j g_tj(z_j) on its nodes as the order-0 column.  A tree
+  holding a ratio has none and keeps a dense coefficient box (series
+  shift, convolution and division),
+* declared poles along each variable, for the analyticity checks.
 
 A Cauchy-integral route computes mixed partials by iterated contour
 quadrature with a node-doubling certificate; it exists so the Taylor boxes
@@ -64,11 +62,12 @@ def _inv_factorials(cap: int) -> np.ndarray:
 _INV_FACTORIALS = np.ones(1)
 
 
-def _runs(v: np.ndarray, span: float) -> list[np.ndarray]:
+def _runs(v: np.ndarray, span: float) -> list[np.ndarray | slice]:
     """Indices of v in runs of its sorted values, each run spanning at most
-    `span` from its first value; one run when all of v does."""
+    `span` from its first value; one run, all of v as slice(None), when all
+    of v does."""
     if np.ptp(v) <= span:
-        return [np.arange(len(v))]
+        return [slice(None)]
     runs, start = [], None
     for i in np.argsort(v, kind="stable"):
         if start is None or v[i] - start > span:
@@ -151,16 +150,6 @@ class AnalyticFunction:
 
     def max_degree(self):
         """Per-variable degree bound tuple, or None for transcendental nodes."""
-        return None
-
-    def axis_terms(self, zs) -> list[list[np.ndarray]] | None:
-        """f as a sum of products of one-variable functions on per-axis nodes.
-
-        `zs` holds one 1-D node array per variable.  The result lists, per
-        term t, the values g_tj(zs[j]) for every axis j, with the term's
-        scalar on axis 0, so that f(z_1, .., z_r) = sum_t prod_j g_tj(z_j)
-        on every node tuple; None when f is not separable this way.
-        """
         return None
 
     def taylor_terms(self, centers, cap: int) -> list[list[np.ndarray]] | None:
@@ -287,11 +276,6 @@ class Polynomial(AnalyticFunction):
             acc = acc + term
         return acc + np.zeros(np.broadcast_shapes(*(np.shape(p) for p in pt)), dtype=complex)
 
-    def axis_terms(self, zs):
-        zs = [np.asarray(z, dtype=complex) for z in zs]
-        return [[c * zs[0] ** alpha[0], *(z ** a for z, a in zip(zs[1:], alpha[1:]))]
-                for alpha, c in self.table.items()]
-
     def _partial(self, j):
         out = {}
         for alpha, c in self.table.items():
@@ -380,13 +364,6 @@ class ExpAffine(_AffineTranscendental):
     def _eval(self, pt):
         return np.exp(self.affine(pt))
 
-    def axis_terms(self, zs):
-        # exp(c . z + d) = exp(c_1 z_1 + d) prod_{j > 1} exp(c_j z_j)
-        c = self.affine.coeffs
-        zs = [np.asarray(z, dtype=complex) for z in zs]
-        return [[np.exp(c[0] * zs[0] + self.affine.const),
-                 *(np.exp(cj * z) for cj, z in zip(c[1:], zs[1:]))]]
-
     def taylor_terms(self, centers, cap):
         # exp(c . z + d) = exp(c . m + d) prod_j exp(c_j (x_j - m_j)) exp(c_j (z_j - x_j))
         # about x.  Each axis's centers are split into runs over which
@@ -399,15 +376,19 @@ class ExpAffine(_AffineTranscendental):
         # c_j^q / q! and the scalar is f(x).
         coeffs = self.affine.coeffs
         centers = [np.asarray(x, dtype=complex) for x in centers]
-        powers = [c ** np.arange(cap + 1) * _inv_factorials(cap) for c in coeffs]
+        q = np.arange(cap + 1)
+        powers = [c ** q * _inv_factorials(cap) for c in coeffs]
         runs = [_runs((c * x).real, _EXP_RUN_SPAN) for c, x in zip(coeffs, centers)]
         terms = []
         for pick in itertools.product(*runs):
-            means = [x[run].mean() for x, run in zip(centers, pick)]
-            rows = [np.zeros((len(x), cap + 1), dtype=complex) for x in centers]
-            for row, c, x, run, m, p in zip(rows, coeffs, centers, pick, means, powers):
-                row[run] = np.multiply.outer(np.exp(c * (x[run] - m)), p)
-            rows[0] *= np.exp(sum(c * m for c, m in zip(coeffs, means)) + self.affine.const)
+            rows, exponent = [], 0
+            for c, x, run, p in zip(coeffs, centers, pick, powers):
+                m = x[run].mean()
+                row = np.zeros((len(x), cap + 1), dtype=complex)
+                row[run] = np.exp(c * (x[run] - m))[:, None] * p
+                rows.append(row)
+                exponent += c * m
+            rows[0] *= np.exp(exponent + self.affine.const)
             terms.append(rows)
         return terms
 
@@ -423,16 +404,13 @@ class _Trigonometric(_AffineTranscendental):
         return [(ExpAffine(self.affine.scaled(s), self.arity), w)
                 for s, w in zip((1j, -1j), self._weights)]
 
-    def axis_terms(self, zs):
-        return [t for e, w in self._exp_parts() for t in _scaled_terms(e.axis_terms(zs), w)]
-
     def taylor_terms(self, centers, cap):
         return [t for e, w in self._exp_parts()
                 for t in _scaled_terms(e.taylor_terms(centers, cap), w)]
 
 
 def _scaled_terms(terms, s):
-    """Axis or Taylor terms times the scalar s, which goes on axis 0."""
+    """Taylor terms times the scalar s, which goes on axis 0."""
     return [[s * term[0], *term[1:]] for term in terms]
 
 
@@ -485,12 +463,6 @@ class Sum(_Binary):
     def _eval(self, pt):
         return self.left._eval(pt) + self.right._eval(pt)
 
-    def axis_terms(self, zs):
-        left, right = self.left.axis_terms(zs), self.right.axis_terms(zs)
-        if left is None or right is None:
-            return None
-        return left + right
-
     def taylor_terms(self, centers, cap):
         left = self.left.taylor_terms(centers, cap)
         right = None if left is None else self.right.taylor_terms(centers, cap)
@@ -516,12 +488,6 @@ class Product(_Binary):
 
     def _eval(self, pt):
         return self.left._eval(pt) * self.right._eval(pt)
-
-    def axis_terms(self, zs):
-        left, right = self.left.axis_terms(zs), self.right.axis_terms(zs)
-        if left is None or right is None:
-            return None
-        return [[a * b for a, b in zip(s, t)] for s in left for t in right]
 
     def taylor_terms(self, centers, cap):
         left = self.left.taylor_terms(centers, cap)

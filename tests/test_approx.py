@@ -104,7 +104,7 @@ def test_resolvent_error_closed_form():
 def test_lowest_cluster_contour_separates():
     m = approx.build_model("harmonic", 32)
     c = approx.lowest_cluster_contour(m, 3)
-    lams = approx.reference_eigenvalues(m)
+    lams = np.sort_complex(m.eigenvalues)
     inside = np.abs(lams - c.center) < c.radius
     assert int(np.sum(inside)) == 3
     assert abs(c.center - 0.0) > c.radius  # padding eigenvalue stays outside
@@ -158,7 +158,7 @@ def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
         tp = approx.compress(m, n)
         for contour in (cluster, around_zero):
             [stack] = spectra._resolvent_stacks(tp.x_n, contour, eigenvalues=tp.eigenvalues)
-            got = approx._padded_fold(f, [stack], [ref_dim])
+            got = approx._fold_and_reads(f, [stack], [1], [ref_dim])[0]
             want = calculus.dunford(f, tp.x_n_padded, contour, require_full=False)
             assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
         # the padding eigenvalue 0 is enclosed: its block is f(0) I
@@ -170,17 +170,26 @@ def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
 def test_padded_fold_matches_padded_dunford_multivariate():
     # two factors, each read on its leading block or on its padding diagonal
     models = [approx.build_model("harmonic", 16), approx.build_model("complex_harmonic", 16)]
-    f = parse("exp(-z1-2*z2)")
     contours = [approx._meas_contour(c) for c in (
         approx.lowest_cluster_contour(models[0], 2), spectra.Contour(0.0, 2.0))]
-    for n in (3, 5):
-        points = [approx.compress(m, n) for m in models]
-        stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
-                  for tp, c in zip(points, contours)]
-        got = approx._padded_fold(f, stacks, [16, 16])
-        system = calculus.lift([tp.x_n_padded for tp in points])
-        want = calculus.dunford_multivariate(f, system, contours, require_full=False)
-        assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
+    dense = "poly{" + ",".join(f"({i},{j}):{0.1 * (i + 2 * j + 1)}"
+                               for i in range(6) for j in range(6 - i)) + "}"
+    # an exp has one Taylor term; a ratio has none, and a product of two
+    # 21-monomial polynomials 441 on 256 nodes: both take one term per node
+    for spec, terms in (("exp(-z1-2*z2)", 1),
+                        ("ratio(exp(-z1-2*z2),poly{(0,0):6,(1,0):-1,(0,1):0.5})", None),
+                        (f"prod({dense},{dense})", 441)):
+        f = parse(spec)
+        got_terms = f.taylor_terms([c.points() for c in contours], 0)
+        assert (got_terms if terms is None else len(got_terms)) == terms, spec
+        for n in (3, 5):
+            points = [approx.compress(m, n) for m in models]
+            stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
+                      for tp, c in zip(points, contours)]
+            got = approx._fold_and_reads(f, stacks, [1, 1], [16, 16])[0]
+            system = calculus.lift([tp.x_n_padded for tp in points])
+            want = calculus.dunford_multivariate(f, system, contours, require_full=False)
+            assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want)), spec
 
 
 def test_level_experiment_refuses_contour_on_padding_eigenvalue():
@@ -188,7 +197,7 @@ def test_level_experiment_refuses_contour_on_padding_eigenvalue():
     # every eigenvalue of the reference and of X_n stays clear of it
     m = approx.build_model("harmonic", 32)
     contour = spectra.Contour(2.0, 2.05, 64)
-    lams = approx.reference_eigenvalues(m)
+    lams = np.sort_complex(m.eigenvalues)
     assert np.min(contour.circle_distance(lams)) > spectra.CIRCLE_GUARD * contour.radius
     with pytest.raises(PreconditionError, match="quadrature circle"):
         approx.level_experiment(m, parse("exp(-z1)"), -1.0, contour, [2, 4])
@@ -500,7 +509,7 @@ def _dense_errors(models, f, contours, n_list):
     meas = [approx._meas_contour(c) for c in contours]
     ref = [spectra._resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues)[0]
            for m, c in zip(models, meas)]
-    g_ref = calculus._node_fold(f, ref)
+    g_ref = _dense_fold(f, ref)
     errors = []
     for n in n_list:
         stacks = []
@@ -511,8 +520,13 @@ def _dense_errors(models, f, contours, n_list):
             padded[:, :n, :n] = rs
             padded[:, np.arange(n, m.ref_dim), np.arange(n, m.ref_dim)] = (1.0 / zs)[:, None]
             stacks.append((zs, w, padded))
-        errors.append(linalg.op_norm(calculus._node_fold(f, stacks) - g_ref))
+        errors.append(linalg.op_norm(_dense_fold(f, stacks) - g_ref))
     return approx._MEAS_FLOOR * (1.0 + linalg.op_norm(g_ref)), errors
+
+
+def _dense_fold(f, stacks):
+    return calculus._kron_fold(calculus._node_coeffs(f, stacks),
+                               [np.asarray(rs) for _, _, rs in stacks])
 
 
 @pytest.mark.parametrize("kinds,ref_dim,n_list", [

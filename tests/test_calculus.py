@@ -282,7 +282,7 @@ def test_three_factor_fold_never_forms_the_node_tuple_tensor():
     factors = [x3, X2, np.diag([0.5, -0.5, 1j, -1j]).astype(complex)]
     f = parse("ratio(prod(exp(z1+2*z2-z3),sin(z2+0.5*z3)),"
               "poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
-    assert f.axis_terms([np.ones(2)] * 3) is None
+    assert f.taylor_terms([np.ones(2)] * 3, 0) is None
     stacks = [spectra._resolvent_stacks(x, _enclosing(x))[0] for x in factors]
     whole = calculus._kron_fold(calculus._node_coeffs(f, stacks),
                                 [np.asarray(rs) for _, _, rs in stacks])
@@ -499,7 +499,7 @@ def _dense_fold(f, stacks):
 @given(st.data(), st.integers(2, 3), st.integers(0, 2 ** 31 - 1))
 def test_separable_fold_matches_the_node_tuple_fold(data, r, seed):
     f = parse(data.draw(_separable_specs(r)))
-    assert f.arity == r and f.axis_terms([np.ones(2)] * r) is not None
+    assert f.arity == r and f.taylor_terms([np.ones(2)] * r, 0) is not None
     rng = np.random.default_rng(seed)
     kinds = data.draw(st.lists(st.sampled_from(("jordan", "hermitian", "diagonalizable")),
                                min_size=r, max_size=r))
@@ -522,7 +522,8 @@ def test_separable_padded_fold_matches_the_padded_dense_fold(spec, n):
     stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
               for tp, c in zip(points, contours)]
     fold, projectors, sups = approx._fold_and_reads(f, stacks, [4, 4], [16, 16])
-    want = approx._padded_fold(f, stacks, [16, 16])
+    system = calculus.lift([tp.x_n_padded for tp in points])
+    want = calculus.dunford_multivariate(f, system, contours, require_full=False)
     assert linalg.op_norm(fold - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
     # the term rows leave the projector and the sup of the same pass unchanged
     for (_, w, rs), p, sup in zip(stacks, projectors, sups):
@@ -538,13 +539,13 @@ def test_axis_terms_of_each_node():
               "sum(exp(z1),poly{(0,1):3})": 2, "prod(sin(z1+z2),poly{(1,1):1,(0,0):2})": 4}
     for spec, count in counts.items():
         f = parse(spec)
-        terms = f.axis_terms(zs)
+        terms = f.taylor_terms(zs, 0)
         assert len(terms) == count, spec
-        value = sum(np.multiply.outer(a, b) for a, b in terms)
+        value = sum(np.multiply.outer(a[:, 0], b[:, 0]) for a, b in terms)
         assert np.allclose(value, f(*grid), rtol=1e-14, atol=1e-14), spec
-    assert parse("ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1})").axis_terms(zs) is None
+    assert parse("ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1})").taylor_terms(zs, 0) is None
     assert parse("sum(exp(z1+z2),ratio(poly{(0,0):1},poly{(0,0):4,(0,1):1}))"
-                 ).axis_terms(zs) is None
+                 ).taylor_terms(zs, 0) is None
 
 
 def test_only_specs_without_few_axis_terms_fold_dense_stacks(monkeypatch):
@@ -715,10 +716,10 @@ def test_assembly_takes_its_coefficients_from_one_terms_call(monkeypatch):
         system = calculus.lift(factors, cluster_tol=1e-2 * max(linalg.op_norm(x) for x in factors))
         assert max(c.index for d in system.decompositions for c in d.components) > 1
         f = parse(spec)
+        quad = calculus.dunford_multivariate(f, system, [_enclosing(x) for x in factors])
         calls = []
         terms = f.taylor_terms
         f.taylor_terms = lambda centers, cap: calls.append(cap) or terms(centers, cap)
-        quad = calculus.dunford_multivariate(f, system, [_enclosing(x) for x in factors])
         value = calculus.func_multivariate(f, system).value
         assert len(calls) == 1, spec
         assert linalg.op_norm(value - quad) <= 1e-10 * (1.0 + linalg.op_norm(value)), spec
@@ -751,6 +752,20 @@ def test_assembly_of_a_stiff_exp_over_a_wide_spectrum():
         value = calculus.func_multivariate(parse(spec), calculus.lift(factors)).value
         assert np.all(np.isfinite(value)), spec
         assert linalg.op_norm(value - want) <= 1e-13 * linalg.op_norm(want), spec
+
+
+def test_quadrature_of_a_stiff_exp_near_the_float_exponent_limit():
+    # f(z) = exp(z1 - z2) is near 1 on these spectra, yet exp(z1) and
+    # exp(-z2) alone leave the float range at every node: the quadrature's
+    # per-axis rows take the Taylor terms' split about the nodes' means
+    x1 = 710 * np.eye(2) + np.array([[0.3, 1.0], [0.0, -0.2]])
+    x2 = 710 * np.eye(3) + np.diag([0.1, -0.4, 0.25j])
+    system = calculus.lift([x1, x2])
+    f = parse("exp(z1-z2)")
+    quad = calculus.dunford_multivariate(f, system, [_enclosing(x, 64) for x in system.factors])
+    want = calculus.func_multivariate(f, system).value
+    assert np.all(np.isfinite(quad))
+    assert linalg.op_norm(quad - want) <= 1e-12 * linalg.op_norm(want)
 
 
 def test_series_folds_the_box_of_a_spec_with_more_terms_than_powers(monkeypatch):
