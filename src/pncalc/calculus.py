@@ -41,7 +41,7 @@ from .errors import (
     QuadratureError,
     TailBoundError,
 )
-from .functions import AnalyticFunction, taylor_coefficients, terms_box
+from .functions import AnalyticFunction
 from .linalg import KRON_CAP, _write_csv, as_matrix, eye_like, op_norm
 from .spectra import Contour, Decomposition, _resolvent_stacks, _triangular_factors, decompose
 
@@ -250,10 +250,9 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
     M C^(q-1), C = W^H M, gives N^q.  d^alpha f(lambda)/alpha! sits on axes
     (component_1..component_r, power_1..power_r).  alpha = 0 is f on the
     grid of eigenvalue tuples; the nilpotent powers come from one
-    `taylor_terms` call on the per-factor eigenvalues, each term an outer
-    product of its rows zeroed from each component's index on, and a system
-    whose components all have index 1 builds none.  A spec without Taylor
-    terms (a ratio) takes one dense box per component tuple instead.
+    `taylor_grid` call on the per-factor eigenvalues, zeroed from each
+    component's index on, and a system whose components all have index 1
+    asks for none.
     s0, s_mixed and s_full fold the power tuples with none, some and all r
     powers nonzero.  Ledger norms are |coefficient| prod_j ||L_j W_j^H||,
     from m x m cores R_L R_W^H.
@@ -262,24 +261,13 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
     r = len(comps)
     lams = [np.array([c.eigenvalue for c in cs]) for cs in comps]
     nus = [[c.index for c in cs] for cs in comps]
-    coeffs = np.zeros(tuple(map(len, nus)) + tuple(map(max, nus)), dtype=complex)
     cap = max(map(max, nus)) - 1
-    terms = f.taylor_terms(lams, cap) if cap else None
-    if terms is not None:
-        # each term's rows, zeroed from each component's index on, give the
-        # coefficients of every component tuple as one outer product
-        masks = [np.arange(max(nu)) < np.array(nu)[:, None] for nu in nus]
-        order = list(range(0, 2 * r, 2)) + list(range(1, 2 * r, 2))
-        for term in terms:
-            rows = [row[:, :m.shape[1]] * m for row, m in zip(term, masks)]
-            coeffs += functools.reduce(np.multiply.outer, rows).transpose(order)
-    elif cap:
-        for block in itertools.product(*[range(len(nu)) for nu in nus]):
-            depth = [nu[i] for nu, i in zip(nus, block)]
-            if max(depth) > 1:
-                powers = tuple(map(slice, depth))
-                box = taylor_coefficients(f, [l[i] for l, i in zip(lams, block)], max(depth) - 1)
-                coeffs[block + powers] = box[powers]
+    if cap:
+        coeffs = f.taylor_grid(lams, cap)[(slice(None),) * r + tuple(slice(max(nu)) for nu in nus)]
+        for j, nu in enumerate(nus):   # 0 from each component's index on
+            np.moveaxis(coeffs, (j, r + j), (0, 1))[np.arange(max(nu)) >= np.array(nu)[:, None]] = 0
+    else:
+        coeffs = np.zeros(tuple(map(len, nus)) + (1,) * r, dtype=complex)
     coeffs[(Ellipsis,) + (0,) * r] = f(*np.meshgrid(*lams, indexing="ij"))
 
     lefts = []  # lefts[j][i][q] is L_q of factor j's component i
@@ -512,8 +500,10 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
     factored form, sum_t kron_j p_tj(X_j) with p_tj(X_j) =
     sum_{q<=cap} a_tj[q] (X_j - c_j)^q, so neither the coefficient box nor
     an N x N array per power is formed.  Any other f (a ratio, or a sum of
-    many monomials or products) folds its coefficient box, which costs
-    about (cap + 1) N^2 multiply-adds against N^2 per term.
+    many monomials or products) folds its coefficient box
+    (`AnalyticFunction.taylor_box`: the contracted terms, or one series
+    division of a ratio's fraction), which costs about (cap + 1) N^2
+    multiply-adds against N^2 per term.
     The truncation is certified: coefficients are computed three degrees
     past the cap, the discarded shells |alpha|_inf = k are bounded with
     weights prod ||X_j - c_j I||^alpha_j (per term and axis, `_term_shells`;
@@ -557,7 +547,7 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
             rows = np.array([[row[0] for row in term] for term in terms])
             shells = _term_shells(np.abs(rows) * scale, ks)
         else:
-            box = taylor_coefficients(f, center, cap + pad) if terms is None else terms_box(terms)
+            box = f.taylor_box(center, cap + pad)
             weights = np.abs(box)
             for j in range(r):
                 weights *= scale[j].reshape([-1 if i == j else 1 for i in range(r)])

@@ -6,23 +6,23 @@ polynomials with declared (per-variable) pole sets, plus sums and products.
 Every node knows three things the calculus needs:
 
 * vectorized evaluation,
-* its Taylor terms (`taylor_terms`): the Taylor coefficients
-  d^alpha f / alpha! at a center, as a finite sum of products of one
-  per-axis coefficient vector each, for every center of a per-axis grid.
-  A polynomial has one term per monomial, exp of an affine argument one
+* its Taylor coefficients d^alpha f / alpha! at every center of a per-axis
+  grid (`taylor_grid`), the one source of derivative coefficients for the
+  spectral assembly, the power-series route and `taylor_coefficients`.  A
+  tree without a ratio has Taylor terms (`taylor_terms`): the coefficients
+  as a finite sum of products of one per-axis coefficient vector each.  A
+  polynomial has one term per monomial, exp of an affine argument one
   (more on an axis whose centers spread widely), sin and cos two; sums
-  concatenate terms and products pair them.  They are the one per-axis form
-  of f: the spectral assembly, the power-series route and `mixed_partial`
-  read its derivative coefficients, and the multivariate quadrature reads
+  concatenate terms and products pair them.  Its grid is their
+  contraction, and the multivariate quadrature reads
   f = sum_t prod_j g_tj(z_j) on its nodes as the order-0 column.  A tree
-  holding a ratio has none and keeps a dense coefficient box (series
-  shift, convolution and division),
+  holding a ratio is rewritten as one fraction N/D of trees with terms
+  (`_fraction`), and its grid is one series division of N's grid by D's
+  terms, shell by shell in total degree,
 * declared poles along each variable, for the analyticity checks.
 
-A Cauchy-integral route computes mixed partials by iterated contour
-quadrature with a node-doubling certificate; it exists so the Taylor boxes
-can be cross-checked.  `partial` (each node differentiates to another node)
-is kept as public API; the calculus does not use it.
+`partial` (each node differentiates to another node) is kept as public
+API; the calculus does not use it.
 
 Multi-indices are plain int tuples throughout.
 """
@@ -30,20 +30,13 @@ from __future__ import annotations
 
 import itertools
 import re
-from math import comb, factorial, prod
+from math import comb, factorial
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, QuadratureError
+from .errors import ConfigError, DomainError
 
-CAUCHY_NODES = 128
-_CAUCHY_DOUBLING_TOL = 1e-8
 _DEN_FLOOR = 1e-250
-# A product box whose sparser factor has at most this many nonzero
-# coefficients is convolved exactly, by summing shifted copies of the other
-# factor; FFT convolution leaves a coefficient floor near 1e-17 that stops
-# the power-series tail bound from decaying.
-SPARSE_CONVOLVE_NONZEROS = 8
 # the widest spread of Re(c_j x_j) over the centers of one axis that one
 # Taylor term of exp(c . z + d) covers (`ExpAffine.taylor_terms`)
 _EXP_RUN_SPAN = 32.0
@@ -94,14 +87,55 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def terms_box(terms) -> np.ndarray:
-    """The coefficient box sum_t outer_j terms[t][j][0] of Taylor terms at
-    the first center of each axis."""
-    rows = np.array([[row[0] for row in term] for term in terms])   # (terms, axes, cap + 1)
-    box = rows[:, 0]
-    for j in range(1, rows.shape[1]):
-        box = box[..., None] * rows[:, j].reshape(len(rows), *(1,) * j, -1)
-    return box.sum(axis=0)
+def _contract(terms) -> np.ndarray:
+    """The coefficient grid sum_t outer_j terms[t][j] of Taylor terms, on
+    axes (centers_1..r, powers_1..r)."""
+    rows = [np.array([term[j] for term in terms]) for j in range(len(terms[0]))]
+    grid = rows[0]   # (terms, centers, powers), then each later axis's pair appended
+    for j, row in enumerate(rows[1:], 1):
+        grid = grid[..., None, None] * row.reshape(len(terms), *(1,) * (2 * j), *row.shape[1:])
+    r = len(rows)
+    return grid.sum(axis=0).transpose([*range(0, 2 * r, 2), *range(1, 2 * r, 2)])
+
+
+def _divide(num: np.ndarray, den) -> np.ndarray:
+    """The coefficient grid of the series quotient num / den, from num's
+    grid and den's Taylor terms on the same centers.
+
+    Shell s of total degree is (num - den q) / d0 on that shell, with q
+    holding its final shells below s: den's coefficients past its constant
+    d0 reach only lower shells of q.  den q is, per term of den, one
+    lower-triangular Toeplitz product per axis, batched over the centers
+    and taken on the powers up to s.
+    """
+    r, width = num.ndim // 2, num.shape[-1]
+    d0 = _contract([[row[:, :1] for row in term] for term in den])[(Ellipsis,) + (0,) * r]
+    if np.any(np.abs(d0) < _DEN_FLOOR):
+        raise DomainError("series center sits on a pole of the denominator")
+    lag = np.subtract.outer(np.arange(width), np.arange(width))
+    toeplitz = [[np.where(lag >= 0, row[:, np.maximum(lag, 0)], 0) for row in term]
+                for term in den]
+    degree = sum(np.indices((width,) * r))
+    q = np.zeros_like(num)
+    for s in range(r * (width - 1) + 1):
+        m = min(s, width - 1) + 1
+        low = (slice(None),) * r + (slice(0, m),) * r
+        dq = 0
+        for term in toeplitz:
+            x = q[low]
+            for j, t in enumerate(term):
+                x = np.moveaxis(x, (j, r + j), (0, 1))
+                x = np.moveaxis(np.matmul(t[:, :m, :m], x.reshape(*x.shape[:2], -1))
+                                .reshape(x.shape), (0, 1), (j, r + j))
+            dq = dq + x
+        shell = degree[(slice(0, m),) * r] == s
+        q[low][..., shell] = (num[low][..., shell] - dq[..., shell]) / d0[..., None]
+    return q
+
+
+def _times(a, b):
+    """The product tree a b of two sides of a fraction, None standing for 1."""
+    return a if b is None else b if a is None else Product(a, b)
 
 
 def as_multi_index(alpha, arity: int) -> tuple[int, ...]:
@@ -137,10 +171,6 @@ class AnalyticFunction:
     def _partial(self, j: int) -> "AnalyticFunction":
         raise NotImplementedError
 
-    def _dense_box(self, center, cap: int) -> np.ndarray:
-        """The coefficient box of a tree without Taylor terms."""
-        raise NotImplementedError
-
     def to_spec(self) -> str:
         raise NotImplementedError
 
@@ -164,18 +194,36 @@ class AnalyticFunction:
         """
         return None
 
+    def _fraction(self) -> tuple["AnalyticFunction", "AnalyticFunction | None"]:
+        """f as N / D with N and D trees without a ratio; D is None, for 1,
+        on a tree without one."""
+        return self, None
+
     # shared machinery -----------------------------------------------------
     def __call__(self, *zs):
         return self._eval(_broadcast_point(zs, self.arity))
 
+    def taylor_grid(self, centers, cap: int) -> np.ndarray:
+        """The Taylor coefficients d^beta f / beta!, |beta|_inf <= cap, at
+        every center of a per-axis grid, on axes (centers_1..r, powers_1..r).
+
+        `centers` holds one 1-D array of center values per variable.  The
+        grid is the contraction of f's Taylor terms when it has them; a tree
+        holding a ratio divides the grid of its fraction's numerator by the
+        denominator's terms (`_divide`; DomainError where the denominator
+        vanishes at a center).
+        """
+        terms = self.taylor_terms(centers, cap)
+        if terms is not None:
+            return _contract(terms)
+        num, den = self._fraction()
+        return _divide(_contract(num.taylor_terms(centers, cap)), den.taylor_terms(centers, cap))
+
     def taylor_box(self, center, cap: int) -> np.ndarray:
         """Box of Taylor coefficients a_beta at `center`, shape (cap+1,)*arity:
-        the contraction of the Taylor terms, or the dense box of a tree that
-        holds a ratio."""
-        terms = self.taylor_terms([np.array([c], dtype=complex) for c in center], cap)
-        if terms is None:
-            return self._dense_box(center, cap)
-        return terms_box(terms)
+        the grid of that one center (`taylor_grid`)."""
+        grid = self.taylor_grid([np.array([c], dtype=complex) for c in center], cap)
+        return grid.reshape((cap + 1,) * self.arity)
 
     def partial(self, j: int) -> "AnalyticFunction":
         if not 0 <= j < self.arity:
@@ -183,58 +231,6 @@ class AnalyticFunction:
         if j not in self._partial_cache:
             self._partial_cache[j] = self._partial(j)
         return self._partial_cache[j]
-
-    def mixed_partial(self, point, alpha, strategy: str | None = None,
-                      nodes: int = CAUCHY_NODES) -> complex:
-        """d^alpha f at `point`.
-
-        strategy: None reads alpha! * a_alpha from the Taylor box at `point`;
-        "cauchy_contour" forces iterated contour quadrature (per-variable
-        circles of radius 0.3 * distance-to-singularity, 1 for entire
-        directions) with a node-doubling stability certificate.
-        """
-        alpha = as_multi_index(alpha, self.arity)
-        pt = _broadcast_point(point, self.arity)
-        if strategy is None:
-            box = taylor_coefficients(self, pt, max(alpha))
-            return complex(prod(factorial(q) for q in alpha) * box[alpha])
-        if strategy == "cauchy_contour":
-            coarse = self._cauchy_partial(pt, alpha, nodes)
-            fine = self._cauchy_partial(pt, alpha, 2 * nodes)
-            if abs(fine - coarse) > _CAUCHY_DOUBLING_TOL * (1.0 + abs(fine)):
-                raise QuadratureError(
-                    f"cauchy derivative for alpha={alpha} unstable under node doubling "
-                    f"({abs(fine - coarse):.3e} relative to {abs(fine):.3e})")
-            return fine
-        raise ConfigError(f"unknown derivative strategy {strategy!r}")
-
-    def _cauchy_partial(self, pt, alpha, nodes):
-        support = [j for j, q in enumerate(alpha) if q > 0]
-        if not support:
-            return complex(self._eval(pt))
-        radii = {}
-        for j in support:
-            d = self.axis_pole_distance(j, pt)
-            radii[j] = 1.0 if not np.isfinite(d) else 0.3 * d
-            if radii[j] <= 0:
-                raise DomainError(f"derivative point sits on a singularity along z{j + 1}")
-        th = 2.0 * np.pi * np.arange(nodes) / nodes
-        grids = np.meshgrid(*[th for _ in support], indexing="ij")
-        coords = list(pt)
-        weight = np.ones_like(grids[0], dtype=complex)
-        for axis, j in enumerate(support):
-            q = alpha[j]
-            coords[j] = pt[j] + radii[j] * np.exp(1j * grids[axis])
-            weight = weight * (factorial(q) / (nodes * radii[j] ** q)
-                               * np.exp(-1j * q * grids[axis]))
-        vals = self._eval(tuple(coords))
-        return complex(np.sum(weight * vals))
-
-    def axis_pole_distance(self, j: int, point) -> float:
-        poles = self.axis_poles(j, point)
-        if poles.size == 0:
-            return np.inf
-        return float(np.min(np.abs(poles - np.asarray(point[j], dtype=complex))))
 
     def assert_analytic_on(self, centers, radii, margin: float = 0.05) -> None:
         """Fail when a declared pole touches the closed polydisk (with margin)."""
@@ -473,8 +469,9 @@ class Sum(_Binary):
     def _partial(self, j):
         return Sum(self.left.partial(j), self.right.partial(j))
 
-    def _dense_box(self, center, cap):
-        return self.left.taylor_box(center, cap) + self.right.taylor_box(center, cap)
+    def _fraction(self):
+        (a, b), (c, d) = self.left._fraction(), self.right._fraction()
+        return Sum(_times(a, d), _times(c, b)), _times(b, d)
 
     def max_degree(self):
         a, b = self.left.max_degree(), self.right.max_degree()
@@ -504,24 +501,9 @@ class Product(_Binary):
         return Sum(Product(self.left.partial(j), self.right),
                    Product(self.left, self.right.partial(j)))
 
-    def _dense_box(self, center, cap):
-        a = self.left.taylor_box(center, cap)
-        b = self.right.taylor_box(center, cap)
-        if np.count_nonzero(a) < np.count_nonzero(b):
-            a, b = b, a
-        nonzero = np.nonzero(b)
-        if nonzero[0].size > SPARSE_CONVOLVE_NONZEROS:
-            # imported here: scipy.signal takes about 1 s to import, and only
-            # dense products of boxes, under a ratio, reach this line
-            from scipy.signal import fftconvolve
-            full = fftconvolve(a, b)
-            return np.ascontiguousarray(full[(slice(0, cap + 1),) * self.arity])
-        out = np.zeros(a.shape, dtype=complex)
-        for shift in zip(*nonzero):
-            dst = tuple(slice(s, None) for s in shift)
-            src = tuple(slice(0, cap + 1 - s) for s in shift)
-            out[dst] += b[shift] * a[src]
-        return out
+    def _fraction(self):
+        (a, b), (c, d) = self.left._fraction(), self.right._fraction()
+        return _times(a, c), _times(b, d)
 
     def max_degree(self):
         a, b = self.left.max_degree(), self.right.max_degree()
@@ -535,8 +517,8 @@ class Ratio(_Binary):
 
     Pole locations along an axis are the roots of the denominator as a
     univariate polynomial in that variable with the remaining coordinates
-    frozen; this is exactly the slice geometry the iterated Cauchy quadrature
-    and the contour-enclosure checks need.
+    frozen; this is exactly the slice geometry the contour-enclosure checks
+    need.
     """
     _name = "ratio"
 
@@ -552,19 +534,9 @@ class Ratio(_Binary):
                           Product(self.left, self.right.partial(j))))
         return Ratio(num, Product(self.right, self.right))
 
-    def _dense_box(self, center, cap):
-        num = self.left.taylor_box(center, cap)
-        den = self.right.taylor_box(center, cap)
-        d0 = den[(0,) * self.arity]
-        if abs(d0) < _DEN_FLOOR:
-            raise DomainError("series center sits on a pole of the denominator")
-        q = np.zeros_like(num)
-        for alpha in np.ndindex(num.shape):
-            low = tuple(slice(0, a + 1) for a in alpha)
-            rev = tuple(slice(a, None, -1) for a in alpha)
-            conv = np.sum(den[low] * q[rev][low])
-            q[alpha] = (num[alpha] - conv) / d0
-        return q
+    def _fraction(self):
+        (a, b), (c, d) = self.left._fraction(), self.right._fraction()
+        return _times(a, d), _times(b, c)
 
     def axis_poles(self, j, point):
         inherited = super().axis_poles(j, point)
@@ -573,38 +545,15 @@ class Ratio(_Binary):
 
 
 def _slice_roots(den: AnalyticFunction, j: int, point) -> np.ndarray:
-    """Roots of `den` in variable j with the other coordinates frozen."""
-    if not isinstance(den, Polynomial):
-        # transcendental or composite denominator: fall back to a sampled
-        # slice if it is effectively polynomial along this axis; otherwise
-        # report no declared poles (the doubling certificate still guards).
-        box = None
-        try:
-            deg = den.max_degree()
-            if deg is not None:
-                centered = [complex(c) for c in point]
-                box = den.taylor_box(centered, max(deg))
-        except (ConfigError, DomainError):
-            box = None
-        if box is None:
-            return np.array([], dtype=complex)
-        sel = [0] * den.arity
-        coeffs = []
-        for k in range(box.shape[0]):
-            sel[j] = k
-            coeffs.append(box[tuple(sel)])
-        roots = _poly_roots(coeffs)
-        return roots + complex(point[j])
+    """Roots of `den` in variable j with the other coordinates frozen, read
+    from its Taylor box at `point`; none for a denominator that is not a
+    polynomial (the quadrature's doubling certificate still guards)."""
+    deg = den.max_degree()
+    if deg is None:
+        return np.array([], dtype=complex)
     pt = [complex(c) for c in point]
-    deg = max(alpha[j] for alpha in den.table)
-    coeffs = np.zeros(deg + 1, dtype=complex)
-    for alpha, c in den.table.items():
-        w = c
-        for i, a in enumerate(alpha):
-            if i != j:
-                w *= pt[i] ** a
-        coeffs[alpha[j]] += w
-    return _poly_roots(coeffs)
+    box = den.taylor_box(pt, max(deg))
+    return _poly_roots(box[(0,) * j + (slice(None),) + (0,) * (den.arity - j - 1)]) + pt[j]
 
 
 def _poly_roots(coeffs) -> np.ndarray:
@@ -620,9 +569,9 @@ def taylor_coefficients(f: AnalyticFunction, center, degree_cap: int) -> np.ndar
     """Taylor coefficient box a_alpha of f at `center`, |alpha|_inf <= cap.
 
     Shape (degree_cap+1,)*arity; entry alpha is d^alpha f(center)/alpha!.
-    The box is the contraction sum_t outer_j a_tj of f's Taylor terms
-    (`AnalyticFunction.taylor_terms`); a tree that holds a ratio composes
-    dense boxes instead (sums, convolutions and series division).
+    The box is f's coefficient grid at that one center
+    (`AnalyticFunction.taylor_grid`): the contraction of its Taylor terms,
+    or, for a tree that holds a ratio, one series division of its fraction.
     """
     if degree_cap < 0:
         raise ConfigError("degree cap must be nonnegative")

@@ -682,19 +682,19 @@ def test_series_certifies_every_oracle_spec_from_its_terms():
                     1.0 + linalg.op_norm(spectral)), (spec, case)
 
 
-def test_ratio_series_keeps_its_dense_box_and_cap(monkeypatch):
-    # a ratio has no Taylor terms: its series reads dense boxes, and the
-    # shell sums taken from slices certify at the cap the index grid did
+def test_ratio_series_keeps_its_dense_box_and_cap():
+    # a ratio has no Taylor terms: its series reads one coefficient grid per
+    # cap, and the shell sums taken from slices certify at the cap the index
+    # grid did
     caps = []
-    real = calculus.taylor_coefficients
-    monkeypatch.setattr(calculus, "taylor_coefficients",
-                        lambda f, center, cap: caps.append(cap) or real(f, center, cap))
     rng = np.random.default_rng(2625)
     factors = [0.5 * synth.random_jordan_matrix(rng, d, max_index=3, cond=3.0)[0]
                for d in (3, 2, 4)]
     system = calculus.lift(factors, cluster_tol=1e-2)
     assert [max(c.index for c in d.components) for d in system.decompositions] == [3, 2, 3]
     f = parse("ratio(poly{(0,0,0):1},poly{(0,0,0):4,(1,0,0):-1,(0,1,0):-1,(0,0,1):-1})")
+    grid = f.taylor_grid
+    f.taylor_grid = lambda centers, cap: caps.append(cap) or grid(centers, cap)
     series = calculus.power_series_apply(f, system)
     assert caps == [11, 17]   # caps 8 and 14, each read 3 degrees further
     spectral = calculus.func_multivariate(f, system).value
@@ -702,26 +702,54 @@ def test_ratio_series_keeps_its_dense_box_and_cap(monkeypatch):
     scale = 1.0 + linalg.op_norm(spectral)
     assert linalg.op_norm(series - spectral) <= 1e-12 * scale
     assert linalg.op_norm(quad - spectral) <= 1e-10 * scale
+    # four factors, past the quadrature's reach: the series against the
+    # assembly, both from the divided grid
+    factors = [0.5 * synth.random_jordan_matrix(rng, d, max_index=3, cond=3.0)[0]
+               for d in (3, 2, 3, 2)]
+    system = calculus.lift(factors, cluster_tol=1e-2)
+    assert max(c.index for d in system.decompositions for c in d.components) > 1
+    f = parse("ratio(exp(0.3*z1+0.3*z2+0.3*z3+0.3*z4),"
+              "poly{(0,0,0,0):8,(1,0,0,0):1,(0,1,0,0):1,(0,0,1,0):1,(0,0,0,1):1})")
+    series = calculus.power_series_apply(f, system)
+    spectral = calculus.func_multivariate(f, system).value
+    assert linalg.op_norm(series - spectral) <= 1e-12 * linalg.op_norm(spectral)
+
+
+def test_series_of_a_product_with_a_ratio_certifies():
+    # the box is one division of exact term grids, N = e^(z1+z2) (e^(z1/2-z2)
+    # + cos(z1+z2)) by D = 1, so its shells decay until the tail certifies
+    f = parse("prod(ratio(exp(z1+z2),poly{(0,0):1}),sum(exp(0.5*z1-z2),cos(z1+z2)))")
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        factors = [synth.random_factor(rng, rng.integers(2, 5), 3, 6.0) for _ in range(2)]
+        system = calculus.lift(factors, cluster_tol=1e-3 * max(
+            1.0, max(linalg.op_norm(x) for x in factors)))
+        series = calculus.power_series_apply(f, system)
+        spectral = calculus.func_multivariate(f, system).value
+        assert linalg.op_norm(series - spectral) <= 1e-12 * linalg.op_norm(spectral), seed
 
 
 def test_assembly_takes_its_coefficients_from_one_terms_call(monkeypatch):
     def refuse(*args):
         raise AssertionError("per-tuple Taylor box")
 
-    monkeypatch.setattr(calculus, "taylor_coefficients", refuse)
     rng = np.random.default_rng(2624)
     for spec, dims in (("prod(sin(z1-z2),poly{(0,0):1,(1,1):0.5})", (5, 4)),
-                       ("exp(0.5*z1-z2+0.3*z3)", (4, 3, 3))):
+                       ("exp(0.5*z1-z2+0.3*z3)", (4, 3, 3)),
+                       ("ratio(exp(0.5*z1-z2),poly{(0,0):5,(1,0):1,(0,1):-1})", (5, 4))):
         factors = [synth.random_jordan_matrix(rng, d, max_index=3, cond=3.0)[0] for d in dims]
         system = calculus.lift(factors, cluster_tol=1e-2 * max(linalg.op_norm(x) for x in factors))
         assert max(c.index for d in system.decompositions for c in d.components) > 1
         f = parse(spec)
         quad = calculus.dunford_multivariate(f, system, [_enclosing(x) for x in factors])
-        calls = []
-        terms = f.taylor_terms
+        calls, grids = [], []
+        terms, grid = f.taylor_terms, f.taylor_grid
         f.taylor_terms = lambda centers, cap: calls.append(cap) or terms(centers, cap)
-        value = calculus.func_multivariate(f, system).value
-        assert len(calls) == 1, spec
+        f.taylor_grid = lambda centers, cap: grids.append(cap) or grid(centers, cap)
+        with monkeypatch.context() as m:
+            m.setattr(functions.AnalyticFunction, "taylor_box", refuse)
+            value = calculus.func_multivariate(f, system).value
+        assert len(calls) == len(grids) == 1, spec
         assert linalg.op_norm(value - quad) <= 1e-10 * (1.0 + linalg.op_norm(value)), spec
     # coefficients are zero from each component's index on: an index-3 and an
     # index-1 component (3 + 1 columns) against an index-2 one (2 columns)

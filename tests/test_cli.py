@@ -573,8 +573,8 @@ def test_seeded_artifacts_keep_their_bytes(tmp_path, command):
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal takes about 1 s to import; only dense Taylor-box products
-    # need it, and they import it themselves
+    # scipy.signal takes about 1 s to import, and no module of the package
+    # needs it
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys, pncalc.cli; print('scipy.signal' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)

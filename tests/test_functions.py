@@ -66,19 +66,54 @@ def test_spec_round_trip_preserves_values():
             assert complex(f(*p)) == pytest.approx(complex(g(*p)), abs=1e-13)
 
 
+def _derivative(f, point, alpha):
+    """d^alpha f at `point`, as alpha! times the Taylor coefficient a_alpha."""
+    box = functions.taylor_coefficients(f, point, max(alpha))
+    return complex(np.prod([factorial(q) for q in alpha]) * box[tuple(alpha)])
+
+
+def _cauchy_derivative(f, point, alpha, nodes=128):
+    """d^alpha f at `point` by iterated Cauchy quadrature on circles of
+    radius 0.3 times the distance to the nearest declared pole along each
+    differentiated variable (1 where there is none), taken at `nodes` and
+    2 * `nodes` nodes per variable, which must agree within 1e-8."""
+    pt = [complex(c) for c in point]
+    support = [j for j, q in enumerate(alpha) if q > 0]
+    radii = {}
+    for j in support:
+        poles = f.axis_poles(j, pt)
+        radii[j] = 0.3 * float(np.min(np.abs(poles - pt[j]))) if poles.size else 1.0
+        assert radii[j] > 0
+
+    def integral(n):
+        th = 2.0 * np.pi * np.arange(n) / n
+        grids = np.meshgrid(*[th for _ in support], indexing="ij")
+        coords = list(pt)
+        weight = np.ones_like(grids[0], dtype=complex)
+        for axis, j in enumerate(support):
+            q = alpha[j]
+            coords[j] = pt[j] + radii[j] * np.exp(1j * grids[axis])
+            weight = weight * (factorial(q) / (n * radii[j] ** q) * np.exp(-1j * q * grids[axis]))
+        return complex(np.sum(weight * f(*coords)))
+
+    coarse, fine = integral(nodes), integral(2 * nodes)
+    assert abs(fine - coarse) <= 1e-8 * (1.0 + abs(fine)), alpha
+    return fine
+
+
 def test_mixed_partial_exp_closed_form():
     # d^(1,2) exp(z1 + 2 z2) = 1 * 2^2 * exp(z1 + 2 z2) -> 4 at the origin
     f = parse("exp(z1+2*z2)")
-    val = f.mixed_partial((0.0, 0.0), (1, 2))
+    val = _derivative(f, (0.0, 0.0), (1, 2))
     assert val == pytest.approx(4.0, abs=1e-12)
-    assert f.mixed_partial((0.0, 0.0), (0, 0)) == pytest.approx(1.0)
+    assert _derivative(f, (0.0, 0.0), (0, 0)) == pytest.approx(1.0)
 
 
 def test_mixed_partial_polynomial_table():
     # d^(2,1) [z1^2 z2 + z1] = 2, constant in z
     f = parse("poly{(2,1):1,(1,0):1}")
-    assert f.mixed_partial((0.7, -0.3), (2, 1)) == pytest.approx(2.0, abs=1e-12)
-    assert f.mixed_partial((0.7, -0.3), (3, 0)) == pytest.approx(0.0, abs=1e-12)
+    assert _derivative(f, (0.7, -0.3), (2, 1)) == pytest.approx(2.0, abs=1e-12)
+    assert _derivative(f, (0.7, -0.3), (3, 0)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mixed_partial_finite_difference_consistency():
@@ -86,7 +121,7 @@ def test_mixed_partial_finite_difference_consistency():
     h = 1e-5
     pt = (0.3, 0.4)
     fd = (complex(f(0.3 + h, 0.4)) - complex(f(0.3 - h, 0.4))) / (2 * h)
-    assert f.mixed_partial(pt, (1, 0)) == pytest.approx(fd, abs=1e-6)
+    assert _derivative(f, pt, (1, 0)) == pytest.approx(fd, abs=1e-6)
 
 
 def test_cauchy_contour_matches_closed_form():
@@ -99,8 +134,8 @@ def test_cauchy_contour_matches_closed_form():
     ]
     for spec, pt, alpha in cases:
         f = parse(spec)
-        a = f.mixed_partial(pt, alpha)
-        b = f.mixed_partial(pt, alpha, strategy="cauchy_contour")
+        a = _derivative(f, pt, alpha)
+        b = _cauchy_derivative(f, pt, alpha)
         assert abs(a - b) <= 1e-10 * (1.0 + abs(a)), spec
 
 
@@ -110,6 +145,9 @@ def test_taylor_coefficients_geometric():
     coeffs = functions.taylor_coefficients(f, (0.0,), 8)
     expect = 3.0 ** -(np.arange(9.0) + 1.0)
     assert np.max(np.abs(coeffs - expect)) <= 1e-12
+    # a grid with a center on the pole z = 3
+    with pytest.raises(DomainError):
+        f.taylor_grid([np.array([0.0, 3.0])], 2)
 
 
 def test_taylor_coefficients_polynomial_rebase():
@@ -122,9 +160,15 @@ def test_taylor_coefficients_polynomial_rebase():
 def test_taylor_coefficients_product_convolution():
     f = parse("prod(exp(z1),exp(z1))")  # = exp(2 z1)
     coeffs = functions.taylor_coefficients(f, (0.0,), 6)
-    from math import factorial
     expect = np.array([2.0 ** k / factorial(k) for k in range(7)])
     assert np.max(np.abs(coeffs - expect)) <= 1e-12
+    # (exp(z1 + z2) / 1) exp(z1 - z2) = exp(2 z1), a product under which a
+    # ratio sits: 2^k e^(2 c1) / k! on the first column, zeros elsewhere
+    center, cap = [0.3 + 0.1j, -0.2 + 0.4j], 6
+    box = parse("prod(ratio(exp(z1+z2),poly{(0,0):1}), exp(z1-z2))").taylor_box(center, cap)
+    want = np.zeros((cap + 1, cap + 1), dtype=complex)
+    want[:, 0] = np.exp(2.0 * center[0]) * expect
+    assert np.max(np.abs(box - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_taylor_box_product_with_sparse_factor_is_exact():
@@ -150,6 +194,10 @@ def test_assert_analytic_on_detects_pole():
         f.assert_analytic_on([0.0], [1.5])
     with pytest.raises(DomainError):
         f.assert_analytic_on([0.0], [1.0])  # pole on the margin band
+    # a product of polynomials: the slices of (1 - z1)(2 + z2 - z1)
+    g = parse("ratio(poly{(0,0):1},prod(poly{(0,0):1,(1,0):-1},poly{(0,0):2,(0,1):1,(1,0):-1}))")
+    assert np.allclose(np.sort_complex(g.axis_poles(0, [0.5, 0.25j])), [1.0, 2.0 + 0.25j])
+    assert np.allclose(g.axis_poles(1, [0.5, 0.25j]), [-1.5])
 
 
 def test_as_multi_index_validation():
@@ -170,8 +218,8 @@ def test_partial_linearity_property(order, seed):
     g = functions.Polynomial({(1,): b, (2,): -b}, 1)
     s = functions.Sum(f, g)
     z = complex(rng.normal(), rng.normal())
-    lhs = s.mixed_partial((z,), (order,))
-    rhs = f.mixed_partial((z,), (order,)) + g.mixed_partial((z,), (order,))
+    lhs = _derivative(s, (z,), (order,))
+    rhs = _derivative(f, (z,), (order,)) + _derivative(g, (z,), (order,))
     assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(rhs)))
 
 
@@ -183,33 +231,6 @@ def test_vectorized_evaluation_matches_scalar():
     for i in range(2):
         for j in range(2):
             assert grid[i, j] == pytest.approx(np.exp(z1[i, j]) * z2[i, j])
-
-
-def test_dense_product_box_is_fft_convolved(monkeypatch):
-    # a product under which a ratio sits has no Taylor terms, and both factor
-    # boxes are dense, so it takes the FFT convolution; (exp(z1 + z2) / 1)
-    # exp(z1 - z2) = exp(2 z1) has the box 2^k e^(2 c1) / k! on its first
-    # column and zeros elsewhere
-    import scipy.signal
-
-    calls = []
-    fftconvolve = scipy.signal.fftconvolve
-
-    def spy(a, b):
-        calls.append((a.shape, b.shape))
-        return fftconvolve(a, b)
-
-    monkeypatch.setattr(scipy.signal, "fftconvolve", spy)
-    center, cap = [0.3 + 0.1j, -0.2 + 0.4j], 6
-    sparser = parse("exp(z1-z2)").taylor_box(center, cap)
-    assert np.count_nonzero(sparser) > functions.SPARSE_CONVOLVE_NONZEROS
-    box = parse("prod(ratio(exp(z1+z2),poly{(0,0):1}), exp(z1-z2))").taylor_box(center, cap)
-    assert calls == [((cap + 1,) * 2, (cap + 1,) * 2)]
-    k = np.arange(cap + 1)
-    want = np.zeros((cap + 1, cap + 1), dtype=complex)
-    want[:, 0] = 2.0 ** k * np.exp(2.0 * center[0]) / np.cumprod(np.maximum(k, 1))
-    assert box.shape == want.shape
-    assert np.max(np.abs(box - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def _dense_reference_box(f, center, cap):
@@ -256,7 +277,10 @@ _BOX_SPECS = ["poly{(0,0):1,(2,1):-0.5,(1,0):2,(3,3):(0.5-1j)}", "exp(2*z1-z2+1)
               "prod(sin(z1+z2),poly{(1,1):1,(0,0):2})", "prod(exp(z1+z2),exp(z1-z2))",
               "sum(prod(cos(z1-0.3*z2),sum(exp(0.5*z1),sin(z2))),prod(poly{(2,0):1},exp(-z2)))",
               "ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1,(0,1):-1})",
-              "prod(ratio(exp(z1),poly{(0,0):3,(0,1):1}),sum(sin(z2),poly{(1,1):2}))"]
+              "prod(ratio(exp(z1),poly{(0,0):3,(0,1):1}),sum(sin(z2),poly{(1,1):2}))",
+              "ratio(ratio(exp(z1+z2),poly{(0,0):3,(1,0):1}),sum(cos(z1),poly{(0,0):2}))",
+              "sum(ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1}),ratio(exp(z2),poly{(0,0):5,(0,1):1}))",
+              "prod(ratio(exp(z1+z2),poly{(0,0):1}), exp(z1-z2))"]
 
 
 def test_taylor_terms_match_the_dense_boxes():
@@ -269,15 +293,16 @@ def test_taylor_terms_match_the_dense_boxes():
             assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want))), spec
         # every center of a per-axis grid, from one call
         axes = [np.array([0.3 + 0.1j, -0.7, 1.2j]), np.array([0.5, -0.4 - 0.2j])]
+        grid = f.taylor_grid(axes, 6)
         terms = f.taylor_terms(axes, 6)
         assert (terms is None) == ("ratio" in spec), spec
-        if terms is None:
-            continue
         for idx in itertools.product(*(range(len(x)) for x in axes)):
-            got = sum(functools.reduce(np.multiply.outer, [row[i] for row, i in zip(term, idx)])
-                      for term in terms)
             want = _dense_reference_box(f, [x[i] for x, i in zip(axes, idx)], 6)
-            assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want))), spec
+            got = [grid[idx]] + ([] if terms is None else [sum(
+                functools.reduce(np.multiply.outer, [row[i] for row, i in zip(term, idx)])
+                for term in terms)])
+            for box in got:
+                assert np.max(np.abs(box - want)) <= 1e-14 * (1.0 + np.max(np.abs(want))), spec
     # exp(z1 - z2) = 1 at (800, 800), though e^800 overflows on either axis alone
     f = parse("exp(z1-z2)")
     box = functions.taylor_coefficients(f, (800.0, 800.0), 4)
@@ -287,6 +312,48 @@ def test_taylor_terms_match_the_dense_boxes():
     got = sum(functools.reduce(np.multiply.outer, [row[1] for row in term])
               for term in f.taylor_terms(near, 4))
     assert np.all(np.isfinite(got)) and np.max(np.abs(got - box)) <= 1e-14
+
+
+@st.composite
+def _trees(draw, arity, depth, safe=False):
+    """A random function tree of at most `depth` binary nodes; a `safe` one
+    does not vanish where every |z_j| <= 1/2, so it can be a denominator."""
+    coeff = st.floats(-1.0, 1.0)
+    kinds = ["exp", "poly", "prod", "ratio"] if safe else [
+        "poly", "exp", "sin", "cos", "sum", "prod", "ratio"]
+    kind = draw(st.sampled_from(kinds[:2 if safe else 4] if depth == 0 else kinds))
+    if kind == "poly":
+        monomials = draw(st.lists(st.tuples(*[st.integers(0, 2)] * arity), min_size=1,
+                                  max_size=3))
+        if safe:   # 3 + at most three monomials of size <= 1/2 each on the disk
+            table = {(0,) * arity: 3.0, **{m: 0.5 * draw(coeff) for m in monomials if any(m)}}
+        else:
+            table = {m: draw(coeff) for m in monomials}
+        return functions.Polynomial(table, arity)
+    if kind in ("exp", "sin", "cos"):
+        affine = functions._Affine([draw(coeff) for _ in range(arity)], draw(coeff))
+        cls = {"exp": functions.ExpAffine, "sin": functions.SinAffine, "cos": functions.CosAffine}
+        return cls[kind](affine, arity)
+    left = draw(_trees(arity, depth - 1, safe))
+    right = draw(_trees(arity, depth - 1, safe or kind == "ratio"))
+    return {"sum": functions.Sum, "prod": functions.Product, "ratio": functions.Ratio}[kind](
+        left, right)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, 3), st.integers(0, 6))
+def test_random_trees_match_the_dense_boxes(data, arity, depth, cap):
+    # sums, products and ratios nested to any depth: the coefficient grid on
+    # two centers per axis against the per-class dense boxes at each center
+    f = data.draw(_trees(arity, depth))
+    part = st.floats(-0.35, 0.35)
+    axes = [np.array([complex(data.draw(part), data.draw(part)) for _ in range(2)])
+            for _ in range(arity)]
+    grid = f.taylor_grid(axes, cap)
+    for idx in itertools.product(range(2), repeat=arity):
+        want = _dense_reference_box(f, [x[i] for x, i in zip(axes, idx)], cap)
+        assert np.max(np.abs(grid[idx] - want)) <= 1e-13 * (1.0 + np.max(np.abs(want))), \
+            f.to_spec()
 
 
 def test_exp_taylor_terms_split_a_wide_axis_into_runs():
