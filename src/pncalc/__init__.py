@@ -26,7 +26,6 @@ from .linalg import (
     EigenResult,
     eig,
     eye_like,
-    kron,
     op_norm,
     read_cmat,
     resolvent,
@@ -96,7 +95,7 @@ __all__ = [
     "DimensionCapError", "NearSingularError", "ContourTooCloseError",
     "ClusterSeparationError", "DomainError", "QuadratureError",
     "DecompositionError", "TailBoundError",
-    "KRON_CAP", "EigenResult", "eig", "eye_like", "kron", "op_norm",
+    "KRON_CAP", "EigenResult", "eig", "eye_like", "op_norm",
     "read_cmat", "resolvent", "write_cmat",
     "Contour", "Decomposition", "SpectralComponent", "cluster_eigenvalues",
     "decompose", "nilpotency_index", "read_decomposition",

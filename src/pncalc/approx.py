@@ -361,7 +361,7 @@ def error_constant_multi(f: AnalyticFunction, models, contours, n_range) -> floa
         family = [(m.matrix_ref, m.eigenvalues)] + [
             (tp.x_n, tp.eigenvalues) for tp in (compress(m, int(n)) for n in n_range)]
         sups.append([
-            _resolvent_stacks(x, c, eigenvalues=evs, label="error constant")[0][2].sup()
+            _resolvent_stacks(x, c, eigenvalues=evs, label="error constant")[2].sup()
             for x, evs in family])
     return _error_constant(f, contours, sups)
 
@@ -520,7 +520,7 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
     strides = [m.nodes // c.nodes for m, c in zip(meas, contours)]
     _check_node_tuples(f, meas)
     ref_stacks = [_resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues,
-                                    label=f"factor {j + 1}")[0]
+                                    label=f"factor {j + 1}")
                   for j, (m, c) in enumerate(zip(models, meas))]
     g_ref, p_cs, ref_sups = _fold_and_reads(f, ref_stacks, strides)
     sups = [[s] for s in ref_sups]
@@ -541,8 +541,8 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
             diff_op = (tp.x_n_padded - model.matrix_ref) @ r0s[j]
             eps_g += op_norm(diff_op)
             eps_c += op_norm(diff_op @ p_cs[j])
-            stacks += _resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues,
-                                        label=f"factor {j + 1} truncation n={n}")
+            stacks.append(_resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues,
+                                            label=f"factor {j + 1} truncation n={n}"))
             # tp.eigenvalues ends with the padding 0, which P_n does not see
             spectra_n.append(tp.eigenvalues[:-1])
         d, p_ns, n_sups = _fold_and_reads(f, stacks, strides, [m.ref_dim for m in models])
@@ -613,9 +613,8 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     sups = []
 
     def integral(m):
-        stacks = _resolvent_stacks(m, meas, require_full=True, label="perturbation")
-        [g], sup = stacks[0][2].contract([_node_coeffs(f, stacks)],
-                                         meas.nodes // contour.nodes)
+        stack = _resolvent_stacks(m, meas, require_full=True, label="perturbation")
+        [g], sup = stack[2].contract([_node_coeffs(f, [stack])], meas.nodes // contour.nodes)
         sups.append(sup)
         return g
 

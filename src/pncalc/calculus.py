@@ -9,8 +9,9 @@ Three independent routes compute it:
 * func_multivariate: the spectral assembly
     sum over eigenvalue tuples and multi-indices alpha of
     d^alpha f(lambda) / alpha! * kron_j N_j^{alpha_j} P_j
-  from the components' n x m factors, each part folded factor by factor,
-  ledgered and split into s0 (alpha = 0), s_mixed and s_full parts;
+  from the components' n x m factors, each part folded factor by factor
+  in one column fold (`_fold_powers`), ledgered and split into s0
+  (alpha = 0), s_mixed and s_full parts;
 * dunford_multivariate: iterated contour quadrature of
   f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened factorization
   per factor (`linalg.NodeResolvents`).  The order-0 column of f's Taylor
@@ -20,7 +21,7 @@ Three independent routes compute it:
   spec with more terms than a factor has nodes, takes one term per
   first-factor node, and at three it is folded over the node tuples;
 * power_series_apply: a truncated lifted Taylor series about a factor-wise
-  center, with a certified tail bound.
+  center, with a tail bound certified under TAIL_TOL.
 
 Agreement of the three routes on the same system is the package's strongest
 internal consistency check.
@@ -48,12 +49,6 @@ from .spectra import Contour, Decomposition, _resolvent_stacks, _triangular_fact
 _DOUBLING_TOL = 1e-10
 # entries of the Kronecker-sum product a fold holds besides its result: 2 MB
 _SLAB_ENTRIES = 1 << 17
-# fixed costs of `_fold_part`'s pair product in multiply-adds of the result:
-# per first-factor term and per call, fitted on 115 parts of oracle-sized
-# tensors (2-vCPU VM, one BLAS thread: 2.4 us per term and 20 us per call
-# at about 1.1e3 multiply-adds per us)
-_PAIR_TERM_COST = 2_500
-_PAIR_CALL_COST = 20_000
 NODE_BUDGET = 300_000
 TAIL_TOL = 1e-12
 _MAX_SERIES_CAP = 64
@@ -63,8 +58,8 @@ _MAX_SERIES_CAP = 64
 class LiftedSystem:
     """Factors of a lifted family, with their decompositions made on first use.
 
-    The lifts are implicit; `lifted_matrix(j)` builds one on demand.  Each
-    factor is decomposed at most once, with the tolerances given to `lift`.
+    The lifts are implicit: no route forms one.  Each factor is decomposed
+    at most once, with the tolerances given to `lift`.
     """
     factors: list[np.ndarray]
     tensor_dim: int
@@ -83,13 +78,6 @@ class LiftedSystem:
         kwargs = {k: v for k, v in tols.items() if v is not None}
         return [decompose(m, **kwargs) for m in self.factors]
 
-    def lifted_matrix(self, j: int) -> np.ndarray:
-        """The dense lift I x..x X_j x..x I of factor j."""
-        dims = [m.shape[0] for m in self.factors]
-        left = int(np.prod(dims[:j], dtype=int))
-        right = int(np.prod(dims[j + 1:], dtype=int))
-        return np.kron(np.kron(eye_like(left), self.factors[j]), eye_like(right))
-
 
 @dataclass
 class LedgerEntry:
@@ -105,7 +93,6 @@ class CalculusResult:
     s_mixed: np.ndarray
     s_full: np.ndarray
     term_ledger: list[LedgerEntry] = field(default_factory=list)
-    method: str = ""
 
 
 def lift(factors, cap: int = KRON_CAP, cluster_tol: float | None = None,
@@ -180,7 +167,7 @@ def func_univariate(f: AnalyticFunction, dec: Decomposition) -> CalculusResult:
     """f(X) = sum_k [f(lambda_k) P_k + sum_q f^(q)(lambda_k)/q! N_k^q]."""
     if f.arity != 1:
         raise ConfigError(f"func_univariate needs arity 1, got {f.arity}")
-    return _assemble(f, [dec], dec.dim, "func_univariate")
+    return _assemble(f, [dec], dec.dim)
 
 
 def func_multivariate(f: AnalyticFunction, system: LiftedSystem) -> CalculusResult:
@@ -188,62 +175,32 @@ def func_multivariate(f: AnalyticFunction, system: LiftedSystem) -> CalculusResu
     if f.arity != system.rank:
         raise ConfigError(
             f"function arity {f.arity} does not match system rank {system.rank}")
-    return _assemble(f, system.decompositions, system.tensor_dim, "func_multivariate")
+    return _assemble(f, system.decompositions, system.tensor_dim)
 
 
-def _fold_powers(k, lefts, w_conj, batch: int = 1) -> np.ndarray:
-    """sum over power tuples alpha of (kron_j L_{j,alpha_j}) diag(K_alpha)
-    (kron_j W_j)^H, with K on axes (batch, columns_1, power_1, ..,
-    columns_r, power_r), lefts[j][q] = L_q and w_conj[j] = conj(W_j), as a
-    (batch, N, N) array.  Per factor, one product batched over the columns
+def _fold_powers(k, lefts, w_conj, dim: int) -> np.ndarray:
+    """One part of the assembly: sum over power tuples alpha of
+    (kron_j L_{j,alpha_j}) diag(K_alpha) (kron_j W_j)^H, with K on axes
+    (columns_1, power_1, .., columns_r, power_r), 0 outside the part,
+    lefts[j][q] = L_q and w_conj[j] = conj(W_j), as an N x N array (zeros
+    for an all-zero K).  Per factor, one product batched over the columns
     turns the axes (rows done, columns, powers, rest) into (rows done,
     columns, rows, rest) and one more applies W^H: (rows done, rows, rest,
     columns after W^H).  rest holds the later factors' axes and the columns
     done; no N x N Kronecker product is formed.
     """
-    acc, done = k, batch
+    if not k.any():
+        return np.zeros((dim, dim), dtype=complex)
+    acc, done = k, 1
     for ls, w in zip(lefts, w_conj):
         lt = np.ascontiguousarray(ls.transpose(2, 1, 0))  # (columns, rows, powers)
         acc = np.matmul(lt, acc.reshape(done, len(w), len(ls), -1))
         acc = np.matmul(acc.reshape(done, len(w), -1).transpose(0, 2, 1), w.T)
         done *= len(w)
-    dim = done // batch
-    return acc.reshape(batch, dim, dim)
+    return acc.reshape(dim, dim)
 
 
-def _fold_part(k, lefts, w_conj, starts, dim: int) -> np.ndarray:
-    """One part of the assembly: `_fold_powers` of K, which is 0 outside the
-    part, on axes (columns_1, power_1, .., columns_r, power_r).
-
-    K is constant over each component's columns, which start at `starts`
-    on the first factor, so the part is also
-    sum_t (L_q W_i^H) kron (fold of the other factors on K's slab t), over
-    the first factor's terms t = (component i, power q).  Per entry of the
-    result, that pair product takes one multiply-add per term; the column
-    fold's last factor takes one per column for W^H and one per power
-    after the first.  The pair product also pays one small product per term
-    and its stack and slab loop (`_PAIR_TERM_COST`, `_PAIR_CALL_COST`), so
-    it is used only where the saving on the result's entries exceeds those;
-    otherwise, and on a tie, the column fold is used, as for index-1
-    factors with k = n whose first is at least as large as the last, and
-    for every part of a tensor of a few dozen dimensions.
-    """
-    if not k.any():
-        return np.zeros((dim, dim), dtype=complex)
-    slabs = k[starts].reshape(len(starts) * len(lefts[0]), *k.shape[2:])
-    terms = np.flatnonzero(slabs.reshape(len(slabs), -1).any(axis=1))
-    saving = (len(w_conj[-1]) + len(lefts[-1]) - 1 - terms.size) * dim * dim
-    if saving <= _PAIR_TERM_COST * terms.size + _PAIR_CALL_COST:
-        return _fold_powers(k, lefts, w_conj)[0]
-    ends = np.append(starts[1:], len(w_conj[0]))
-    dense = np.stack([lefts[0][q][:, starts[i]:ends[i]] @ w_conj[0][:, starts[i]:ends[i]].T
-                      for i, q in zip(*np.divmod(terms, len(lefts[0])))])
-    rest = _fold_powers(slabs[terms], lefts[1:], w_conj[1:], terms.size)
-    return _pair_sum(dense, rest)
-
-
-def _assemble(f, decompositions: list[Decomposition], dim: int,
-              method: str) -> CalculusResult:
+def _assemble(f, decompositions: list[Decomposition], dim: int) -> CalculusResult:
     """Spectral assembly from each component's n x m factors alone.
 
     A component's term of power q is L_q W^H: L_0 = V gives P, and L_q =
@@ -286,8 +243,7 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
     # K on axes (columns_1, power_1, .., columns_r, power_r); support: nonzero powers
     k = coeffs[np.ix_(*cols)].transpose([a for j in range(r) for a in (j, r + j)])
     support = np.count_nonzero(np.indices([d for nu in nus for d in (1, max(nu))]), axis=0)
-    starts = np.flatnonzero(np.diff(cols[0], prepend=-1))
-    s0, s_mixed, s_full = (_fold_part(np.where(part, k, 0.0), stacked, w_conj, starts, dim)
+    s0, s_mixed, s_full = (_fold_powers(np.where(part, k, 0.0), stacked, w_conj, dim)
                            for part in (support == 0, (support > 0) & (support < r),
                                         support == r))
     value = s0 + s_mixed + s_full
@@ -306,7 +262,7 @@ def _assemble(f, decompositions: list[Decomposition], dim: int,
     for t in itertools.product(*terms):
         lam, i, q, norm = zip(*t)
         ledger.append(LedgerEntry(lam, q, math.prod(norm, start=float(abs(coeffs[i + q])))))
-    return CalculusResult(value, s0, s_mixed, s_full, ledger, method)
+    return CalculusResult(value, s0, s_mixed, s_full, ledger)
 
 
 def write_term_ledger(path, result: CalculusResult, sha=None) -> None:
@@ -335,33 +291,33 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
 
     With `require_full` the contour must enclose the whole spectrum, giving
     f(x); without it the integral restricts f to the enclosed cluster.
-    `verify` doubles the node count and demands 1e-10 relative agreement.
+    `verify` doubles the node count, on the same factorization of x, and
+    demands 1e-10 relative agreement; the doubled rule's value is returned.
     """
     if f.arity != 1:
         raise ConfigError(f"dunford needs a univariate function, got arity {f.arity}")
     f.assert_analytic_on([contour.center], [contour.radius])
-    counts = (contour.nodes, 2 * contour.nodes) if verify else (contour.nodes,)
-    stacks = _resolvent_stacks(x, contour, counts, require_full=require_full,
-                               label="dunford")
-    runs = [rs.contract([w * np.asarray(f(zs), dtype=complex)])[0][0]
-            for zs, w, rs in stacks]
-    value = runs[-1]
-    if verify:
-        gap = op_norm(value - runs[0])
-        if gap > _DOUBLING_TOL * (1.0 + op_norm(value)):
-            raise QuadratureError(
-                f"dunford quadrature unstable under node doubling ({gap:.3e})")
-    return value
+    zs, w, rs = _resolvent_stacks(x, contour, require_full=require_full, label="dunford")
+    value = rs.contract([w * np.asarray(f(zs), dtype=complex)])[0][0]
+    if not verify:
+        return value
+    zs = contour.points(2 * contour.nodes)
+    doubled = rs.at(zs).contract(
+        [contour.weights(2 * contour.nodes) * np.asarray(f(zs), dtype=complex)])[0][0]
+    gap = op_norm(doubled - value)
+    if gap > _DOUBLING_TOL * (1.0 + op_norm(doubled)):
+        raise QuadratureError(
+            f"dunford quadrature unstable under node doubling ({gap:.3e})")
+    return doubled
 
 
-def _check_node_tuples(f: AnalyticFunction, contours: list[Contour], scale: int = 1,
-                       budget: int = NODE_BUDGET) -> None:
+def _check_node_tuples(f: AnalyticFunction, contours: list[Contour]) -> None:
     """Analyticity on the polydisk, and the cost guard on node tuples."""
     f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
-    total = int(np.prod([c.nodes * scale for c in contours]))
-    if total > budget:
+    total = int(np.prod([c.nodes for c in contours]))
+    if total > NODE_BUDGET:
         raise PreconditionError(
-            f"quadrature cost guard: {total} node tuples exceed budget {budget}")
+            f"quadrature cost guard: {total} node tuples exceed budget {NODE_BUDGET}")
 
 
 def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
@@ -422,12 +378,12 @@ def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
-                         contours: list[Contour], require_full: bool = True,
-                         verify: bool = False, budget: int = NODE_BUDGET) -> np.ndarray:
+                         contours: list[Contour], require_full: bool = True) -> np.ndarray:
     """Iterated contour quadrature of f(z) kron_j (z_j I - X_j)^{-1}.
 
-    Node tuples are capped at `budget` (cost guard).  Each factor is
-    factored once, at its own dimension, for all node counts.  An f with
+    Node tuples are capped at NODE_BUDGET (cost guard).  Each factor is
+    factored once, at its own dimension, and screened against its contour
+    (`_resolvent_stacks`).  An f with
     Taylor terms, f = sum_t prod_j g_tj(z_j) on the nodes, is folded as
     sum_t kron_j (sum_k w_k g_tj(z_k) R_j(z_k)), one contraction pass per
     factor; at two factors a ratio, or an f with more terms than the
@@ -441,19 +397,10 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
         raise ConfigError(f"need {r} contours, got {len(contours)}")
     if r > 3:
         raise PreconditionError("iterated quadrature supports at most 3 factors")
-    scales = (1, 2) if verify else (1,)
-    _check_node_tuples(f, contours, scales[-1], budget)
-    per_factor = [_resolvent_stacks(x, c, [c.nodes * s for s in scales],
-                                    require_full=require_full, label=f"factor {j + 1}")
-                  for j, (x, c) in enumerate(zip(system.factors, contours))]
-    runs = [_node_fold(f, stacks) for stacks in zip(*per_factor)]
-    value = runs[-1]
-    if verify:
-        gap = op_norm(value - runs[0])
-        if gap > 1e-9 * (1.0 + op_norm(value)):
-            raise QuadratureError(
-                f"multivariate quadrature unstable under node doubling ({gap:.3e})")
-    return value
+    _check_node_tuples(f, contours)
+    return _node_fold(f, [_resolvent_stacks(x, c, require_full=require_full,
+                                            label=f"factor {j + 1}")
+                          for j, (x, c) in enumerate(zip(system.factors, contours))])
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +437,7 @@ def _box_shells(w: np.ndarray, ks) -> np.ndarray:
 
 
 def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
-                       center=None, degree_cap: int | None = None,
-                       tail_tol: float = TAIL_TOL) -> np.ndarray:
+                       center=None) -> np.ndarray:
     """Truncated lifted Taylor series sum_alpha a_alpha prod_j (X~_j - c_j)^alpha_j.
 
     The center defaults to the factor-wise mean of the component eigenvalues.
@@ -508,7 +454,7 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
     past the cap, the discarded shells |alpha|_inf = k are bounded with
     weights prod ||X_j - c_j I||^alpha_j (per term and axis, `_term_shells`;
     on a folded box, `_box_shells`), and a geometric extension
-    of the last shell must bring the whole tail under `tail_tol`
+    of the last shell must bring the whole tail under TAIL_TOL
     (TailBoundError otherwise).  Polynomials get an exact cap from their
     degree.
     """
@@ -526,12 +472,7 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
     radii = [max(op_norm(y), 1e-300) for y in shifted]
 
     hint = f.max_degree()
-    if degree_cap is not None:
-        caps = [int(degree_cap)]
-    elif hint is not None:
-        caps = [max(hint)]
-    else:
-        caps = list(range(8, _MAX_SERIES_CAP + 1, 6))
+    caps = [max(hint)] if hint is not None else list(range(8, _MAX_SERIES_CAP + 1, 6))
 
     pad = 3
     last_tail = np.inf
@@ -561,7 +502,7 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
                 continue
             tail += shells[-1] * q / (1.0 - q)
         last_tail = tail
-        if tail <= tail_tol:
+        if tail <= TAIL_TOL:
             stacks = []
             for j in range(r):
                 d = shifted[j].shape[0]
@@ -576,5 +517,5 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
             return _kron_sum([np.tensordot(rows[:, j, :cap + 1], pw, axes=1)
                               for j, pw in enumerate(stacks)])
     raise TailBoundError(
-        f"power series tail {last_tail:.3e} not certified below {tail_tol:g} "
+        f"power series tail {last_tail:.3e} not certified below {TAIL_TOL:g} "
         f"within degree cap {caps[-1]}")

@@ -37,6 +37,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 _DEN_FLOOR = 1e-250
+# relative widening of the polydisk inside which a declared pole is refused
+_POLE_MARGIN = 0.05
 # the widest spread of Re(c_j x_j) over the centers of one axis that one
 # Taylor term of exp(c . z + d) covers (`ExpAffine.taylor_terms`)
 _EXP_RUN_SPAN = 32.0
@@ -232,14 +234,15 @@ class AnalyticFunction:
             self._partial_cache[j] = self._partial(j)
         return self._partial_cache[j]
 
-    def assert_analytic_on(self, centers, radii, margin: float = 0.05) -> None:
-        """Fail when a declared pole touches the closed polydisk (with margin)."""
+    def assert_analytic_on(self, centers, radii) -> None:
+        """Fail when a declared pole is within (1 + _POLE_MARGIN) radii of a center."""
         centers = [complex(c) for c in centers]
         if len(centers) != self.arity or len(radii) != self.arity:
             raise ConfigError("polydisk spec does not match function arity")
         for j in range(self.arity):
             poles = self.axis_poles(j, centers)
-            if poles.size and float(np.min(np.abs(poles - centers[j]))) <= radii[j] * (1.0 + margin):
+            reach = radii[j] * (1.0 + _POLE_MARGIN)
+            if poles.size and float(np.min(np.abs(poles - centers[j]))) <= reach:
                 raise DomainError(
                     f"pole along z{j + 1} inside or near the polydisk "
                     f"(radius {radii[j]:g})")

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra kernel: kron, norms, resolvents, eigen and Schur data.
+"""Dense complex linear algebra kernel: norms, resolvents, eigen and Schur data.
 
 Everything downstream funnels through these few operations so that their
 accuracy contracts are checked in exactly one place.  Matrices are plain
@@ -19,9 +19,9 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas
 
-from .errors import ConfigError, DimensionCapError, NearSingularError, ToleranceError
+from .errors import ConfigError, NearSingularError, ToleranceError
 
-# Product-dimension guard for every Kronecker assembly in the package.
+# Tensor-dimension cap of a lifted system (`calculus.lift`).
 KRON_CAP = 4096
 
 # Condition estimate above which a resolvent point counts as "on top of the
@@ -52,21 +52,6 @@ def eye_like(n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)
 
 
-def kron(a, b, cap: int = KRON_CAP) -> np.ndarray:
-    """Kronecker product with a product-dimension guard.
-
-    Raises DimensionCapError when rows(a)*rows(b) or cols(a)*cols(b) would
-    exceed `cap`; this is the single switch that keeps every tensor assembly
-    at desk scale.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] * b.shape[0] > cap or a.shape[1] * b.shape[1] > cap:
-        raise DimensionCapError(
-            f"kron of {a.shape} and {b.shape} exceeds the dimension cap {cap}")
-    return np.kron(a, b)
-
-
 def op_norm(a) -> float:
     """Operator norm (largest singular value)."""
     m = as_matrix(a)
@@ -94,22 +79,22 @@ def _norm_bounds(a: np.ndarray, lower: bool = True) -> tuple[float, float]:
     return column * (1.0 - _BOUND_ALLOWANCE), upper
 
 
-def resolvent(x, z: complex, cond_limit: float = COND_LIMIT) -> np.ndarray:
+def resolvent(x, z: complex) -> np.ndarray:
     """(z I - x)^{-1} with a condition signal and a residual certificate.
 
     Raises NearSingularError when the condition estimate ||zI-x||*||R||
-    exceeds `cond_limit`.  The returned inverse satisfies
+    exceeds COND_LIMIT.  The returned inverse satisfies
     ||(zI-x) R - I|| <= 1e-12 * (|z| + ||x||) * ||R||; one step of iterative
     refinement is applied if the direct solve misses that bound.
     """
-    return _resolvent(x, z, cond_limit)[0]
+    return _resolvent(x, z)[0]
 
 
-def _resolvent(x, z: complex, cond_limit: float = COND_LIMIT) -> tuple[np.ndarray, float]:
-    """`resolvent(x, z, cond_limit)` and its op_norm.
+def _resolvent(x, z: complex) -> tuple[np.ndarray, float]:
+    """`resolvent(x, z)` and its op_norm.
 
     Both certificates are first tried with the certified bounds of
-    `_norm_bounds`: ||zI-x||_F ||R|| <= cond_limit, and
+    `_norm_bounds`: ||zI-x||_F ||R|| <= COND_LIMIT, and
     ||(zI-x) R - I||_F <= 1e-12 (|z| + colmax(x)) ||R||.  When they pass,
     the exact tests below pass too, on the same R; otherwise the exact
     tests decide, with op_norm of every matrix.
@@ -124,13 +109,13 @@ def _resolvent(x, z: complex, cond_limit: float = COND_LIMIT) -> tuple[np.ndarra
         raise NearSingularError(f"resolvent point z={z} is in the spectrum") from exc
     norm_r = op_norm(r)
     residual = a @ r - ident
-    if (_norm_bounds(a, lower=False)[1] * norm_r <= cond_limit
+    if (_norm_bounds(a, lower=False)[1] * norm_r <= COND_LIMIT
             and _norm_bounds(residual, lower=False)[1]
             <= _RESIDUAL_TOL * (abs(z) + _norm_bounds(x)[0]) * norm_r):
         return r, norm_r
-    if op_norm(a) * norm_r > cond_limit:
+    if op_norm(a) * norm_r > COND_LIMIT:
         raise NearSingularError(
-            f"resolvent at z={z} is near-singular (condition estimate above {cond_limit:g})")
+            f"resolvent at z={z} is near-singular (condition estimate above {COND_LIMIT:g})")
     bound = _RESIDUAL_TOL * (abs(z) + op_norm(x)) * norm_r
     if op_norm(residual) > bound:
         r = r + np.linalg.solve(a, ident - a @ r)

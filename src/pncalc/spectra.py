@@ -189,22 +189,24 @@ def _distances(values, points) -> np.ndarray:
     return np.hypot(d.real, d.imag)
 
 
-def _resolvent_stacks(x, contour: Contour, node_counts=(None,), eigenvalues=None,
+def _resolvent_stacks(x, contour: Contour, eigenvalues=None,
                       require_full: bool = False, label: str = "quadrature"):
-    """[(nodes, weights, NodeResolvents of x)] per node count (None: the contour's).
+    """(nodes, weights, NodeResolvents of x) on the contour's nodes.
 
-    x is factored once for all node counts.  The spectrum is screened once,
-    before any solve: trapezoid leakage grows as an eigenvalue nears the
-    circle (Trefethen & Weideman 2014), so one within CIRCLE_GUARD * radius
-    of it is refused, and with `require_full` so is one outside it.  The
-    screen reads `eigenvalues` when they are supplied, before x is factored,
-    and otherwise the spectrum of the factorization itself (diag(T) of the
+    x is factored once; a rule on other nodes reads the same factorization
+    through `NodeResolvents.at`.  The spectrum is screened before any
+    solve: trapezoid leakage grows as an eigenvalue nears the circle
+    (Trefethen & Weideman 2014), so one within CIRCLE_GUARD * radius of it
+    is refused, and with `require_full` so is one outside it.  The screen
+    reads `eigenvalues` when they are supplied, before x is factored, and
+    otherwise the spectrum of the factorization itself (diag(T) of the
     certified Schur form, or the eigh values).
     """
     x = as_matrix(x, square=True)
+    zs = contour.points()
     factored = None
     if eigenvalues is None:
-        factored = resolvent_at_nodes(x, contour.points(node_counts[0]))
+        factored = resolvent_at_nodes(x, zs)
         eigenvalues = factored.eigenvalues
     dist = contour.circle_distance(eigenvalues)
     if dist.size and float(np.min(dist)) < CIRCLE_GUARD * contour.radius:
@@ -215,12 +217,8 @@ def _resolvent_stacks(x, contour: Contour, node_counts=(None,), eigenvalues=None
         raise PreconditionError(
             f"{label}: contour must enclose the whole spectrum (an eigenvalue lies outside)")
     if factored is None:
-        factored = resolvent_at_nodes(x, contour.points(node_counts[0]))
-    out = []
-    for m in node_counts:
-        zs = contour.points(m)
-        out.append((zs, contour.weights(m), factored.at(zs)))
-    return out
+        factored = resolvent_at_nodes(x, zs)
+    return zs, contour.weights(), factored
 
 
 def riesz_projector(x, contour: Contour, eigenvalues=None) -> np.ndarray:
@@ -231,8 +229,8 @@ def riesz_projector(x, contour: Contour, eigenvalues=None) -> np.ndarray:
     CIRCLE_GUARD * radius of the circle (measured against `eigenvalues`,
     computed here when not supplied).
     """
-    [(_, w, rs)] = _resolvent_stacks(x, contour, eigenvalues=eigenvalues,
-                                     label="riesz_projector")
+    _, w, rs = _resolvent_stacks(x, contour, eigenvalues=eigenvalues,
+                                 label="riesz_projector")
     return rs.contract([w])[0][0]
 
 

@@ -157,7 +157,7 @@ def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
     for n in (3, 8, 16):
         tp = approx.compress(m, n)
         for contour in (cluster, around_zero):
-            [stack] = spectra._resolvent_stacks(tp.x_n, contour, eigenvalues=tp.eigenvalues)
+            stack = spectra._resolvent_stacks(tp.x_n, contour, eigenvalues=tp.eigenvalues)
             got = approx._fold_and_reads(f, [stack], [1], [ref_dim])[0]
             want = calculus.dunford(f, tp.x_n_padded, contour, require_full=False)
             assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
@@ -184,7 +184,7 @@ def test_padded_fold_matches_padded_dunford_multivariate():
         assert (got_terms if terms is None else len(got_terms)) == terms, spec
         for n in (3, 5):
             points = [approx.compress(m, n) for m in models]
-            stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
+            stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)
                       for tp, c in zip(points, contours)]
             got = approx._fold_and_reads(f, stacks, [1, 1], [16, 16])[0]
             system = calculus.lift([tp.x_n_padded for tp in points])
@@ -507,7 +507,7 @@ def _dense_errors(models, f, contours, n_list):
     """The measurement floor and each ||f(X_n) - f(X)||: dense SVDs of node
     folds of explicitly padded stacks blockdiag((zI - X_n)^{-1}, z^{-1} I)."""
     meas = [approx._meas_contour(c) for c in contours]
-    ref = [spectra._resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues)[0]
+    ref = [spectra._resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues)
            for m, c in zip(models, meas)]
     g_ref = _dense_fold(f, ref)
     errors = []
@@ -515,7 +515,7 @@ def _dense_errors(models, f, contours, n_list):
         stacks = []
         for m, c in zip(models, meas):
             tp = approx.compress(m, n)
-            zs, w, rs = spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
+            zs, w, rs = spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)
             padded = np.zeros((zs.size, m.ref_dim, m.ref_dim), dtype=complex)
             padded[:, :n, :n] = rs
             padded[:, np.arange(n, m.ref_dim), np.arange(n, m.ref_dim)] = (1.0 / zs)[:, None]
@@ -640,8 +640,8 @@ def test_one_factor_study_holds_one_chunk_of_resolvents():
     f = parse("exp(-z1)")
     tracemalloc.start()
     try:
-        stacks = spectra._resolvent_stacks(m.matrix_ref, meas, eigenvalues=m.eigenvalues)
-        approx._fold_and_reads(f, stacks, [meas.nodes // contour.nodes], [128])
+        stack = spectra._resolvent_stacks(m.matrix_ref, meas, eigenvalues=m.eigenvalues)
+        approx._fold_and_reads(f, [stack], [meas.nodes // contour.nodes], [128])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -15,6 +15,7 @@ from pncalc.errors import (
     DimensionCapError,
     DomainError,
     PreconditionError,
+    QuadratureError,
 )
 
 parse = functions.parse_function
@@ -39,6 +40,12 @@ def _golden_pair_values():
         "ratio(poly{(0,0):1},poly{(0,0):4,(1,0):-1,(0,1):-1})":
             i4 / 3 + n1 / 9 + n2 / 9 + 2 * n1 @ n2 / 27,
     }
+
+
+def _lifted(factors, j):
+    """The dense lift I x..x X_j x..x I of factor j."""
+    eyes = [np.eye(len(x)) for x in factors]
+    return functools.reduce(np.kron, eyes[:j] + [factors[j]] + eyes[j + 1:])
 
 
 def _enclosing(x, nodes=64):
@@ -143,7 +150,7 @@ def test_linearity_in_the_function():
 def test_coordinate_and_constant_functions():
     system = calculus.lift([X1, X2])
     z1 = calculus.func_multivariate(parse("poly{(1,0):1}"), system).value
-    assert np.linalg.norm(z1 - system.lifted_matrix(0), 2) <= 1e-12
+    assert np.linalg.norm(z1 - _lifted(system.factors, 0), 2) <= 1e-12
     one = calculus.func_multivariate(parse("poly{(0,0):1}"), system).value
     assert np.linalg.norm(one - np.eye(4), 2) <= 1e-12
 
@@ -168,6 +175,8 @@ def test_lift_validations():
         calculus.lift([])
     with pytest.raises(DimensionCapError):
         calculus.lift([np.eye(70, dtype=complex), np.eye(70, dtype=complex)])
+    # boundary: 64 * 64 = 4096 = KRON_CAP lifts
+    assert calculus.lift([np.eye(64), np.eye(64)]).tensor_dim == linalg.KRON_CAP
     system = calculus.lift([X1, X2])
     with pytest.raises(ConfigError):
         calculus.func_multivariate(parse("exp(z1)"), system)  # arity mismatch
@@ -180,7 +189,7 @@ def test_lifts_commute_exactly():
     system = calculus.lift(factors, cluster_tol=1e-4 * 4)
     for i in range(3):
         for j in range(i + 1, 3):
-            li, lj = system.lifted_matrix(i), system.lifted_matrix(j)
+            li, lj = _lifted(system.factors, i), _lifted(system.factors, j)
             comm = li @ lj - lj @ li
             assert np.max(np.abs(comm)) == 0.0  # bitwise, by kron structure
 
@@ -201,6 +210,20 @@ def test_dunford_rejects_pole_inside():
     f = parse("ratio(poly{0:1},poly{0:0.75,1:-1})")  # pole at 0.75
     with pytest.raises(DomainError):
         calculus.dunford(f, x, c)
+
+
+def test_dunford_doubling_gate():
+    # 16 trapezoid nodes on the unit circle leave 0.88 between the rule and
+    # its doubling on an eigenvalue 0.07 inside it; at 0.2, 32 nodes agree
+    # with 64 to rounding
+    f = parse("exp(z1)")
+    x = np.diag([0.0, 0.93]).astype(complex)
+    with pytest.raises(QuadratureError, match=r"^dunford quadrature unstable under "
+                       r"node doubling \(8\.799e-01\)$"):
+        calculus.dunford(f, x, spectra.Contour(0.0, 1.0, 16), verify=True)
+    x = np.diag([0.0, 0.2]).astype(complex)
+    val = calculus.dunford(f, x, spectra.Contour(0.0, 1.0, 32), verify=True)
+    assert np.linalg.norm(val - expm(x), 2) <= 1e-12
 
 
 def test_dunford_multivariate_budget_guard():
@@ -283,7 +306,7 @@ def test_three_factor_fold_never_forms_the_node_tuple_tensor():
     f = parse("ratio(prod(exp(z1+2*z2-z3),sin(z2+0.5*z3)),"
               "poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
     assert f.taylor_terms([np.ones(2)] * 3, 0) is None
-    stacks = [spectra._resolvent_stacks(x, _enclosing(x))[0] for x in factors]
+    stacks = [spectra._resolvent_stacks(x, _enclosing(x)) for x in factors]
     whole = calculus._kron_fold(calculus._node_coeffs(f, stacks),
                                 [np.asarray(rs) for _, _, rs in stacks])
     tracemalloc.start()
@@ -504,7 +527,7 @@ def test_separable_fold_matches_the_node_tuple_fold(data, r, seed):
     kinds = data.draw(st.lists(st.sampled_from(("jordan", "hermitian", "diagonalizable")),
                                min_size=r, max_size=r))
     factors = [_factor(kind, rng, int(rng.integers(2, 5))) for kind in kinds]
-    stacks = [spectra._resolvent_stacks(x, _enclosing(x, 32))[0] for x in factors]
+    stacks = [spectra._resolvent_stacks(x, _enclosing(x, 32)) for x in factors]
     want = _dense_fold(f, stacks)
     got = calculus._node_fold(f, stacks)
     assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
@@ -519,7 +542,7 @@ def test_separable_padded_fold_matches_the_padded_dense_fold(spec, n):
     contours = [approx._meas_contour(c) for c in (
         approx.lowest_cluster_contour(models[0], 2), spectra.Contour(0.0, 2.0))]
     points = [approx.compress(m, n) for m in models]
-    stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)[0]
+    stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)
               for tp, c in zip(points, contours)]
     fold, projectors, sups = approx._fold_and_reads(f, stacks, [4, 4], [16, 16])
     system = calculus.lift([tp.x_n_padded for tp in points])
@@ -755,8 +778,8 @@ def test_assembly_takes_its_coefficients_from_one_terms_call(monkeypatch):
     # index-1 component (3 + 1 columns) against an index-2 one (2 columns)
     # give s0 4*2 entries, s_mixed 3*2*2 + 4*2 and s_full 3*2*2
     parts = []
-    real = calculus._fold_part
-    monkeypatch.setattr(calculus, "_fold_part", lambda k, *args: parts.append(k) or real(k, *args))
+    real = calculus._fold_powers
+    monkeypatch.setattr(calculus, "_fold_powers", lambda k, *args: parts.append(k) or real(k, *args))
     x = synth.block_diag([synth.jordan_block(0.2, 3, 0.3), np.array([[0.9]])])
     system = calculus.lift([x, synth.jordan_block(-0.1, 2, 0.3)], cluster_tol=1e-3)
     calculus.func_multivariate(parse("exp(z1+z2)"), system)
@@ -774,12 +797,21 @@ def test_assembly_of_a_stiff_exp_over_a_wide_spectrum():
     # coefficient stays finite, and the Jordan block's e^0 (1 - 10 N) survives
     x1 = synth.block_diag([synth.jordan_block(0.0, 2, 1.0), np.array([[150.0]])])
     x2 = synth.jordan_block(1.0, 2, 1.0)
-    for spec, factors, want in (
-            ("exp(-10*z1)", [x1], expm(-10 * x1)),
-            ("exp(-10*z1+0.5*z2)", [x1, x2], np.kron(expm(-10 * x1), expm(0.5 * x2)))):
-        value = calculus.func_multivariate(parse(spec), calculus.lift(factors)).value
+    cases = [("exp(-10*z1)", [x1], None, expm(-10 * x1), 1e-13),
+             ("exp(-10*z1+0.5*z2)", [x1, x2], None,
+              np.kron(expm(-10 * x1), expm(0.5 * x2)), 1e-13)]
+    # a 2 x 2 Jordan block lifted with a 6- and a 64-dimensional partner
+    rng = np.random.default_rng(2626)
+    jordan = np.array([[0.3, 1.0], [0.0, 0.3]], dtype=complex)
+    for second in (synth.random_jordan_matrix(rng, 6, max_index=3)[0],
+                   synth.random_diagonalizable(rng, 64, spread=3.0, min_sep=0.15)):
+        cases.append(("exp(0.5*z1+z2)", [jordan, second],
+                      1e-3 * max(1.0, linalg.op_norm(second)),
+                      np.kron(expm(0.5 * jordan), expm(second)), 1e-10))
+    for spec, factors, ctol, want, tol in cases:
+        value = calculus.func_multivariate(parse(spec), calculus.lift(factors, cluster_tol=ctol)).value
         assert np.all(np.isfinite(value)), spec
-        assert linalg.op_norm(value - want) <= 1e-13 * linalg.op_norm(want), spec
+        assert linalg.op_norm(value - want) <= tol * linalg.op_norm(want), spec
 
 
 def test_quadrature_of_a_stiff_exp_near_the_float_exponent_limit():
@@ -821,22 +853,3 @@ def test_series_folds_the_box_of_a_spec_with_more_terms_than_powers(monkeypatch)
         assert routes[0] == route, spec
         spectral = calculus.func_multivariate(f, system).value
         assert linalg.op_norm(series - spectral) <= 1e-12 * (1.0 + linalg.op_norm(spectral)), spec
-
-
-def test_fold_part_takes_the_pair_product_only_where_the_result_dominates(monkeypatch):
-    # the pair product saves multiply-adds per entry of the result but pays
-    # a small product per term: tiny tensors take the column fold
-    pairs = []
-    real = calculus._pair_sum
-    monkeypatch.setattr(calculus, "_pair_sum", lambda a, b: pairs.append(a.shape) or real(a, b))
-    rng = np.random.default_rng(2626)
-    jordan = np.array([[0.3, 1.0], [0.0, 0.3]], dtype=complex)
-    for second, count in ((synth.random_jordan_matrix(rng, 6, max_index=3)[0], 0),
-                          (synth.random_diagonalizable(rng, 64, spread=3.0, min_sep=0.15), 2)):
-        pairs.clear()
-        system = calculus.lift([jordan, second],
-                               cluster_tol=1e-3 * max(1.0, linalg.op_norm(second)))
-        value = calculus.func_multivariate(parse("exp(0.5*z1+z2)"), system).value
-        want = np.kron(expm(0.5 * jordan), expm(second))
-        assert linalg.op_norm(value - want) <= 1e-10 * linalg.op_norm(want)
-        assert len(pairs) == count

@@ -582,13 +582,14 @@ def test_resolvent_stacks_screen_on_their_one_factorization(monkeypatch):
     monkeypatch.setattr(spectra, "eig", lambda x: calls.append("eig"))
     x = _jordan(1.0, 3, 0.5) + np.diag([0.0, 0.0, 0.5])
     contour = spectra.Contour(1.0, 2.0, 32)
-    stacks = spectra._resolvent_stacks(x, contour, (32, 64), require_full=True)
+    zs, _, rs = spectra._resolvent_stacks(x, contour, require_full=True)
     # one Schur form serves both node counts, and its diagonal is the screen
+    doubled = rs.at(contour.points(64))
     assert calls == ["schur"]
-    assert [rs.zs.size for _, _, rs in stacks] == [32, 64]
-    assert stacks[0][2].q is stacks[1][2].q
-    for zs, w, rs in stacks:
-        assert np.array_equal(rs.dense(), linalg.resolvent_at_nodes(x, zs).dense())
+    assert [zs.size, rs.zs.size, doubled.zs.size] == [32, 32, 64]
+    assert doubled.q is rs.q
+    for stack in (rs, doubled):
+        assert np.array_equal(stack.dense(), linalg.resolvent_at_nodes(x, stack.zs).dense())
     # the same form refuses a circle through an eigenvalue, and one that
     # leaves an eigenvalue outside, before any solve
     monkeypatch.setattr(linalg.NodeResolvents, "_inverses",
