@@ -55,18 +55,19 @@ import numpy as np
 from .calculus import (
     _SLAB_ENTRIES,
     _axis_rows,
-    _check_node_tuples,
     _kron_sum,
     _node_coeffs,
 )
 from .errors import (
     ClusterSeparationError,
     ConfigError,
+    DimensionCapError,
     PreconditionError,
     ToleranceError,
 )
 from .functions import AnalyticFunction
 from .linalg import (
+    KRON_CAP,
     _norm_bounds,
     _resolvent,
     _write_csv,
@@ -475,16 +476,21 @@ def _padded_sum(blocks, scalars, dims) -> np.ndarray:
 
 
 def _fold_and_reads(f: AnalyticFunction, stacks, strides, dims=None):
-    """(fold, projectors, sups) of one matrix per factor (one or two): the
-    node fold of f (padded to `dims` when given), each factor's quadrature
-    projector sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th
-    node.
+    """(fold, projectors, sups) of one matrix per factor: the node fold of f
+    (padded to `dims` when given), each factor's quadrature projector
+    sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th node.
 
     Each factor takes one contraction pass, whose rows are the projector's
     weights and the coefficient rows of `calculus._axis_rows`; the fold is
     then sum_t kron_j of the contracted blocks, padded by `_padded_sum`.
+    At three or more factors that needs f's Taylor terms, at most as many
+    as a factor has nodes: a ratio, or a spec with more terms, is refused.
     """
     rows = _axis_rows(f, stacks)
+    if rows is None:
+        raise PreconditionError(
+            f"truncation study of {f.to_spec()} on {len(stacks)} factors needs at most "
+            f"{min(zs.size for zs, _, _ in stacks)} Taylor terms of f (a ratio has none)")
     reads = [rs.contract([w, *r], k) for r, (_, w, rs), k in zip(rows, stacks, strides)]
     projectors, sups = [sums[0] for sums, _ in reads], [sup for _, sup in reads]
     blocks = [sums[1:] for sums, _ in reads]
@@ -518,7 +524,7 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
     """
     meas = [_meas_contour(c) for c in contours]
     strides = [m.nodes // c.nodes for m, c in zip(meas, contours)]
-    _check_node_tuples(f, meas)
+    f.assert_analytic_on([c.center for c in meas], [c.radius for c in meas])
     ref_stacks = [_resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues,
                                     label=f"factor {j + 1}")
                   for j, (m, c) in enumerate(zip(models, meas))]
@@ -609,7 +615,7 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     if probes is None:
         probes = default_probes(x.shape[0])
     meas = _meas_contour(contour)
-    _check_node_tuples(f, [meas])
+    f.assert_analytic_on([meas.center], [meas.radius])
     sups = []
 
     def integral(m):
@@ -636,17 +642,24 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
 
 def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
                             n_list, probes=None) -> ConvergenceReport:
-    """r = 2 truncation study of f on the product of per-factor clusters.
+    """Truncation study of f on the product of r per-factor clusters.
 
-    Error metric: || f_ox(X_1n, X_2n) - f_ox(X_1, X_2) || via the iterated
-    contour integral restricted to the product cluster; bound
-    C_f * (eps_1 + eps_2) with cluster-restricted per-factor eps.
+    Error metric: || f_ox(X_1n, .., X_rn) - f_ox(X_1, .., X_r) || via the
+    iterated contour integral restricted to the product cluster; bound
+    C_f * (eps_1 + .. + eps_r) with cluster-restricted per-factor eps.
+    prod_j ref_dim_j is capped at KRON_CAP before any factorization, as in
+    `calculus.lift`.
     """
-    if len(models) != 2:
-        raise PreconditionError("multivariate_experiment supports exactly 2 factors")
+    if not len(models) == len(z0s) == len(contours) == f.arity:
+        raise ConfigError(f"need one z0 and one contour per variable of f ({f.arity}), "
+                          f"got {len(models)} models, {len(z0s)} z0s, {len(contours)} contours")
+    tensor_dim = math.prod(m.ref_dim for m in models)
+    if tensor_dim > KRON_CAP:
+        raise DimensionCapError(
+            f"tensor dimension {tensor_dim} exceeds the cap {KRON_CAP}")
     n_list = [int(n) for n in n_list]
     if probes is None:
-        probes = default_probes(models[0].ref_dim * models[1].ref_dim)
+        probes = default_probes(tensor_dim)
     return _truncation_study(models, f, z0s, contours, n_list, probes)
 
 

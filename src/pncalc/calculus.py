@@ -17,9 +17,10 @@ Three independent routes compute it:
   per factor (`linalg.NodeResolvents`).  The order-0 column of f's Taylor
   terms on the nodes is f = sum_t prod_j g_tj(z_j)
   (`AnalyticFunction.taylor_terms`), so the sum over node tuples is
-  sum_t kron_j of one-factor contractions; at two factors a ratio, or a
-  spec with more terms than a factor has nodes, takes one term per
-  first-factor node, and at three it is folded over the node tuples;
+  sum_t kron_j of one-factor contractions, at any number of factors; at
+  two factors a ratio, or a spec with more terms than a factor has nodes,
+  takes one term per first-factor node, and at three or more it is folded
+  over the node tuples, at most NODE_BUDGET of them;
 * power_series_apply: a truncated lifted Taylor series about a factor-wise
   center, with a tail bound certified under TAIL_TOL.
 
@@ -121,16 +122,22 @@ def lift(factors, cap: int = KRON_CAP, cluster_tol: float | None = None,
 def _kron_fold(coeffs, stacks: list[np.ndarray]) -> np.ndarray:
     """sum over tuples t of coeffs[t] * kron(stacks[0][t0], stacks[1][t1], ...).
 
-    With three stacks `coeffs` may be any iterable of its first-axis slabs
-    coeffs[t0], in order; they are folded one at a time.
+    With three or more stacks `coeffs` may be any iterable of its
+    first-axis slabs coeffs[t0], in order.  Each slab is folded on the later
+    stacks, n_1^2 slabs at a time for a first stack of n_1 x n_1 blocks, so
+    the sub-folds held at once have at most the result's N^2 entries; the
+    chunks' pair sums are added up.
     """
     if len(stacks) == 1:
         return np.tensordot(coeffs, stacks[0], axes=([0], [0]))
+    first, rest = stacks[0], stacks[1:]
     if len(stacks) == 2:
-        inner = np.tensordot(coeffs, stacks[1], axes=([1], [0]))
-    else:
-        inner = np.stack([_kron_fold(c, stacks[1:]) for c in coeffs])
-    return _pair_sum(stacks[0], inner)
+        return _pair_sum(first, np.tensordot(coeffs, rest[0], axes=([1], [0])))
+    step, slabs, out = first.shape[1] ** 2, iter(coeffs), 0
+    for i in range(0, len(first), step):
+        inner = np.stack([_kron_fold(c, rest) for c in itertools.islice(slabs, step)])
+        out += _pair_sum(first[i:i + step], inner)
+    return out
 
 
 def _pair_sum(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -311,15 +318,6 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
     return doubled
 
 
-def _check_node_tuples(f: AnalyticFunction, contours: list[Contour]) -> None:
-    """Analyticity on the polydisk, and the cost guard on node tuples."""
-    f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
-    total = int(np.prod([c.nodes for c in contours]))
-    if total > NODE_BUDGET:
-        raise PreconditionError(
-            f"quadrature cost guard: {total} node tuples exceed budget {NODE_BUDGET}")
-
-
 def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
     """f(z) prod_j w_j on the grid of node tuples, from one (nodes, weights,
     resolvents) per factor."""
@@ -343,7 +341,7 @@ def _axis_rows(f: AnalyticFunction, stacks):
     factor, and two factors of an f without terms or with more terms than
     the smallest factor has nodes, take the node coefficients themselves:
     the second factor takes row k of them and the first the unit row e_k,
-    one term per first-factor node.  None for three such factors.
+    one term per first-factor node.  None for three or more such factors.
     """
     if len(stacks) > 1:
         terms = f.taylor_terms([zs for zs, _, _ in stacks], 0)
@@ -361,16 +359,21 @@ def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
 
     Each factor takes one contraction pass over the rows of `_axis_rows`,
     and the fold is the Kronecker sum of the contracted blocks; no
-    node-tuple grid or dense stack is formed.  Three factors of an f
-    without terms, or with more than a factor has nodes, are folded from
-    the dense stacks, their coefficients taken one first-factor node at a
-    time, so the nodes^3 tensor (4 MB at 64 nodes) and the temporaries of
+    node-tuple grid or dense stack is formed.  Three or more factors of an
+    f without terms, or with more than a factor has nodes, are folded from
+    the dense stacks over the node tuples, at most NODE_BUDGET of them
+    (cost guard), their coefficients taken one first-factor node at a
+    time, so the node-tuple tensor (4 MB at 64^3) and the temporaries of
     its evaluation are never formed, and f is evaluated elementwise, so
     each slab has the bits of the whole tensor's slab.
     """
     rows = _axis_rows(f, stacks)
     if rows is not None:
         return _kron_sum([rs.contract(r)[0] for r, (_, _, rs) in zip(rows, stacks)])
+    total = math.prod(zs.size for zs, _, _ in stacks)
+    if total > NODE_BUDGET:
+        raise PreconditionError(
+            f"quadrature cost guard: {total} node tuples exceed budget {NODE_BUDGET}")
     [(zs, w, first), *rest] = stacks
     slabs = (_node_coeffs(f, [(zs[i:i + 1], w[i:i + 1], first), *rest])[0]
              for i in range(zs.size))
@@ -381,23 +384,21 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
                          contours: list[Contour], require_full: bool = True) -> np.ndarray:
     """Iterated contour quadrature of f(z) kron_j (z_j I - X_j)^{-1}.
 
-    Node tuples are capped at NODE_BUDGET (cost guard).  Each factor is
-    factored once, at its own dimension, and screened against its contour
-    (`_resolvent_stacks`).  An f with
-    Taylor terms, f = sum_t prod_j g_tj(z_j) on the nodes, is folded as
+    Each factor is factored once, at its own dimension, and screened
+    against its contour (`_resolvent_stacks`).  An f with Taylor terms,
+    f = sum_t prod_j g_tj(z_j) on the nodes, is folded as
     sum_t kron_j (sum_k w_k g_tj(z_k) R_j(z_k)), one contraction pass per
-    factor; at two factors a ratio, or an f with more terms than the
-    smallest factor has nodes, takes one term per first-factor node, and at
-    three it is folded over the node tuples (`_node_fold`).
+    factor, for any number of factors; at two factors a ratio, or an f with
+    more terms than the smallest factor has nodes, takes one term per
+    first-factor node, and at three or more it is folded over the node
+    tuples, which are capped at NODE_BUDGET (`_node_fold`).
     """
     r = system.rank
     if f.arity != r:
         raise ConfigError(f"function arity {f.arity} does not match system rank {r}")
     if len(contours) != r:
         raise ConfigError(f"need {r} contours, got {len(contours)}")
-    if r > 3:
-        raise PreconditionError("iterated quadrature supports at most 3 factors")
-    _check_node_tuples(f, contours)
+    f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
     return _node_fold(f, [_resolvent_stacks(x, c, require_full=require_full,
                                             label=f"factor {j + 1}")
                           for j, (x, c) in enumerate(zip(system.factors, contours))])

@@ -8,6 +8,7 @@ from pncalc import approx, calculus, functions, linalg, spectra
 from pncalc.errors import (
     ConfigError,
     ContourTooCloseError,
+    DimensionCapError,
     PreconditionError,
     ToleranceError,
 )
@@ -410,8 +411,49 @@ def test_multivariate_experiment_additive_bound():
     rep = approx.multivariate_experiment([m1, m2], f, [-1.0, -1.0], [c1, c2],
                                          [2, 3, 4])
     assert rep.level2_pass and rep.level1_pass
-    with pytest.raises(PreconditionError):
-        approx.multivariate_experiment([m1], f, [-1.0], [c1], [2])
+    with pytest.raises(ConfigError, match="got 3 models, 3 z0s, 2 contours"):
+        approx.multivariate_experiment([m1, m2, m2], f, [-1.0] * 3, [c1, c2], [2])
+
+
+def test_three_factor_study_passes_level_two(tmp_path):
+    # N = 16 * 8 * 8 = 1024; the 8-dim factor is the leading block of the
+    # 16-dim model, itself the exact compression of the oscillator
+    big = approx.build_model("anharmonic_x4", 16)
+    path = tmp_path / "x8.cmat"
+    linalg.write_cmat(path, big.matrix_ref[:8, :8])
+    small = approx.build_model("custom_file", 8, path=path)
+    models = [big, small, small]
+    contours = [approx.lowest_cluster_contour(m, 2) for m in models]
+    rep = approx.multivariate_experiment(models, parse("exp(-z1-z2-z3)"), [-1.0] * 3,
+                                         contours, [2, 3, 4])
+    assert rep.level2_pass
+    errors = [row.func_error_norm for row in rep.rows]
+    assert errors[0] > errors[-1] > 0.0
+
+
+def test_study_refuses_a_ratio_on_three_factors():
+    # a ratio has no Taylor terms, so its contracted blocks cannot be padded
+    f = parse("ratio(poly{(0,0,0):1},poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
+    x = np.diag([0.5, -0.5]).astype(complex)
+    stacks = [spectra._resolvent_stacks(x, spectra.Contour(0.0, 1.0, 16))] * 3
+    with pytest.raises(PreconditionError, match="on 3 factors needs at most 16 Taylor terms"):
+        approx._fold_and_reads(f, stacks, [1, 1, 1])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a matrix was factored")
+
+
+def test_multivariate_experiment_refuses_past_the_tensor_cap(monkeypatch):
+    # four 16-dim factors: N = 65536, whose N x N arrays would be 64 GiB each
+    for name in ("_resolvent_stacks", "resolvent", "eig"):
+        monkeypatch.setattr(approx, name, _refuse)
+    models = [approx.build_model("harmonic", 16)] * 4
+    contours = [spectra.Contour(1.0, 1.5, 64)] * 4
+    with pytest.raises(DimensionCapError,
+                       match=r"^tensor dimension 65536 exceeds the cap 4096$"):
+        approx.multivariate_experiment(models, parse("exp(-z1-z2-z3-z4)"), [-1.0] * 4,
+                                       contours, [2])
 
 
 # the bracket is exact in exact arithmetic; its ends and the dense SVD each

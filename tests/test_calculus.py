@@ -227,10 +227,18 @@ def test_dunford_doubling_gate():
 
 
 def test_dunford_multivariate_budget_guard():
+    # only the fold over node tuples is capped: a ratio at 128^3 of them is
+    # refused, while a spec with Taylor terms folds per factor and runs
     system = calculus.lift([X1, X2, X2])
     contours = [spectra.Contour(center=0.5, radius=2.0, nodes=128)] * 3
-    with pytest.raises(PreconditionError):
-        calculus.dunford_multivariate(parse("exp(z1+z2+z3)"), system, contours)
+    ratio = parse("ratio(poly{(0,0,0):1},poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
+    with pytest.raises(PreconditionError, match=r"^quadrature cost guard: 2097152 node "
+                       r"tuples exceed budget 300000$"):
+        calculus.dunford_multivariate(ratio, system, contours)
+    f = parse("exp(z1+z2+z3)")
+    quad = calculus.dunford_multivariate(f, system, contours)
+    spectral = calculus.func_multivariate(f, system).value
+    assert np.linalg.norm(quad - spectral, 2) <= 1e-12 * np.linalg.norm(spectral, 2)
 
 
 def test_power_series_divergence_detected():
@@ -317,6 +325,43 @@ def test_three_factor_fold_never_forms_the_node_tuple_tensor():
         tracemalloc.stop()
     assert np.array_equal(fold, whole)
     assert peak < 16 * 64 ** 3 // 4
+
+
+def test_three_factor_ratio_fold_holds_a_few_results():
+    # dims (2, 16, 16), N = 512: one sub-fold per first-factor node is
+    # 64 (N/2)^2 entries, 16 N^2; n_1^2 = 4 of them at a time are N^2
+    rng = np.random.default_rng(2620)
+    factors = [synth.random_hermitian(rng, d).astype(complex) for d in (2, 16, 16)]
+    factors = [x / linalg.op_norm(x) for x in factors]
+    f = parse("ratio(prod(exp(z1+2*z2-z3),sin(z2+0.5*z3)),"
+              "poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
+    stacks = [spectra._resolvent_stacks(x, _enclosing(x)) for x in factors]
+    peak = _peak_bytes(lambda: calculus._node_fold(f, stacks))
+    assert peak < 8 * 512 ** 2 * 16
+    system = calculus.lift(factors)
+    fold = calculus._node_fold(f, stacks)
+    spectral = calculus.func_multivariate(f, system).value
+    assert np.linalg.norm(fold - spectral, 2) <= 1e-12 * np.linalg.norm(spectral, 2)
+
+
+@pytest.mark.parametrize("spec, dims", [
+    ("exp(z1+z2+z3+z4)", (3, 4, 3, 4)),
+    ("prod(sin(z1+0.5*z2),poly{(0,0,0,0):1,(0,0,1,1):1})", (2, 3, 4, 3)),
+    ("exp(0.3*z1-z2+z3+0.5*z4-z5)", (3, 3, 3, 3, 3)),
+    ("prod(cos(z1-z5),exp(z2+z3+z4))", (2, 3, 2, 4, 3)),
+])
+def test_three_routes_agree_beyond_three_factors(spec, dims):
+    rng = np.random.default_rng(sum(dims))
+    factors = [synth.random_factor(rng, d, max_index=3, cond=3.0) for d in dims]
+    system = calculus.lift(factors,
+                           cluster_tol=1e-3 * max(1.0, max(linalg.op_norm(x) for x in factors)))
+    f = parse(spec)
+    spectral = calculus.func_multivariate(f, system).value
+    quad = calculus.dunford_multivariate(f, system, [_enclosing(x) for x in factors])
+    series = calculus.power_series_apply(f, system)
+    norm = linalg.op_norm(spectral)
+    assert linalg.op_norm(quad - spectral) <= 1e-12 * norm
+    assert linalg.op_norm(series - spectral) <= 1e-12 * norm
 
 
 def _refuse_decompose(*args, **kwargs):

@@ -310,6 +310,39 @@ def test_oracle_check_random_deterministic(tmp_path):
         (out_c / "oracle_report.csv").read_bytes()
 
 
+@pytest.mark.parametrize("spec", ["exp(z1+z2+z3+z4)", "prod(sin(z1+z2+z3),exp(0.5*z4-z5))"])
+def test_oracle_check_random_cases_take_every_factor_of_f(tmp_path, spec):
+    # random cases draw f.arity factors, four and five here
+    cfg = write_config(tmp_path, "oc.ini", {
+        "function": {"spec": spec},
+        "random": {"count": 3, "dim": 3, "max_index": 3, "seed": 7},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = read_csv(out / "oracle_report.csv")
+    arity = functions.parse_function(spec).arity
+    assert len(rows) == 3
+    assert all(len(r[1].split("x")) == arity and r[-1] == "true" for r in rows)
+
+
+def test_converge_multi_refuses_past_the_tensor_cap(tmp_path, monkeypatch, capsys):
+    # two 128-dim models: N = 16384, whose N x N arrays would be 4 GiB each
+    def refuse(*args, **kwargs):
+        raise AssertionError("the study factored a matrix")
+
+    monkeypatch.setattr(approx, "_resolvent_stacks", refuse)
+    cfg = write_config(tmp_path, "cm.ini", {
+        "model_1": {"kind": "harmonic", "ref_dim": 128},
+        "model_2": {"kind": "harmonic", "ref_dim": 128},
+        "function": {"spec": "exp(-z1-z2)"},
+        "experiment": {"n_list": "2, 3", "cluster_size_1": 2,
+                       "cluster_size_2": 2, "probes": 2},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["converge-multi", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "tensor dimension 16384 exceeds the cap 4096" in capsys.readouterr().err
+
+
 def test_converge_manifests_byte_identical(tmp_path):
     cfg = write_config(tmp_path, "cv.ini", {
         "model": {"kind": "harmonic", "ref_dim": 32},
