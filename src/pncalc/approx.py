@@ -16,17 +16,18 @@ spectral cluster enclosed by a contour:
 Both f(.) evaluations run through the contour integral restricted to the
 enclosed cluster, which is what makes the comparison meaningful for
 truncations that destroy the spectrum far above the cluster.  Every matrix
-of a study (each reference and each X_n) is factored once, at its own size,
-on the measurement contour, from the same certified Schur form (eigh for
-Hermitian matrices) as the spectral route; the quadrature takes none of that
-route's decisions (clustering, ztrsen, ztrsyl).  One contraction pass over
-its node resolvents gives the reference's cluster projector, the matrix's
-share of f, and its C_f sup, read at every k-th node: the measurement node
-count is a power-of-two multiple of the declared one, so those are the
-declared nodes bitwise.  A truncation's zero-padding to ref_dim only adds
-the eigenvalue 0, so its padded resolvent is blockdiag((zI - X_n)^{-1},
-z^{-1} I); the fold reads the n x n resolvents on the leading block and
-z^{-1} on the padding diagonal, and never forms the padded resolvents.
+of a study (each reference and each X_n) is factored once, at its own size:
+its spectrum and its quadrature on the measurement contour read the same
+certified Schur form (eigh for Hermitian matrices) as the spectral route;
+the quadrature takes none of that route's decisions (clustering, ztrsen,
+ztrsyl).  One contraction pass over its node resolvents gives the
+reference's cluster projector, the matrix's share of f, and its C_f sup,
+read at every k-th node: the measurement node count is a power-of-two
+multiple of the declared one, so those are the declared nodes bitwise.  A
+truncation's zero-padding to ref_dim only adds the eigenvalue 0, so its
+padded resolvent is blockdiag((zI - X_n)^{-1}, z^{-1} I); the fold reads the
+n x n resolvents on the leading block and z^{-1} on the padding diagonal,
+and never forms the padded resolvents.
 
 The cluster error d = f(X_n) - f(X) (and f(X) itself, for the measurement
 floor) has its columns in the range of the cluster projectors and its rows
@@ -68,14 +69,15 @@ from .errors import (
 from .functions import AnalyticFunction
 from .linalg import (
     KRON_CAP,
+    NodeResolvents,
     _norm_bounds,
     _resolvent,
     _write_csv,
     as_matrix,
-    eig,
     op_norm,
     read_cmat,
     resolvent,
+    resolvent_at_nodes,
 )
 from .spectra import Contour, _resolvent_stacks
 
@@ -113,9 +115,13 @@ class OperatorModel:
     matrix_ref: np.ndarray
 
     @functools.cached_property
+    def _factored(self) -> NodeResolvents:
+        return resolvent_at_nodes(self.matrix_ref, ())
+
+    @property
     def eigenvalues(self) -> np.ndarray:
-        """Certified spectrum of matrix_ref (unsorted), computed once per model."""
-        return eig(self.matrix_ref).eigenvalues
+        """Certified spectrum of matrix_ref (unsorted), from its one factorization."""
+        return self._factored.eigenvalues
 
 
 @dataclass
@@ -125,9 +131,13 @@ class TruncationPoint:
     x_n_padded: np.ndarray
 
     @functools.cached_property
+    def _factored(self) -> NodeResolvents:
+        return resolvent_at_nodes(self.x_n, ())
+
+    @property
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of x_n_padded: the certified eig(x_n) and the padding 0."""
-        return np.append(eig(self.x_n).eigenvalues, 0.0)
+        """Spectrum of x_n_padded: that of x_n and the padding 0."""
+        return np.append(self._factored.eigenvalues, 0.0)
 
 
 @dataclass
@@ -359,11 +369,11 @@ def error_constant_multi(f: AnalyticFunction, models, contours, n_range) -> floa
     """Multivariate constant: prod radii * max|f| * r * worst telescoping product."""
     sups = []
     for m, c in zip(models, contours):
-        family = [(m.matrix_ref, m.eigenvalues)] + [
-            (tp.x_n, tp.eigenvalues) for tp in (compress(m, int(n)) for n in n_range)]
+        family = [(m._factored, None)] + [
+            (tp._factored, tp.eigenvalues) for tp in (compress(m, int(n)) for n in n_range)]
         sups.append([
-            _resolvent_stacks(x, c, eigenvalues=evs, label="error constant")[2].sup()
-            for x, evs in family])
+            _resolvent_stacks(fac, c, eigenvalues=evs, label="error constant")[2].sup()
+            for fac, evs in family])
     return _error_constant(f, contours, sups)
 
 
@@ -525,8 +535,7 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
     meas = [_meas_contour(c) for c in contours]
     strides = [m.nodes // c.nodes for m, c in zip(meas, contours)]
     f.assert_analytic_on([c.center for c in meas], [c.radius for c in meas])
-    ref_stacks = [_resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues,
-                                    label=f"factor {j + 1}")
+    ref_stacks = [_resolvent_stacks(m._factored, c, label=f"factor {j + 1}")
                   for j, (m, c) in enumerate(zip(models, meas))]
     g_ref, p_cs, ref_sups = _fold_and_reads(f, ref_stacks, strides)
     sups = [[s] for s in ref_sups]
@@ -547,7 +556,7 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
             diff_op = (tp.x_n_padded - model.matrix_ref) @ r0s[j]
             eps_g += op_norm(diff_op)
             eps_c += op_norm(diff_op @ p_cs[j])
-            stacks.append(_resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues,
+            stacks.append(_resolvent_stacks(tp._factored, c, eigenvalues=tp.eigenvalues,
                                             label=f"factor {j + 1} truncation n={n}"))
             # tp.eigenvalues ends with the padding 0, which P_n does not see
             spectra_n.append(tp.eigenvalues[:-1])
@@ -619,7 +628,8 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     sups = []
 
     def integral(m):
-        stack = _resolvent_stacks(m, meas, require_full=True, label="perturbation")
+        stack = _resolvent_stacks(resolvent_at_nodes(m, ()), meas, require_full=True,
+                                  label="perturbation")
         [g], sup = stack[2].contract([_node_coeffs(f, [stack])], meas.nodes // contour.nodes)
         sups.append(sup)
         return g

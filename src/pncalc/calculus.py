@@ -13,14 +13,15 @@ Three independent routes compute it:
   in one column fold (`_fold_powers`), ledgered and split into s0
   (alpha = 0), s_mixed and s_full parts;
 * dunford_multivariate: iterated contour quadrature of
-  f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from one screened factorization
-  per factor (`linalg.NodeResolvents`).  The order-0 column of f's Taylor
-  terms on the nodes is f = sum_t prod_j g_tj(z_j)
-  (`AnalyticFunction.taylor_terms`), so the sum over node tuples is
-  sum_t kron_j of one-factor contractions, at any number of factors; at
-  two factors a ratio, or a spec with more terms than a factor has nodes,
-  takes one term per first-factor node, and at three or more it is folded
-  over the node tuples, at most NODE_BUDGET of them;
+  f(z_1..z_r) kron_j (z_j I - X_j)^{-1}, from each factor's one screened
+  factorization (`linalg.NodeResolvents`), which its decomposition reads
+  too.  The order-0 column of f's Taylor terms on the nodes is
+  f = sum_t prod_j g_tj(z_j) (`AnalyticFunction.taylor_terms`), so the sum
+  over node tuples is sum_t kron_j of one-factor contractions, at any
+  number of factors; at two factors a ratio, or a spec with more terms
+  than a factor has nodes, takes one term per first-factor node, and at
+  three or more it is folded over the node tuples, at most NODE_BUDGET of
+  them;
 * power_series_apply: a truncated lifted Taylor series about a factor-wise
   center, with a tail bound certified under TAIL_TOL.
 
@@ -44,7 +45,8 @@ from .errors import (
     TailBoundError,
 )
 from .functions import AnalyticFunction
-from .linalg import KRON_CAP, _write_csv, as_matrix, eye_like, op_norm
+from .linalg import (KRON_CAP, NodeResolvents, _write_csv, as_matrix, eye_like, op_norm,
+                     resolvent_at_nodes)
 from .spectra import Contour, Decomposition, _resolvent_stacks, _triangular_factors, decompose
 
 _DOUBLING_TOL = 1e-10
@@ -57,10 +59,12 @@ _MAX_SERIES_CAP = 64
 
 @dataclass
 class LiftedSystem:
-    """Factors of a lifted family, with their decompositions made on first use.
+    """Factors of a lifted family, with their factorizations and
+    decompositions made on first use.
 
-    The lifts are implicit: no route forms one.  Each factor is decomposed
-    at most once, with the tolerances given to `lift`.
+    The lifts are implicit: no route forms one.  Each factor is factored
+    once (`linalg.resolvent_at_nodes`), and the quadrature and its one
+    decomposition, with the tolerances given to `lift`, read that.
     """
     factors: list[np.ndarray]
     tensor_dim: int
@@ -73,11 +77,16 @@ class LiftedSystem:
         return len(self.factors)
 
     @functools.cached_property
+    def factorizations(self) -> list[NodeResolvents]:
+        return [resolvent_at_nodes(m, ()) for m in self.factors]
+
+    @functools.cached_property
     def decompositions(self) -> list[Decomposition]:
         tols = {"cluster_tol": self.cluster_tol, "tol_dec": self.tol_dec,
                 "tol_nil": self.tol_nil}
         kwargs = {k: v for k, v in tols.items() if v is not None}
-        return [decompose(m, **kwargs) for m in self.factors]
+        return [decompose(m, factored=fac, **kwargs)
+                for m, fac in zip(self.factors, self.factorizations)]
 
 
 @dataclass
@@ -294,7 +303,8 @@ def write_term_ledger(path, result: CalculusResult, sha=None) -> None:
 
 def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
             verify: bool = False) -> np.ndarray:
-    """(1/2pi i) contour integral of f(z) (zI - x)^{-1} dz.
+    """(1/2pi i) contour integral of f(z) (zI - x)^{-1} dz, for a matrix x
+    or its factorization (`linalg.resolvent_at_nodes`).
 
     With `require_full` the contour must enclose the whole spectrum, giving
     f(x); without it the integral restricts f to the enclosed cluster.
@@ -304,6 +314,8 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
     if f.arity != 1:
         raise ConfigError(f"dunford needs a univariate function, got arity {f.arity}")
     f.assert_analytic_on([contour.center], [contour.radius])
+    if not isinstance(x, NodeResolvents):
+        x = resolvent_at_nodes(x, ())
     zs, w, rs = _resolvent_stacks(x, contour, require_full=require_full, label="dunford")
     value = rs.contract([w * np.asarray(f(zs), dtype=complex)])[0][0]
     if not verify:
@@ -319,11 +331,11 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
 
 
 def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
-    """f(z) prod_j w_j on the grid of node tuples, from one (nodes, weights,
-    resolvents) per factor."""
-    grid = np.meshgrid(*[zs for zs, _, _ in stacks], indexing="ij", sparse=True)
+    """f(z) prod_j w_j on the grid of node tuples, from one (nodes, weights)
+    per factor; a stack's further items (its resolvents) are not read."""
+    grid = np.meshgrid(*[zs for zs, *_ in stacks], indexing="ij", sparse=True)
     coeffs = np.array(f(*grid), dtype=complex)
-    for j, (_, w, _) in enumerate(stacks):
+    for j, (_, w, *_) in enumerate(stacks):
         shape = [1] * len(stacks)
         shape[j] = w.size
         coeffs *= w.reshape(shape)
@@ -332,9 +344,9 @@ def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
 
 def _axis_rows(f: AnalyticFunction, stacks):
     """Per factor, coefficient rows c_tj on its nodes, from one (nodes,
-    weights, resolvents) per factor, such that the node-tuple coefficients
-    f(z) prod_j w_j are sum_t prod_j c_tj: the node fold is then
-    sum_t kron_j (sum_k c_tj[k] R_j(z_k)).
+    weights) per factor (further items are not read), such that the
+    node-tuple coefficients f(z) prod_j w_j are sum_t prod_j c_tj: the node
+    fold is then sum_t kron_j (sum_k c_tj[k] R_j(z_k)).
 
     With several factors the rows are w_j g_tj(z_j), the order-0 column of
     f's Taylor terms on the nodes (`AnalyticFunction.taylor_terms`).  One
@@ -344,36 +356,30 @@ def _axis_rows(f: AnalyticFunction, stacks):
     one term per first-factor node.  None for three or more such factors.
     """
     if len(stacks) > 1:
-        terms = f.taylor_terms([zs for zs, _, _ in stacks], 0)
-        if terms is not None and len(terms) <= min(zs.size for zs, _, _ in stacks):
-            return [[w * term[j][:, 0] for term in terms] for j, (_, w, _) in enumerate(stacks)]
+        terms = f.taylor_terms([zs for zs, *_ in stacks], 0)
+        if terms is not None and len(terms) <= min(zs.size for zs, *_ in stacks):
+            return [[w * term[j][:, 0] for term in terms] for j, (_, w, *_) in enumerate(stacks)]
         if len(stacks) > 2:
             return None
     coeffs = _node_coeffs(f, stacks)
     return [[coeffs]] if len(stacks) == 1 else [np.eye(len(coeffs)), coeffs]
 
 
-def _node_fold(f: AnalyticFunction, stacks) -> np.ndarray:
+def _node_fold(f: AnalyticFunction, stacks, rows) -> np.ndarray:
     """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
-    (nodes, weights, NodeResolvents) per factor.
+    (nodes, weights, NodeResolvents) per factor and their `_axis_rows`.
 
-    Each factor takes one contraction pass over the rows of `_axis_rows`,
-    and the fold is the Kronecker sum of the contracted blocks; no
-    node-tuple grid or dense stack is formed.  Three or more factors of an
-    f without terms, or with more than a factor has nodes, are folded from
-    the dense stacks over the node tuples, at most NODE_BUDGET of them
-    (cost guard), their coefficients taken one first-factor node at a
+    Each factor takes one contraction pass over its rows, and the fold is
+    the Kronecker sum of the contracted blocks; no node-tuple grid or dense
+    stack is formed.  Rows None (three or more factors of an f without
+    terms, or with more than a factor has nodes) fold the dense stacks over
+    the node tuples, their coefficients taken one first-factor node at a
     time, so the node-tuple tensor (4 MB at 64^3) and the temporaries of
     its evaluation are never formed, and f is evaluated elementwise, so
     each slab has the bits of the whole tensor's slab.
     """
-    rows = _axis_rows(f, stacks)
     if rows is not None:
         return _kron_sum([rs.contract(r)[0] for r, (_, _, rs) in zip(rows, stacks)])
-    total = math.prod(zs.size for zs, _, _ in stacks)
-    if total > NODE_BUDGET:
-        raise PreconditionError(
-            f"quadrature cost guard: {total} node tuples exceed budget {NODE_BUDGET}")
     [(zs, w, first), *rest] = stacks
     slabs = (_node_coeffs(f, [(zs[i:i + 1], w[i:i + 1], first), *rest])[0]
              for i in range(zs.size))
@@ -384,14 +390,14 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
                          contours: list[Contour], require_full: bool = True) -> np.ndarray:
     """Iterated contour quadrature of f(z) kron_j (z_j I - X_j)^{-1}.
 
-    Each factor is factored once, at its own dimension, and screened
-    against its contour (`_resolvent_stacks`).  An f with Taylor terms,
-    f = sum_t prod_j g_tj(z_j) on the nodes, is folded as
-    sum_t kron_j (sum_k w_k g_tj(z_k) R_j(z_k)), one contraction pass per
-    factor, for any number of factors; at two factors a ratio, or an f with
-    more terms than the smallest factor has nodes, takes one term per
-    first-factor node, and at three or more it is folded over the node
-    tuples, which are capped at NODE_BUDGET (`_node_fold`).
+    Each factor's one factorization is screened against its contour
+    (`_resolvent_stacks`).  An f with Taylor terms, f = sum_t prod_j
+    g_tj(z_j) on the nodes, is folded as sum_t kron_j (sum_k w_k g_tj(z_k)
+    R_j(z_k)), one contraction pass per factor, for any number of factors;
+    at two factors a ratio, or an f with more terms than the smallest factor
+    has nodes, takes one term per first-factor node, and at three or more
+    it is folded over the node tuples (`_node_fold`), at most NODE_BUDGET
+    of them (cost guard, decided before any factor is factored).
     """
     r = system.rank
     if f.arity != r:
@@ -399,9 +405,14 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
     if len(contours) != r:
         raise ConfigError(f"need {r} contours, got {len(contours)}")
     f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
-    return _node_fold(f, [_resolvent_stacks(x, c, require_full=require_full,
-                                            label=f"factor {j + 1}")
-                          for j, (x, c) in enumerate(zip(system.factors, contours))])
+    rows = _axis_rows(f, [(c.points(), c.weights()) for c in contours])
+    total = math.prod(c.nodes for c in contours)
+    if rows is None and total > NODE_BUDGET:
+        raise PreconditionError(
+            f"quadrature cost guard: {total} node tuples exceed budget {NODE_BUDGET}")
+    stacks = [_resolvent_stacks(fac, c, require_full=require_full, label=f"factor {j + 1}")
+              for j, (fac, c) in enumerate(zip(system.factorizations, contours))]
+    return _node_fold(f, stacks, rows)
 
 
 # ---------------------------------------------------------------------------

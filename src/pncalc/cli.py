@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import os
 import re
@@ -254,26 +253,12 @@ class ArtifactWriter:
         self._cmats.append((words, final, self.digests[-1][1]))
         return final
 
-    def emit_text(self, name: str, text: str) -> str:
-        return self.emit(name, lambda p, sha: linalg._write_parts(p, [text.encode()], sha))
-
     def finalize(self) -> str:
         final = os.path.join(self.out_dir, "manifest.csv")
         tmp = final + ".tmp"
         linalg._write_csv(tmp, [("filename", "sha256"), *sorted(self.digests)])
         os.replace(tmp, final)
         return final
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
 
 
 def _slug(text: str) -> str:
@@ -294,8 +279,9 @@ def _read_matrix(path: str) -> np.ndarray:
         raise ConfigError(f"cli: cannot read matrix file {path}: {exc}") from None
 
 
-def _enclosing_contour(x: np.ndarray, nodes: int) -> spectra.Contour:
-    lams = linalg.eig(x).eigenvalues
+def _enclosing_contour(factored: linalg.NodeResolvents, nodes: int) -> spectra.Contour:
+    """A circle around the spectrum of a matrix's factorization."""
+    lams = factored.eigenvalues
     center = complex(lams.mean())
     rmax = float(np.max(np.abs(lams - center))) if lams.size else 0.0
     return spectra.Contour(center=center, radius=1.5 * rmax + 0.5, nodes=nodes)
@@ -320,10 +306,10 @@ def cmd_decompose(cfg: dict, out_dir: str, seed: int | None) -> int:
     )
     writer = ArtifactWriter(out_dir)
     writer.emit("decomposition.txt", lambda p, sha: spectra.write_decomposition(p, dec, sha))
-    rows = [[name, measured, bound, str(measured <= bound).lower()]
-            for name, (measured, bound) in sorted(dec.report.items())]
-    writer.emit_text("residuals.csv",
-                     _csv_text(["invariant", "measured", "bound", "ok"], rows))
+    rows = [["invariant", "measured", "bound", "ok"]] + [
+        [name, repr(measured), repr(bound), str(measured <= bound).lower()]
+        for name, (measured, bound) in sorted(dec.report.items())]
+    writer.emit("residuals.csv", lambda p, sha: linalg._write_csv(p, rows, sha))
     writer.finalize()
     lams = ", ".join(repr(c.eigenvalue) for c in dec.components)
     print(f"decompose: {len(dec.components)} component(s); eigenvalues {lams}")
@@ -335,30 +321,33 @@ def cmd_funcalc(cfg: dict, out_dir: str, seed: int | None) -> int:
     f = functions.parse_function(cfg["function"]["spec"])
     if f.arity != 1:
         raise ConfigError("cli: funcalc needs an arity-1 function")
+    # the one factorization of x: the decomposition and the quadrature read it
+    factored = linalg.resolvent_at_nodes(x, ())
     dec = spectra.decompose(
         x,
         cluster_tol=_maybe(cfg["params"]["cluster_tol"]),
         tol_dec=cfg["params"]["tol_dec"],
         tol_nil=cfg["params"]["tol_nil"],
+        factored=factored,
     )
     spectral = calculus.func_univariate(f, dec)
     nodes = cfg["contour"]["nodes"]
     if cfg["contour"]["center"] == "auto" or cfg["contour"]["radius"] < 0:
-        contour = _enclosing_contour(x, nodes)
+        contour = _enclosing_contour(factored, nodes)
     else:
         center = _parse_value("complex", cfg["contour"]["center"], "[contour] center")
         contour = spectra.Contour(center=center, radius=cfg["contour"]["radius"],
                                   nodes=nodes)
-    quadrature = calculus.dunford(f, x, contour)
+    quadrature = calculus.dunford(f, factored, contour)
     diff = linalg.op_norm(spectral.value - quadrature)
     threshold = cfg["params"]["tol"] * (1.0 + linalg.op_norm(spectral.value))
     ok = diff <= threshold
     writer = ArtifactWriter(out_dir)
     writer.emit_cmat("value_spectral.cmat", spectral.value)
     writer.emit_cmat("value_contour.cmat", quadrature)
-    writer.emit_text("crosscheck.csv", _csv_text(
-        ["method_a", "method_b", "difference_norm", "threshold", "ok"],
-        [["spectral", "contour", diff, threshold, str(ok).lower()]]))
+    rows = [["method_a", "method_b", "difference_norm", "threshold", "ok"],
+            ["spectral", "contour", repr(diff), repr(threshold), str(ok).lower()]]
+    writer.emit("crosscheck.csv", lambda p, sha: linalg._write_csv(p, rows, sha))
     writer.finalize()
     print(f"funcalc: |spectral - contour| = {diff:.3e} (threshold {threshold:.3e})")
     if not ok:
@@ -398,13 +387,14 @@ def cmd_lift_calc(cfg: dict, out_dir: str, seed: int | None) -> int:
 
 def _oracle_case(f, factors: list[np.ndarray], nodes: int, tol: float,
                  cluster_tol: float | None):
+    system = calculus.lift(factors, cluster_tol=cluster_tol)
     if cluster_tol is None:
         # random Jordan structures scatter eigenvalues by (eps*cond)^(1/nu),
-        # far beyond the 1e-6 default; widen relative to the largest factor
-        cluster_tol = 1e-3 * max(1.0, max(linalg.op_norm(x) for x in factors))
-    system = calculus.lift(factors, cluster_tol=cluster_tol)
+        # far beyond the 1e-6 default; widen relative to the largest factor,
+        # whose norm its factorization's certificate took
+        system.cluster_tol = 1e-3 * max(1.0, max(fac.scale for fac in system.factorizations))
     spectral = calculus.func_multivariate(f, system).value
-    contours = [_enclosing_contour(x, nodes) for x in factors]
+    contours = [_enclosing_contour(fac, nodes) for fac in system.factorizations]
     quad = calculus.dunford_multivariate(f, system, contours)
     series = calculus.power_series_apply(f, system)
     d_sd = linalg.op_norm(spectral - quad)
@@ -439,7 +429,8 @@ def cmd_oracle_check(cfg: dict, out_dir: str, seed: int | None) -> int:
                                                    cfg["random"]["max_index"],
                                                    cfg["random"]["cond"]))
             cases.append((f"random_{i}", factors))
-    rows = []
+    rows = [["case", "dims", "value_norm", "diff_spectral_contour",
+             "diff_spectral_series", "diff_contour_series", "threshold", "ok"]]
     worst = 0.0
     all_ok = True
     cluster_tol = _maybe(cfg["params"]["cluster_tol"])
@@ -447,14 +438,12 @@ def cmd_oracle_check(cfg: dict, out_dir: str, seed: int | None) -> int:
         norm, d_sd, d_ss, d_ds, threshold, ok = _oracle_case(
             f, factors, nodes, tol, cluster_tol)
         dims = "x".join(str(x.shape[0]) for x in factors)
-        rows.append([name, dims, norm, d_sd, d_ss, d_ds, threshold,
+        rows.append([name, dims, *map(repr, (norm, d_sd, d_ss, d_ds, threshold)),
                      str(ok).lower()])
         worst = max(worst, d_sd, d_ss, d_ds)
         all_ok = all_ok and ok
     writer = ArtifactWriter(out_dir)
-    writer.emit_text("oracle_report.csv", _csv_text(
-        ["case", "dims", "value_norm", "diff_spectral_contour",
-         "diff_spectral_series", "diff_contour_series", "threshold", "ok"], rows))
+    writer.emit("oracle_report.csv", lambda p, sha: linalg._write_csv(p, rows, sha))
     writer.finalize()
     print(f"oracle-check: {len(cases)} case(s), max discrepancy {worst:.3e}")
     if not all_ok:

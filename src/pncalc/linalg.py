@@ -130,8 +130,11 @@ def _resolvent(x, z: complex) -> tuple[np.ndarray, float]:
 def resolvent_at_nodes(x: np.ndarray, zs: np.ndarray) -> NodeResolvents:
     """The resolvents (zI - x)^{-1} for all z in `zs`, from one factorization.
 
-    Bitwise-Hermitian x is factored by a certified `eigh`, every other x by
-    the certified complex Schur form (`schur`).  Quadrature fast path:
+    This is the one factorization the package takes of a matrix: its
+    spectrum, its ||x||, its decomposition and every quadrature of x start
+    from this same certified Schur form X = Q T Q^H, or from a certified
+    `eigh` when x is bitwise Hermitian; either backward error is at most
+    1e-10 ||x|| (ToleranceError otherwise).  Quadrature fast path:
     callers are expected to have screened the nodes against the spectrum
     already (contour guard band), so no per-node condition certificate is
     computed here.
@@ -140,10 +143,9 @@ def resolvent_at_nodes(x: np.ndarray, zs: np.ndarray) -> NodeResolvents:
     zs = np.asarray(zs, dtype=complex).ravel()
     if np.array_equal(x, x.conj().T):
         lam, q = np.linalg.eigh(x)
-        _certify("eigh", x, x @ q - q * lam)
-        return NodeResolvents(zs, q, lam)
-    s = schur(x)
-    return NodeResolvents(zs, s.q, s.t)
+        return NodeResolvents(zs, q, lam, _certify("eigh", x, x @ q - q * lam))
+    t, q = scipy.linalg.schur(x, output="complex")
+    return NodeResolvents(zs, q, t, _certify("Schur decomposition", x, x @ q - q @ t))
 
 
 # bytes of resolvents a contraction holds at a time, in the factorization's
@@ -162,15 +164,17 @@ class NodeResolvents:
     max_i 1/|z - lambda_i| when T is diagonal.  Each node's (z I - T)^{-1}
     is computed the same way whatever other nodes are solved with it, so a
     node's resolvent and its norm have the same bits in every call.
+    `scale` is ||X||_2, taken once by the factorization's certificate.
     """
     zs: np.ndarray
     q: np.ndarray
     t: np.ndarray
+    scale: float
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        """The spectrum of X: diag(T), or the eigh values."""
-        return self.t if self.t.ndim == 1 else np.diag(self.t)
+        """The spectrum of X as complex numbers: diag(T), or the eigh values."""
+        return np.asarray(self.t if self.t.ndim == 1 else np.diag(self.t), dtype=complex)
 
     def at(self, zs) -> NodeResolvents:
         """The resolvents of the same factorization at other nodes."""
@@ -299,34 +303,14 @@ def eig(x) -> EigenResult:
     return EigenResult(w, v, err)
 
 
-@dataclass
-class SchurResult:
-    """Complex Schur form X = Q T Q^H with its measured backward error.
-
-    t is upper triangular with the eigenvalues on its diagonal, q unitary;
-    backward_error is ||X Q - Q T||_F / ||X||.
-    """
-    t: np.ndarray
-    q: np.ndarray
-    backward_error: float
-
-
-def schur(x) -> SchurResult:
-    """Complex Schur decomposition with a backward-error certificate (1e-10)."""
-    x = as_matrix(x, square=True)
-    t, q = scipy.linalg.schur(x, output="complex")
-    return SchurResult(t, q, _certify("Schur decomposition", x, x @ q - q @ t))
-
-
 def _certify(name: str, x: np.ndarray, residual: np.ndarray) -> float:
-    """Backward error ||residual||_F / ||x|| of a factorization of x, at most 1e-10."""
+    """||x||_2, once the backward error ||residual||_F / ||x|| of a
+    factorization of x is checked to be at most 1e-10."""
     scale = op_norm(x)
-    if scale == 0.0:
-        return 0.0
-    err = float(np.linalg.norm(residual)) / scale
+    err = float(np.linalg.norm(residual)) / scale if scale else 0.0
     if err > _FACTOR_BACKWARD_TOL:
         raise ToleranceError(f"{name} backward error {err:.3e} above 1e-10")
-    return err
+    return scale
 
 
 # ---------------------------------------------------------------- cmat text

@@ -1,22 +1,24 @@
 """Spectral resolution into projector + nilpotent parts.
 
 A matrix X is split as X = sum_k (lambda_k P_k + N_k) with one component per
-*distinct* eigenvalue: P_k the spectral projector, taken from one complex
-Schur form of X by reordering and Sylvester block-diagonalisation,
-N_k = (X - lambda_k I) P_k the aggregated nilpotent part, and nu_k its
-nilpotency index.  A component of multiplicity m keeps n x m factors, with
-P_k = V W^H and N_k = M W^H; decomposing, verifying and writing read only
-these, so a k = n decomposition costs O(n^3) and writes 3 n^2 numbers.
-`riesz_projector` computes the same projector by a trapezoidal contour
-integral of the resolvent; it stays as the independent quadrature route.
-Every contour quadrature of the package takes its resolvents from
-`_resolvent_stacks`, which refuses a circle too close to the spectrum
-(ContourTooCloseError) before it factors.  The quadrature starts from the
-same certified Schur form X = Q T Q^H as the decomposition (or from a
-certified eigh of Hermitian X) and sums Q (sum_k c_k (z_k I - T)^{-1}) Q^H.
-That keeps it a cross-check: the form is backward stable and certified, and
-the quadrature takes none of the decomposition's decisions (clustering, the
-`ztrsen` reordering, the `ztrsyl` block-diagonalisation).
+*distinct* eigenvalue: P_k the spectral projector, taken from the one
+certified factorization of X (`linalg.resolvent_at_nodes`), a complex Schur
+form by reordering and Sylvester block-diagonalisation, or the eigh basis of
+bitwise-Hermitian X (the spectral theorem), N_k = (X - lambda_k I) P_k the
+aggregated nilpotent part, and nu_k its nilpotency index.  A component of
+multiplicity m keeps n x m factors, with P_k = V W^H and N_k = M W^H;
+decomposing, verifying and writing read only these, so a k = n
+decomposition costs O(n^3) and writes 3 n^2 numbers.  `riesz_projector`
+computes the same projector by a trapezoidal contour integral of the
+resolvent; it stays as the independent quadrature route.  Every contour
+quadrature of the package takes its resolvents from `_resolvent_stacks`,
+which refuses a circle too close to the spectrum (ContourTooCloseError)
+before any solve.  The quadrature starts from the same certified Schur form
+X = Q T Q^H as the decomposition (the same object, or the same eigh) and
+sums Q (sum_k c_k (z_k I - T)^{-1}) Q^H.  That keeps it a cross-check: the
+form is backward stable and certified, and the quadrature takes none of the
+decomposition's decisions (clustering, the `ztrsen` reordering, the
+`ztrsyl` block-diagonalisation).
 
 The one knob that decides everything here is `cluster_tol`: eigenvalues closer
 than it (single linkage) are treated as one multiple eigenvalue.  Defective
@@ -41,6 +43,7 @@ from .errors import (
     PreconditionError,
 )
 from .linalg import (
+    NodeResolvents,
     _norm_bounds,
     _write_parts,
     as_matrix,
@@ -50,7 +53,6 @@ from .linalg import (
     op_norm,
     parse_entries,
     resolvent_at_nodes,
-    schur,
 )
 
 DEFAULT_NODES = 128
@@ -189,24 +191,20 @@ def _distances(values, points) -> np.ndarray:
     return np.hypot(d.real, d.imag)
 
 
-def _resolvent_stacks(x, contour: Contour, eigenvalues=None,
+def _resolvent_stacks(factored: NodeResolvents, contour: Contour, eigenvalues=None,
                       require_full: bool = False, label: str = "quadrature"):
-    """(nodes, weights, NodeResolvents of x) on the contour's nodes.
+    """(nodes, weights, resolvents) on the contour's nodes, from the same
+    certified Schur form (or eigh) of a matrix that its decomposition reads,
+    `factored` (`linalg.resolvent_at_nodes`); nothing is factored here.
 
-    x is factored once; a rule on other nodes reads the same factorization
-    through `NodeResolvents.at`.  The spectrum is screened before any
-    solve: trapezoid leakage grows as an eigenvalue nears the circle
-    (Trefethen & Weideman 2014), so one within CIRCLE_GUARD * radius of it
-    is refused, and with `require_full` so is one outside it.  The screen
-    reads `eigenvalues` when they are supplied, before x is factored, and
-    otherwise the spectrum of the factorization itself (diag(T) of the
-    certified Schur form, or the eigh values).
+    The spectrum is screened before any solve: trapezoid leakage grows as
+    an eigenvalue nears the circle (Trefethen & Weideman 2014), so one
+    within CIRCLE_GUARD * radius of it is refused, and with `require_full`
+    so is one outside it.  The screen reads the factorization's spectrum,
+    or `eigenvalues` (a truncation's, with its padding 0) when supplied.
     """
-    x = as_matrix(x, square=True)
     zs = contour.points()
-    factored = None
     if eigenvalues is None:
-        factored = resolvent_at_nodes(x, zs)
         eigenvalues = factored.eigenvalues
     dist = contour.circle_distance(eigenvalues)
     if dist.size and float(np.min(dist)) < CIRCLE_GUARD * contour.radius:
@@ -216,20 +214,17 @@ def _resolvent_stacks(x, contour: Contour, eigenvalues=None,
     if require_full and not np.all(contour.encloses(eigenvalues)):
         raise PreconditionError(
             f"{label}: contour must enclose the whole spectrum (an eigenvalue lies outside)")
-    if factored is None:
-        factored = resolvent_at_nodes(x, zs)
-    return zs, contour.weights(), factored
+    return zs, contour.weights(), factored.at(zs)
 
 
-def riesz_projector(x, contour: Contour, eigenvalues=None) -> np.ndarray:
+def riesz_projector(x, contour: Contour) -> np.ndarray:
     """Spectral projector (1/2pi i) of the resolvent around `contour`.
 
     Trapezoidal quadrature on the circle, spectrally accurate for the
     meromorphic integrand.  Precondition: no eigenvalue of x lies within
-    CIRCLE_GUARD * radius of the circle (measured against `eigenvalues`,
-    computed here when not supplied).
+    CIRCLE_GUARD * radius of the circle.
     """
-    _, w, rs = _resolvent_stacks(x, contour, eigenvalues=eigenvalues,
+    _, w, rs = _resolvent_stacks(resolvent_at_nodes(x, ()), contour,
                                  label="riesz_projector")
     return rs.contract([w])[0][0]
 
@@ -305,14 +300,18 @@ def _cluster_geometry(values, clusters, label) -> tuple[np.ndarray, np.ndarray]:
             np.where(own, np.inf, to_rep).min(axis=0))
 
 
-def _schur_factors(t, q, select) -> tuple[np.ndarray, np.ndarray]:
+def _schur_factors(factored: NodeResolvents, members) -> tuple[np.ndarray, np.ndarray]:
     """Factors V, W of the spectral projector P = V W^H of X = Q T Q^H onto
-    the selected diag(T) entries.
-
-    The selected eigenvalues are moved to the leading block (ztrsen), the
+    the diag(T) entries `members`: V = W = Q[:, members] for diagonal T
+    (eigh).  Otherwise they are moved to the leading block (ztrsen), the
     Sylvester equation T11 R - R T22 = -T12 removes the coupling block
     (ztrsyl), and V = Q1, W^H = Q1^H - R Q2^H (Bavely & Stewart 1979).
     """
+    t, q = factored.t, factored.q
+    if t.ndim == 1:
+        return (np.ascontiguousarray(q[:, members]),) * 2
+    select = np.zeros(len(t), dtype=np.int32)
+    select[members] = 1
     ts, qs, _, m, _, _, _ = lapack.ztrsen(select, t, q, job="N")
     v = w = qs[:, :m]
     if m < t.shape[0]:
@@ -326,25 +325,30 @@ def _schur_factors(t, q, select) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_DEC,
-              tol_nil: float = DEFAULT_TOL_NIL) -> Decomposition:
+              tol_nil: float = DEFAULT_TOL_NIL,
+              factored: NodeResolvents | None = None) -> Decomposition:
     """Full projector-nilpotent resolution of a dense matrix.
 
-    The eigenvalues diag(T) of one complex Schur form X = Q T Q^H are
-    clustered at `cluster_tol` (default 1e-6 * ||X||); each cluster gets the
-    factors V, W of its projector from the Schur form (`_schur_factors`), a
-    refined representative trace(W^H X V)/m = trace(X P)/m, the factor
-    M = (X - lambda I) V of its aggregated nilpotent part, and the index read
-    from the m x m cores.  All residual invariants are verified before
-    returning; DecompositionError names the ones that failed, and the report
-    is kept on the result.
+    The eigenvalues diag(T) of x's certified factorization X = Q T Q^H
+    (`factored`, taken here when the caller holds none) are clustered at
+    `cluster_tol` (default 1e-6 * ||X||, from the same certificate); each
+    cluster gets the factors V, W of its projector (`_schur_factors`), a
+    refined representative trace(W^H X V)/m = trace(X P)/m (for eigh, the
+    mean of its real eigenvalues), the factor M = (X - lambda I) V of its
+    aggregated nilpotent part, and the index read from the m x m cores.
+    All residual invariants are verified before returning;
+    DecompositionError names the ones that failed, and the report is kept
+    on the result.
     """
     x = as_matrix(x, square=True)
     dim = x.shape[0]
-    scale = op_norm(x)
+    if factored is None:
+        factored = resolvent_at_nodes(x, ())
+    scale = factored.scale
     if cluster_tol is None:
         cluster_tol = 1e-6 * max(scale, 1e-300)
-    sf = schur(x)
-    values = np.diag(sf.t)
+    values = factored.eigenvalues
+    hermitian = factored.t.ndim == 1
     dist = _distances(values, values)
     clusters = cluster_eigenvalues(values, cluster_tol, dist)
     label = _cluster_labels(clusters, dim)
@@ -355,11 +359,9 @@ def decompose(x, cluster_tol: float | None = None, tol_dec: float = DEFAULT_TOL_
         if 3.0 * spread + cluster_tol > 0.45 * gap:
             raise ClusterSeparationError(
                 f"cluster at {rep:.6g}: spread {spread:.3e} too large for gap {gap:.3e}")
-        select = np.zeros(dim, dtype=np.int32)
-        select[members] = 1
-        v, w = _schur_factors(sf.t, sf.q, select)
+        v, w = _schur_factors(factored, members)
         xv = x @ v
-        lam = complex(np.vdot(w, xv) / len(members))
+        lam = rep if hermitian else complex(np.vdot(w, xv) / len(members))
         factors.append((lam, v, w, xv - lam * v))
 
     comps = []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pncalc import approx, calculus, functions, linalg, spectra
+from test_linalg import count_factorizations
 from pncalc.errors import (
     ConfigError,
     ContourTooCloseError,
@@ -158,7 +159,7 @@ def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
     for n in (3, 8, 16):
         tp = approx.compress(m, n)
         for contour in (cluster, around_zero):
-            stack = spectra._resolvent_stacks(tp.x_n, contour, eigenvalues=tp.eigenvalues)
+            stack = spectra._resolvent_stacks(tp._factored, contour, eigenvalues=tp.eigenvalues)
             got = approx._fold_and_reads(f, [stack], [1], [ref_dim])[0]
             want = calculus.dunford(f, tp.x_n_padded, contour, require_full=False)
             assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
@@ -185,7 +186,7 @@ def test_padded_fold_matches_padded_dunford_multivariate():
         assert (got_terms if terms is None else len(got_terms)) == terms, spec
         for n in (3, 5):
             points = [approx.compress(m, n) for m in models]
-            stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)
+            stacks = [spectra._resolvent_stacks(tp._factored, c, eigenvalues=tp.eigenvalues)
                       for tp, c in zip(points, contours)]
             got = approx._fold_and_reads(f, stacks, [1, 1], [16, 16])[0]
             system = calculus.lift([tp.x_n_padded for tp in points])
@@ -205,26 +206,29 @@ def test_level_experiment_refuses_contour_on_padding_eigenvalue():
 
 
 def test_level_experiment_solves_truncations_at_their_own_size(monkeypatch):
+    calls = count_factorizations(monkeypatch)
+    stacks = []
+    real = approx._resolvent_stacks
+
+    def spy(factored, contour, **kwargs):
+        stacks.append((len(factored.q), contour.nodes))
+        return real(factored, contour, **kwargs)
+
+    monkeypatch.setattr(approx, "_resolvent_stacks", spy)
     m = approx.build_model("complex_harmonic", 64)
-    f = parse("exp(-z1)")
     contour = approx.lowest_cluster_contour(m, 3)
     meas_nodes = approx._meas_contour(contour).nodes
-    stacks = []
-
-    def spy(x, zs):
-        stacks.append((x.shape[0], np.size(zs), np.array_equal(x, m.matrix_ref)))
-        return linalg.resolvent_at_nodes(x, zs)
-
-    monkeypatch.setattr(spectra, "resolvent_at_nodes", spy)
     n_list = [3, 4, 8, 16, 32]
-    approx.level_experiment(m, f, -1.0, contour, n_list)
-    full = [s for s in stacks if s[0] == 64]
-    # one measurement stack gives both P_c and f on the reference ...
-    assert [s for s in full if s[1] == meas_nodes] == [(64, meas_nodes, True)]
-    # ... and no truncation is solved at ref_dim
-    assert all(is_ref for _, _, is_ref in full)
-    for n in n_list:
-        assert (n, meas_nodes, False) in stacks
+    approx.level_experiment(m, parse("exp(-z1)"), -1.0, contour, n_list)
+    # one factorization per matrix, at its own size: the reference and each
+    # X_n, then the half-size reference and its X_n of the stability rerun;
+    # no truncation is factored at ref_dim
+    half = [n for n in n_list if n <= 16]
+    want = sorted([64] + n_list + [32] + half)
+    assert sorted(shape[0] for shape, _ in calls) == want
+    assert [x for shape, x in calls if shape[0] == 64] == [m.matrix_ref.tobytes()]
+    # one measurement stack per factorization gives P_c, f and the C_f sup
+    assert sorted(stacks) == [(n, meas_nodes) for n in want]
 
 
 def test_error_family_refuses_contour_node_on_eigenvalue():
@@ -245,47 +249,53 @@ def test_error_family_refuses_contour_node_on_eigenvalue():
 
 
 def test_one_stack_per_matrix_and_node_count(monkeypatch):
-    calls = []
+    calls = count_factorizations(monkeypatch)
+    stacks = []
+    real = approx._resolvent_stacks
 
-    def spy(x, zs):
-        calls.append((x.shape, x.tobytes(), np.size(zs)))
-        return linalg.resolvent_at_nodes(x, zs)
+    def spy(factored, contour, **kwargs):
+        stacks.append((factored, contour.nodes))  # kept alive: ids stay distinct
+        return real(factored, contour, **kwargs)
 
-    monkeypatch.setattr(spectra, "resolvent_at_nodes", spy)
+    monkeypatch.setattr(approx, "_resolvent_stacks", spy)
     f = parse("exp(-z1)")
     m = approx.build_model("harmonic", 32)
     n_list = [2, 3, 4, 8, 16]
     contour = approx.lowest_cluster_contour(m, 3)
     approx.level_experiment(m, f, -1.0, contour, n_list, stability_check=False)
-    # one measurement stack per matrix: the reference and each X_n at size n;
-    # C_f reads its sups from them, and the padding needs no 1 x 1 integral
+    # one factorization and one measurement stack per matrix: the reference
+    # and each X_n at size n; C_f reads its sups from them, and the padding
+    # needs no 1 x 1 integral
     meas = approx._meas_contour(contour).nodes
     assert len(calls) == len(set(calls)) == 1 + len(n_list)
-    assert all(nodes == meas for _, _, nodes in calls)
-    assert sorted(shape for shape, _, _ in calls) == [(n, n) for n in n_list] + [(32, 32)]
+    assert sorted(shape for shape, _ in calls) == [(n, n) for n in n_list] + [(32, 32)]
+    assert len(stacks) == len({id(fac) for fac, _ in stacks}) == 1 + len(n_list)
+    assert all(nodes == meas for _, nodes in stacks)
 
     calls.clear()
-    models = [m, approx.build_model("complex_harmonic", 32)]
+    stacks.clear()
+    models = [approx.build_model("harmonic", 32), approx.build_model("complex_harmonic", 32)]
     contours = [approx.lowest_cluster_contour(mod, 2) for mod in models]
     n_list = [2, 4, 8]
     approx.multivariate_experiment(models, parse("exp(-z1-z2)"), [-1.0, -1.0],
                                    contours, n_list)
     # per factor: the reference, and each X_n at (n, n), never padded to ref_dim
     assert len(calls) == len(set(calls)) == 2 * (1 + len(n_list))
+    assert len(stacks) == len({id(fac) for fac, _ in stacks}) == 2 * (1 + len(n_list))
     meas = approx._meas_contour(contours[0]).nodes
-    assert all(nodes == meas for _, _, nodes in calls)
+    assert all(nodes == meas for _, nodes in stacks)
     for mod in models:
-        assert (mod.matrix_ref.shape, mod.matrix_ref.tobytes(), meas) in calls
+        assert (mod.matrix_ref.shape, mod.matrix_ref.tobytes()) in calls
         for n in n_list:
             x_n = mod.matrix_ref[:n, :n]
-            assert ((n, n), x_n.tobytes(), meas) in calls
-    assert sum(1 for shape, _, _ in calls if shape == (32, 32)) == 2
+            assert ((n, n), x_n.tobytes()) in calls
+    assert sum(1 for shape, _ in calls if shape == (32, 32)) == 2
 
     calls.clear()
     x = np.array([[1.0, 1.0], [0.0, 2.0]], dtype=complex)
     calculus.dunford(f, x, spectra.Contour(1.5, 2.0, 32), verify=True)
     # node doubling reads the 64 nodes from the factorization of the 32
-    assert calls == [((2, 2), x.tobytes(), 32)]
+    assert calls == [((2, 2), x.tobytes())]
 
 
 @pytest.mark.parametrize("kind,ref_dim", [("harmonic", 32), ("complex_harmonic", 64)])
@@ -435,7 +445,8 @@ def test_study_refuses_a_ratio_on_three_factors():
     # a ratio has no Taylor terms, so its contracted blocks cannot be padded
     f = parse("ratio(poly{(0,0,0):1},poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
     x = np.diag([0.5, -0.5]).astype(complex)
-    stacks = [spectra._resolvent_stacks(x, spectra.Contour(0.0, 1.0, 16))] * 3
+    stacks = [spectra._resolvent_stacks(linalg.resolvent_at_nodes(x, ()),
+                                        spectra.Contour(0.0, 1.0, 16))] * 3
     with pytest.raises(PreconditionError, match="on 3 factors needs at most 16 Taylor terms"):
         approx._fold_and_reads(f, stacks, [1, 1, 1])
 
@@ -446,7 +457,7 @@ def _refuse(*args, **kwargs):
 
 def test_multivariate_experiment_refuses_past_the_tensor_cap(monkeypatch):
     # four 16-dim factors: N = 65536, whose N x N arrays would be 64 GiB each
-    for name in ("_resolvent_stacks", "resolvent", "eig"):
+    for name in ("_resolvent_stacks", "resolvent", "resolvent_at_nodes"):
         monkeypatch.setattr(approx, name, _refuse)
     models = [approx.build_model("harmonic", 16)] * 4
     contours = [spectra.Contour(1.0, 1.5, 64)] * 4
@@ -549,7 +560,7 @@ def _dense_errors(models, f, contours, n_list):
     """The measurement floor and each ||f(X_n) - f(X)||: dense SVDs of node
     folds of explicitly padded stacks blockdiag((zI - X_n)^{-1}, z^{-1} I)."""
     meas = [approx._meas_contour(c) for c in contours]
-    ref = [spectra._resolvent_stacks(m.matrix_ref, c, eigenvalues=m.eigenvalues)
+    ref = [spectra._resolvent_stacks(m._factored, c)
            for m, c in zip(models, meas)]
     g_ref = _dense_fold(f, ref)
     errors = []
@@ -557,7 +568,7 @@ def _dense_errors(models, f, contours, n_list):
         stacks = []
         for m, c in zip(models, meas):
             tp = approx.compress(m, n)
-            zs, w, rs = spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)
+            zs, w, rs = spectra._resolvent_stacks(tp._factored, c, eigenvalues=tp.eigenvalues)
             padded = np.zeros((zs.size, m.ref_dim, m.ref_dim), dtype=complex)
             padded[:, :n, :n] = rs
             padded[:, np.arange(n, m.ref_dim), np.arange(n, m.ref_dim)] = (1.0 / zs)[:, None]
@@ -682,7 +693,7 @@ def test_one_factor_study_holds_one_chunk_of_resolvents():
     f = parse("exp(-z1)")
     tracemalloc.start()
     try:
-        stack = spectra._resolvent_stacks(m.matrix_ref, meas, eigenvalues=m.eigenvalues)
+        stack = spectra._resolvent_stacks(linalg.resolvent_at_nodes(m.matrix_ref, ()), meas)
         approx._fold_and_reads(f, [stack], [meas.nodes // contour.nodes], [128])
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pncalc import approx, calculus, functions, linalg, spectra, synth
+from test_linalg import count_factorizations
 from pncalc.errors import (
     ConfigError,
     DimensionCapError,
@@ -53,6 +54,16 @@ def _enclosing(x, nodes=64):
     c = complex(lams.mean())
     rmax = float(np.max(np.abs(lams - c)))
     return spectra.Contour(center=c, radius=1.5 * rmax + 0.5, nodes=nodes)
+
+
+def _stacks(factors, nodes=64):
+    """One screened stack per factor on its enclosing contour."""
+    return [spectra._resolvent_stacks(linalg.resolvent_at_nodes(x, ()), _enclosing(x, nodes))
+            for x in factors]
+
+
+def _node_fold(f, stacks):
+    return calculus._node_fold(f, stacks, calculus._axis_rows(f, stacks))
 
 
 def test_golden_pair_all_routes():
@@ -241,6 +252,19 @@ def test_dunford_multivariate_budget_guard():
     assert np.linalg.norm(quad - spectral, 2) <= 1e-12 * np.linalg.norm(spectral, 2)
 
 
+def test_budget_refusal_factors_nothing(monkeypatch):
+    # the cost guard is decided from f and the contours alone: the refused
+    # ratio reads no factorization of any factor
+    calls = count_factorizations(monkeypatch)
+    system = calculus.lift([X1, X2, X2])
+    contours = [spectra.Contour(center=0.5, radius=2.0, nodes=128)] * 3
+    ratio = parse("ratio(poly{(0,0,0):1},poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
+    with pytest.raises(PreconditionError, match=r"^quadrature cost guard: 2097152 node "
+                       r"tuples exceed budget 300000$"):
+        calculus.dunford_multivariate(ratio, system, contours)
+    assert calls == [] and "factorizations" not in vars(system)
+
+
 def test_power_series_divergence_detected():
     from pncalc.errors import TailBoundError
     x = np.diag([0.0, 2.0]).astype(complex)
@@ -314,12 +338,12 @@ def test_three_factor_fold_never_forms_the_node_tuple_tensor():
     f = parse("ratio(prod(exp(z1+2*z2-z3),sin(z2+0.5*z3)),"
               "poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
     assert f.taylor_terms([np.ones(2)] * 3, 0) is None
-    stacks = [spectra._resolvent_stacks(x, _enclosing(x)) for x in factors]
+    stacks = _stacks(factors)
     whole = calculus._kron_fold(calculus._node_coeffs(f, stacks),
                                 [np.asarray(rs) for _, _, rs in stacks])
     tracemalloc.start()
     try:
-        fold = calculus._node_fold(f, stacks)
+        fold = _node_fold(f, stacks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -335,11 +359,11 @@ def test_three_factor_ratio_fold_holds_a_few_results():
     factors = [x / linalg.op_norm(x) for x in factors]
     f = parse("ratio(prod(exp(z1+2*z2-z3),sin(z2+0.5*z3)),"
               "poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
-    stacks = [spectra._resolvent_stacks(x, _enclosing(x)) for x in factors]
-    peak = _peak_bytes(lambda: calculus._node_fold(f, stacks))
+    stacks = _stacks(factors)
+    peak = _peak_bytes(lambda: _node_fold(f, stacks))
     assert peak < 8 * 512 ** 2 * 16
     system = calculus.lift(factors)
-    fold = calculus._node_fold(f, stacks)
+    fold = _node_fold(f, stacks)
     spectral = calculus.func_multivariate(f, system).value
     assert np.linalg.norm(fold - spectral, 2) <= 1e-12 * np.linalg.norm(spectral, 2)
 
@@ -370,6 +394,8 @@ def _refuse_decompose(*args, **kwargs):
 
 def test_quadrature_routes_decompose_nothing(monkeypatch):
     monkeypatch.setattr(calculus, "decompose", _refuse_decompose)
+    monkeypatch.setattr(spectra, "decompose", _refuse_decompose)
+    calls = count_factorizations(monkeypatch)
     system = calculus.lift([X1, X2])
     contours = [spectra.Contour(center=1.0, radius=1.0, nodes=64),
                 spectra.Contour(center=0.0, radius=1.0, nodes=64)]
@@ -377,6 +403,9 @@ def test_quadrature_routes_decompose_nothing(monkeypatch):
     gold = _golden_pair_values()["exp(z1+z2)"]
     quad = calculus.dunford_multivariate(f, system, contours)
     assert np.linalg.norm(quad - gold, 2) <= 1e-9
+    # the quadrature reads each factor's one factorization, and nothing else
+    assert calls == [(x.shape, x.tobytes()) for x in (X1, X2)]
+    assert "decompositions" not in vars(system)
     m1 = approx.build_model("harmonic", 16)
     m2 = approx.build_model("harmonic", 16)
     c1 = approx.lowest_cluster_contour(m1, 2)
@@ -390,17 +419,23 @@ def test_each_factor_decomposed_once(monkeypatch):
     seen = []
 
     def counting(x, **kwargs):
-        seen.append(x)
+        seen.append((x, kwargs["factored"]))
         return spectra.decompose(x, **kwargs)
 
     monkeypatch.setattr(calculus, "decompose", counting)
+    calls = count_factorizations(monkeypatch)
     system = calculus.lift([X1, X2])
-    assert seen == []
+    assert seen == [] and calls == []
     f = parse("exp(z1+z2)")
     calculus.func_multivariate(f, system)
     calculus.power_series_apply(f, system)
+    calculus.dunford_multivariate(f, system, [_enclosing(x) for x in (X1, X2)])
+    # one factorization per factor: its decomposition and the quadrature
+    # read it, and the series route takes none
+    assert calls == [(x.shape, x.tobytes()) for x in (X1, X2)]
     assert len(seen) == 2
-    assert all(a is b for a, b in zip(seen, system.factors))
+    assert all(a is b for (a, _), b in zip(seen, system.factors))
+    assert all(fac is b for (_, fac), b in zip(seen, system.factorizations))
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +607,9 @@ def test_separable_fold_matches_the_node_tuple_fold(data, r, seed):
     kinds = data.draw(st.lists(st.sampled_from(("jordan", "hermitian", "diagonalizable")),
                                min_size=r, max_size=r))
     factors = [_factor(kind, rng, int(rng.integers(2, 5))) for kind in kinds]
-    stacks = [spectra._resolvent_stacks(x, _enclosing(x, 32)) for x in factors]
+    stacks = _stacks(factors, 32)
     want = _dense_fold(f, stacks)
-    got = calculus._node_fold(f, stacks)
+    got = _node_fold(f, stacks)
     assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
 
 
@@ -587,7 +622,7 @@ def test_separable_padded_fold_matches_the_padded_dense_fold(spec, n):
     contours = [approx._meas_contour(c) for c in (
         approx.lowest_cluster_contour(models[0], 2), spectra.Contour(0.0, 2.0))]
     points = [approx.compress(m, n) for m in models]
-    stacks = [spectra._resolvent_stacks(tp.x_n, c, eigenvalues=tp.eigenvalues)
+    stacks = [spectra._resolvent_stacks(tp._factored, c, eigenvalues=tp.eigenvalues)
               for tp, c in zip(points, contours)]
     fold, projectors, sups = approx._fold_and_reads(f, stacks, [4, 4], [16, 16])
     system = calculus.lift([tp.x_n_padded for tp in points])

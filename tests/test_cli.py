@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from pncalc import approx, calculus, cli, functions, linalg, spectra, synth
+from test_linalg import count_factorizations
 
 X1 = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
 X2 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -112,7 +113,7 @@ def test_artifacts_are_hashed_as_they_are_written(tmp_path):
     writer = cli.ArtifactWriter(str(out))
     m = synth.random_hermitian(np.random.default_rng(5), 7)
     writer.emit("m.cmat", lambda p, sha: linalg.write_cmat(p, m, sha))
-    writer.emit_text("t.csv", "a,b\n1,2\n")
+    writer.emit("t.csv", lambda p, sha: linalg._write_csv(p, [["a", "b"], ["1", "2"]], sha))
     written = {name: (out / name).read_bytes() for name in ("m.cmat", "t.csv")}
     # finalize reads nothing back: clobbered files keep their written digests
     for name in written:
@@ -148,6 +149,17 @@ def test_funcalc_exp_jordan(tmp_path, mats):
     assert np.linalg.norm(val - np.array([[e, e], [0, e]]), 2) <= 1e-12
     rows = read_csv(out / "crosscheck.csv")
     assert rows[1][4] == "true"
+
+
+def test_funcalc_factors_its_matrix_once(tmp_path, mats, monkeypatch):
+    # the decomposition, the contour and the quadrature read one factorization
+    calls = count_factorizations(monkeypatch)
+    cfg = write_config(tmp_path, "fc.ini", {
+        "input": {"matrix": mats[0]},
+        "function": {"spec": "exp(z1)"},
+    })
+    assert cli.main(["funcalc", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(X1.shape, X1.tobytes())]
 
 
 def test_funcalc_contour_missing_spectrum_exit3(tmp_path, mats, capsys):
@@ -325,6 +337,28 @@ def test_oracle_check_random_cases_take_every_factor_of_f(tmp_path, spec):
     assert all(len(r[1].split("x")) == arity and r[-1] == "true" for r in rows)
 
 
+def test_oracle_check_factors_each_matrix_once(tmp_path, monkeypatch):
+    # r = 3: the decompositions, the contours and the quadrature read one
+    # factorization per input matrix, and its certificate takes the one
+    # SVD of that matrix (the series route takes that of X - c I, c != 0)
+    factors = [X1, X2 + 0.5 * np.eye(2), synth.random_factor(np.random.default_rng(3), 3, 2, 3.0)]
+    paths = {}
+    for j, x in enumerate(factors):
+        linalg.write_cmat(tmp_path / f"x{j}.cmat", x)
+        paths[f"matrix_{j + 1}"] = tmp_path / f"x{j}.cmat"
+    cfg = write_config(tmp_path, "oc.ini", {
+        "input": paths, "function": {"spec": "exp(z1+z2+z3)"}})
+    calls = count_factorizations(monkeypatch)
+    norms = []
+    real = linalg.op_norm
+    for module in (linalg, spectra, calculus, approx):
+        monkeypatch.setattr(module, "op_norm", lambda a: norms.append(a) or real(a))
+    assert cli.main(["oracle-check", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(x.shape, x.tobytes()) for x in factors]
+    for x in factors:
+        assert sum(np.array_equal(a, x) for a in norms) == 1
+
+
 def test_converge_multi_refuses_past_the_tensor_cap(tmp_path, monkeypatch, capsys):
     # two 128-dim models: N = 16384, whose N x N arrays would be 4 GiB each
     def refuse(*args, **kwargs):
@@ -395,8 +429,7 @@ def _expected_converge_columns(command, cfg):
         c_f = approx.error_constant(f, models[0], contours[0], exp["n_list"])
     else:
         c_f = approx.error_constant_multi(f, models, contours, exp["n_list"])
-    p_cs = [spectra.riesz_projector(m.matrix_ref, approx._meas_contour(c),
-                                    eigenvalues=m.eigenvalues)
+    p_cs = [spectra.riesz_projector(m.matrix_ref, approx._meas_contour(c))
             for m, c in zip(models, contours)]
     eps = []
     for n in exp["n_list"]:
@@ -557,12 +590,14 @@ def test_env_override(tmp_path, mats, monkeypatch):
 # resolvent norm that the certified bounds now prune, lift-calc with the
 # spectral assembly from the component factors (its sums run in another
 # order than the dense term stacks' did, so value, s0 and the ledger norms
-# moved in their last digits); the numbers underneath come from LAPACK, so
-# the digests hold for the pinned numpy 2.4 / scipy 1.17 / OpenBLAS 0.3.31
-# build on x86_64
+# moved in their last digits) and its Hermitian factor decomposed from its
+# certified eigh (value and s0 moved by 6e-15 relative, s_mixed and s_full
+# kept their bytes, that factor's ledger eigenvalues became exactly real);
+# the numbers underneath come from LAPACK, so the digests hold for the
+# pinned numpy 2.4 / scipy 1.17 / OpenBLAS 0.3.31 build on x86_64
 SEEDED_MANIFEST_SHA256 = {
     "decompose": "7406e2df45925af428601513830253294a0e71cdc42b0e69289c7ede5f1ace00",
-    "lift-calc": "f17bd33aa1b9a424d947fc1df38844e7c56dbe3e5634e740f5187289bb10819a",
+    "lift-calc": "1fe91b382ab0711214154f4ed435a8361d9b7c0555de4b5e0d9ca8a960bf3339",
     "converge": "4cc6b4dbe875bf1aa9ec539ca9576aceb664c58c6da667b3a48b8a885c2fb772",
     "regularize": "e09aaee2bc06c78c50275d8b1f968eeb15194a2efcb21cdd583de0e181b69575",
 }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pncalc import approx, linalg, synth
+from pncalc import approx, calculus, linalg, spectra, synth
 from pncalc.errors import (
     ConfigError,
     NearSingularError,
@@ -77,16 +77,40 @@ def test_eig_backward_error():
     assert abs(np.sum(res.eigenvalues) - np.trace(x)) <= 1e-10 * max(1.0, abs(np.trace(x)))
 
 
-def test_schur_backward_error():
+def count_factorizations(monkeypatch) -> list:
+    """(shape, bytes) of every matrix the package factors from now on: the
+    `resolvent_at_nodes` of every module that holds it is a spy."""
+    calls = []
+    real = linalg.resolvent_at_nodes
+
+    def spy(x, zs):
+        x = np.asarray(x)
+        calls.append((x.shape, x.tobytes()))
+        return real(x, zs)
+
+    for module in (linalg, spectra, calculus, approx):
+        monkeypatch.setattr(module, "resolvent_at_nodes", spy)
+    return calls
+
+
+def test_schur_backward_error(monkeypatch):
+    # the certified Schur form of the one factorization, and its ||X||
     rng = _rng(3)
     x = _random_complex(rng, 8)
-    res = linalg.schur(x)
-    assert res.backward_error <= 1e-10
-    assert np.array_equal(res.t, np.triu(res.t))
+    res = linalg.resolvent_at_nodes(x, ())
+    assert res.t.ndim == 2 and np.array_equal(res.t, np.triu(res.t))
+    assert res.scale == linalg.op_norm(x)
+    assert np.linalg.norm(x @ res.q - res.q @ res.t) <= 1e-10 * res.scale
     assert np.linalg.norm(res.q.conj().T @ res.q - np.eye(8), 2) <= 1e-13
-    assert abs(np.sum(np.diag(res.t)) - np.trace(x)) <= 1e-10 * max(1.0, abs(np.trace(x)))
-    zero = linalg.schur(np.zeros((3, 3), dtype=complex))
-    assert zero.backward_error == 0.0
+    assert abs(np.sum(res.eigenvalues) - np.trace(x)) <= 1e-10 * max(1.0, abs(np.trace(x)))
+    zero = linalg.resolvent_at_nodes(np.zeros((3, 3), dtype=complex), ())
+    assert zero.scale == 0.0
+    # a backward error above the bound is refused, on either path
+    monkeypatch.setattr(linalg, "_FACTOR_BACKWARD_TOL", 0.0)
+    with pytest.raises(ToleranceError, match="Schur decomposition backward error"):
+        linalg.resolvent_at_nodes(x, ())
+    with pytest.raises(ToleranceError, match="eigh backward error"):
+        linalg.resolvent_at_nodes(x + x.conj().T, ())
 
 
 def _node_case(kind: str, nodes: int = 64):
@@ -171,7 +195,7 @@ def _bounded_inverses(seed, n, nodes, peak, gap):
     t = np.triu(_random_complex(rng, n)) * 0.1
     t[np.diag_indices(n)] = 0.3 * _random_complex(rng, 1, n)[0]
     t[n - 1, n - 1] = zs[peak] * (1.0 - gap)
-    return linalg.NodeResolvents(zs, np.eye(n, dtype=complex), t)
+    return linalg.NodeResolvents(zs, np.eye(n, dtype=complex), t, linalg.op_norm(t))
 
 
 @settings(max_examples=40, deadline=None)

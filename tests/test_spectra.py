@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pncalc import linalg, spectra, synth
-from test_linalg import edge_matrix
+from test_linalg import count_factorizations, edge_matrix
 from pncalc.errors import (
     ClusterSeparationError,
     ConfigError,
@@ -29,7 +29,7 @@ def _quadrature_matches(x, dec):
         else:
             radius = 1.0 + float(np.max(np.abs(values - c.eigenvalue)))
         contour = spectra.Contour(c.eigenvalue, radius)
-        quad = spectra.riesz_projector(x, contour, eigenvalues=values)
+        quad = spectra.riesz_projector(x, contour)
         size = max(1.0, linalg.op_norm(c.projector))
         err = linalg.op_norm(c.projector - quad)
         assert err <= 1e-10 * size, f"component at {c.eigenvalue}: {err:.3e}"
@@ -316,6 +316,42 @@ def test_decompose_hermitian_is_diagonalizable():
         assert linalg.op_norm(c.nilpotent) <= 1e-10 * scale
 
 
+def test_hermitian_decompose_reads_the_eigh_basis(monkeypatch):
+    # k = n on bitwise-Hermitian X: the spectral theorem, straight from the
+    # certified eigh; no Schur reordering
+    def refuse(*args, **kwargs):
+        raise AssertionError("ztrsen called")
+
+    monkeypatch.setattr(spectra.lapack, "ztrsen", refuse)
+    n = 40
+    x = synth.random_hermitian(np.random.default_rng(40), n)
+    assert np.array_equal(x, x.conj().T)
+    dec = spectra.decompose(x)
+    assert len(dec.components) == n
+    assert dec.scale == linalg.op_norm(x)
+    v = np.hstack([c.v for c in dec.components])
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n), 2) <= 1e-13
+    for c in dec.components:
+        assert c.index == 1 and c.multiplicity == 1
+        assert np.array_equal(c.v, c.w)
+        assert c.eigenvalue.imag == 0.0
+    assert all(value <= bound for value, bound in dec.report.values())
+    assert np.allclose(np.sort(dec.eigenvalues.real), np.linalg.eigvalsh(x), rtol=0, atol=1e-13)
+
+
+def test_hermitian_repeated_eigenvalue_is_one_component():
+    q, _ = np.linalg.qr(synth.random_hermitian(np.random.default_rng(4), 4))
+    x = q @ np.diag([1.0, 1.0, 2.0, -0.5]) @ q.conj().T
+    x = (x + x.conj().T) / 2.0
+    assert np.array_equal(x, x.conj().T)
+    dec = spectra.decompose(x)
+    assert [(c.multiplicity, c.index) for c in dec.components] == [(1, 1), (2, 1), (1, 1)]
+    c = dec.components[1]
+    assert abs(c.eigenvalue - 1.0) <= 1e-14
+    assert np.linalg.norm(c.v.conj().T @ c.v - np.eye(2), 2) <= 1e-13
+    assert linalg.op_norm(c.projector - q[:, :2] @ q[:, :2].conj().T) <= 1e-13
+
+
 def test_decompose_cluster_separation_guard():
     # two clusters 3 * cluster_tol apart violate the 4x separability margin
     x = np.diag([0.0, 3e-6]).astype(complex)
@@ -575,31 +611,30 @@ def test_zero_matrix_decomposes():
 
 
 def test_resolvent_stacks_screen_on_their_one_factorization(monkeypatch):
-    calls = []
-    real_schur = linalg.schur
-    monkeypatch.setattr(linalg, "schur", lambda x: calls.append("schur") or real_schur(x))
-    monkeypatch.setattr(linalg, "eig", lambda x: calls.append("eig"))
-    monkeypatch.setattr(spectra, "eig", lambda x: calls.append("eig"))
     x = _jordan(1.0, 3, 0.5) + np.diag([0.0, 0.0, 0.5])
     contour = spectra.Contour(1.0, 2.0, 32)
-    zs, _, rs = spectra._resolvent_stacks(x, contour, require_full=True)
+    real = linalg.resolvent_at_nodes
+    calls = count_factorizations(monkeypatch)
+    factored = linalg.resolvent_at_nodes(x, ())
+    zs, _, rs = spectra._resolvent_stacks(factored, contour, require_full=True)
     # one Schur form serves both node counts, and its diagonal is the screen
     doubled = rs.at(contour.points(64))
-    assert calls == ["schur"]
+    assert len(calls) == 1
     assert [zs.size, rs.zs.size, doubled.zs.size] == [32, 32, 64]
-    assert doubled.q is rs.q
+    assert rs.q is factored.q and doubled.q is rs.q
     for stack in (rs, doubled):
-        assert np.array_equal(stack.dense(), linalg.resolvent_at_nodes(x, stack.zs).dense())
+        assert np.array_equal(stack.dense(), real(x, stack.zs).dense())
     # the same form refuses a circle through an eigenvalue, and one that
     # leaves an eigenvalue outside, before any solve
     monkeypatch.setattr(linalg.NodeResolvents, "_inverses",
                         lambda self, zs: pytest.fail("solved before the screen"))
     with pytest.raises(ContourTooCloseError):
-        spectra._resolvent_stacks(x, spectra.Contour(0.5, 0.5, 32))
+        spectra._resolvent_stacks(factored, spectra.Contour(0.5, 0.5, 32))
     with pytest.raises(PreconditionError, match="enclose the whole spectrum"):
-        spectra._resolvent_stacks(x, spectra.Contour(3.0, 1.0, 32), require_full=True)
-    # supplied eigenvalues are screened before the matrix is factored
-    calls.clear()
+        spectra._resolvent_stacks(factored, spectra.Contour(3.0, 1.0, 32), require_full=True)
+    # supplied eigenvalues (a truncation's, with its padding 0) replace the
+    # factorization's in the screen; nothing more is factored
     with pytest.raises(ContourTooCloseError):
-        spectra._resolvent_stacks(x, spectra.Contour(0.5, 0.5, 32), eigenvalues=[1.0])
-    assert calls == []
+        spectra._resolvent_stacks(factored, spectra.Contour(0.0, 0.5, 32),
+                                  eigenvalues=[0.5])
+    assert len(calls) == 1
