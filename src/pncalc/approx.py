@@ -64,7 +64,6 @@ from .errors import (
     ConfigError,
     DimensionCapError,
     PreconditionError,
-    ToleranceError,
 )
 from .functions import AnalyticFunction
 from .linalg import (
@@ -218,7 +217,6 @@ def build_model(kind: str, ref_dim: int, guard: int | None = None,
             raise PreconditionError(f"{kind} needs guard >= {min_guard}, got {guard}")
         full = _oscillator(kind, ref_dim + guard)
         m = np.ascontiguousarray(full[:ref_dim, :ref_dim])
-        _check_oscillator(kind, m)
         return OperatorModel(kind, ref_dim, guard, m)
     if kind == "jordan_toy":
         if ref_dim != 4:
@@ -245,26 +243,6 @@ def _norm_at_most(a: np.ndarray, tol: float, m: np.ndarray, power: int = 1) -> b
     if a_low > tol * m_high ** power:
         return False
     return op_norm(a) <= tol * max(op_norm(m), 1.0) ** power
-
-
-def _check_oscillator(kind: str, m: np.ndarray) -> None:
-    if kind in ("harmonic", "anharmonic_x4"):
-        skew = m - m.conj().T
-        if not _norm_at_most(skew, 1e-12, m):
-            raise ToleranceError(f"{kind} reference not hermitian ({op_norm(skew):.3e})")
-    if kind == "harmonic":
-        target = np.diag(2.0 * np.arange(m.shape[0]) + 1.0)
-        if not _norm_at_most(m - target, 1e-12, m):
-            raise ToleranceError("harmonic reference deviates from diag(2n+1)")
-    if kind == "complex_harmonic":
-        band = np.triu(np.abs(m), 3) + np.tril(np.abs(m), -3)
-        if band.max() > 0:
-            raise ToleranceError("complex_harmonic reference not banded (width 2)")
-        if _norm_at_most(m @ m.conj().T - m.conj().T @ m, 1e-6, m, 2):
-            raise ToleranceError("complex_harmonic reference unexpectedly normal")
-        sym = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if sym.min() <= 0:
-            raise ToleranceError("complex_harmonic numerical range leaks out of Re > 0")
 
 
 def compress(model: OperatorModel, n: int) -> TruncationPoint:

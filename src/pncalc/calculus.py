@@ -40,6 +40,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DimensionCapError,
+    DomainError,
     PreconditionError,
     QuadratureError,
     TailBoundError,
@@ -122,6 +123,13 @@ def lift(factors, cap: int = KRON_CAP, cluster_tol: float | None = None,
         raise DimensionCapError(
             f"tensor dimension {tensor_dim} exceeds the cap {cap}")
     return LiftedSystem(mats, tensor_dim, cluster_tol, tol_dec, tol_nil)
+
+
+def _finite(f: AnalyticFunction, where: str, *arrays) -> None:
+    """DomainError unless every entry of `arrays`, f's values or Taylor
+    coefficients `where`, is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError(f"f = {f.to_spec()} is not finite {where}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +250,7 @@ def _assemble(f, decompositions: list[Decomposition], dim: int) -> CalculusResul
     else:
         coeffs = np.zeros(tuple(map(len, nus)) + (1,) * r, dtype=complex)
     coeffs[(Ellipsis,) + (0,) * r] = f(*np.meshgrid(*lams, indexing="ij"))
+    _finite(f, "on the eigenvalue grid", coeffs)
 
     lefts = []  # lefts[j][i][q] is L_q of factor j's component i
     for cs in comps:
@@ -317,12 +326,15 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
     if not isinstance(x, NodeResolvents):
         x = resolvent_at_nodes(x, ())
     zs, w, rs = _resolvent_stacks(x, contour, require_full=require_full, label="dunford")
-    value = rs.contract([w * np.asarray(f(zs), dtype=complex)])[0][0]
+    fz = np.asarray(f(zs), dtype=complex)
+    _finite(f, "on the contour nodes", fz)
+    value = rs.contract([w * fz])[0][0]
     if not verify:
         return value
     zs = contour.points(2 * contour.nodes)
-    doubled = rs.at(zs).contract(
-        [contour.weights(2 * contour.nodes) * np.asarray(f(zs), dtype=complex)])[0][0]
+    fz = np.asarray(f(zs), dtype=complex)
+    _finite(f, "on the contour nodes", fz)
+    doubled = rs.at(zs).contract([contour.weights(2 * contour.nodes) * fz])[0][0]
     gap = op_norm(doubled - value)
     if gap > _DOUBLING_TOL * (1.0 + op_norm(doubled)):
         raise QuadratureError(
@@ -335,6 +347,7 @@ def _node_coeffs(f: AnalyticFunction, stacks) -> np.ndarray:
     per factor; a stack's further items (its resolvents) are not read."""
     grid = np.meshgrid(*[zs for zs, *_ in stacks], indexing="ij", sparse=True)
     coeffs = np.array(f(*grid), dtype=complex)
+    _finite(f, "on the quadrature nodes", coeffs)
     for j, (_, w, *_) in enumerate(stacks):
         shape = [1] * len(stacks)
         shape[j] = w.size
@@ -358,7 +371,9 @@ def _axis_rows(f: AnalyticFunction, stacks):
     if len(stacks) > 1:
         terms = f.taylor_terms([zs for zs, *_ in stacks], 0)
         if terms is not None and len(terms) <= min(zs.size for zs, *_ in stacks):
-            return [[w * term[j][:, 0] for term in terms] for j, (_, w, *_) in enumerate(stacks)]
+            rows = [[w * term[j][:, 0] for term in terms] for j, (_, w, *_) in enumerate(stacks)]
+            _finite(f, "on the quadrature nodes", *itertools.chain(*rows))
+            return rows
         if len(stacks) > 2:
             return None
     coeffs = _node_coeffs(f, stacks)
@@ -383,7 +398,7 @@ def _node_fold(f: AnalyticFunction, stacks, rows) -> np.ndarray:
     [(zs, w, first), *rest] = stacks
     slabs = (_node_coeffs(f, [(zs[i:i + 1], w[i:i + 1], first), *rest])[0]
              for i in range(zs.size))
-    return _kron_fold(slabs, [np.asarray(rs) for _, _, rs in stacks])
+    return _kron_fold(slabs, [rs.dense() for _, _, rs in stacks])
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
@@ -498,9 +513,11 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
         if factored:
             # (terms, r, cap + pad + 1)
             rows = np.array([[row[0] for row in term] for term in terms])
+            _finite(f, "at the series center", rows)
             shells = _term_shells(np.abs(rows) * scale, ks)
         else:
             box = f.taylor_box(center, cap + pad)
+            _finite(f, "at the series center", box)
             weights = np.abs(box)
             for j in range(r):
                 weights *= scale[j].reshape([-1 if i == j else 1 for i in range(r)])

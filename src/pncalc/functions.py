@@ -21,6 +21,9 @@ Every node knows three things the calculus needs:
   terms, shell by shell in total degree,
 * declared poles along each variable, for the analyticity checks.
 
+`parse_function` reads a tree from its spec string (`to_spec` writes one)
+with Python's expression parser, and never evaluates it.
+
 `partial` (each node differentiates to another node) is kept as public
 API; the calculus does not use it.
 
@@ -28,8 +31,10 @@ Multi-indices are plain int tuples throughout.
 """
 from __future__ import annotations
 
+import ast
 import itertools
-import re
+import sys
+import warnings
 from math import comb, factorial
 
 import numpy as np
@@ -159,6 +164,7 @@ class AnalyticFunction:
     """Base node: arity, evaluation, partials, Taylor boxes, spec string."""
 
     arity: int
+    _name = ""   # the head of its spec
 
     def __init__(self, arity: int):
         if arity < 1:
@@ -253,6 +259,7 @@ class AnalyticFunction:
 
 class Polynomial(AnalyticFunction):
     """Coefficient table {multi-index: coefficient}."""
+    _name = "poly"
 
     def __init__(self, table: dict, arity: int):
         super().__init__(arity)
@@ -305,7 +312,7 @@ class Polynomial(AnalyticFunction):
         for alpha in sorted(self.table):
             key = str(alpha[0]) if self.arity == 1 else "(" + ",".join(map(str, alpha)) + ")"
             parts.append(f"{key}:{_fmt_num(self.table[alpha])}")
-        return "poly{" + ",".join(parts) + "}"
+        return self._name + "{" + ",".join(parts) + "}"
 
 
 class _Affine:
@@ -345,8 +352,6 @@ class _Affine:
 
 
 class _AffineTranscendental(AnalyticFunction):
-    _name = ""
-
     def __init__(self, affine: _Affine, arity: int):
         super().__init__(arity)
         if len(affine.coeffs) != arity:
@@ -438,8 +443,6 @@ class CosAffine(_Trigonometric):
 
 
 class _Binary(AnalyticFunction):
-    _name = ""
-
     def __init__(self, left: AnalyticFunction, right: AnalyticFunction):
         if left.arity != right.arity:
             raise ConfigError(
@@ -596,54 +599,7 @@ def _fmt_num(z: complex) -> str:
     return f"({z.real!r}{sign}{abs(z.imag)!r}j)"
 
 
-def _parse_number(text: str, where: str) -> complex:
-    t = text.strip()
-    if t.startswith("(") and t.endswith(")"):
-        t = t[1:-1].strip()
-    try:
-        return complex(t.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"bad number {text!r} in {where}") from exc
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if not self.text.startswith(ch, self.pos):
-            raise ConfigError(f"expected {ch!r} at position {self.pos} in function spec")
-        self.pos += len(ch)
-
-    def until_balanced(self, openers="([{", closers=")]}", stops=",") -> str:
-        """Consume text up to a top-level stop character or closing bracket."""
-        depth = 0
-        start = self.pos
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in openers:
-                depth += 1
-            elif ch in closers:
-                if depth == 0:
-                    break
-                depth -= 1
-            elif ch in stops and depth == 0:
-                break
-            self.pos += 1
-        return self.text[start:self.pos]
-
-
-_HEAD_RE = re.compile(r"\s*([a-z]+)\s*[({]")
+_HEADS = {c._name: c for c in (Polynomial, ExpAffine, SinAffine, CosAffine, Sum, Product, Ratio)}
 
 
 def parse_function(spec: str) -> AnalyticFunction:
@@ -653,137 +609,101 @@ def parse_function(spec: str) -> AnalyticFunction:
     | ratio(f,g) | prod(f,g) | sum(f,g); affine is a +/- chain of
     [coeff*]zN terms and constants; numbers are python complex literals,
     parenthesized when they mix real and imaginary parts.
+
+    Python's expression parser reads the spec, and its tree is walked;
+    nothing is evaluated.  Any other construct, a number that is not finite
+    and nesting past 200 parentheses raise ConfigError.
     """
-    sc = _Scanner(spec)
-    fn = _parse_expr(sc)
-    sc.skip_ws()
-    if sc.pos != len(sc.text):
-        raise ConfigError(f"trailing garbage in function spec at position {sc.pos}: "
-                          f"{spec[sc.pos:]!r}")
-    return fn
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(spec.strip().replace("{", "({").replace("}", "})"), mode="eval")
+    except (SyntaxError, ValueError, MemoryError, RecursionError) as exc:
+        # MemoryError and RecursionError: nesting past the parser's stack
+        raise ConfigError(f"function spec {spec!r} does not parse: {exc}") from None
+    return _read(tree.body)
 
 
-def _parse_expr(sc: _Scanner) -> AnalyticFunction:
-    m = _HEAD_RE.match(sc.text, sc.pos)
-    if not m:
-        raise ConfigError(f"expected a function head at position {sc.pos} in spec")
-    head = m.group(1)
-    if head == "poly":
-        sc.pos = m.end() - 1
-        return _parse_poly(sc)
-    if head in ("exp", "sin", "cos"):
-        sc.pos = m.end()
-        body = sc.until_balanced(stops="")
-        sc.expect(")")
-        affine, arity = _parse_affine(body)
-        cls = {"exp": ExpAffine, "sin": SinAffine, "cos": CosAffine}[head]
-        return cls(affine, arity)
-    if head in ("ratio", "prod", "sum"):
-        sc.pos = m.end()
-        left = _parse_expr(sc)
-        sc.expect(",")
-        right = _parse_expr(sc)
-        sc.expect(")")
-        left, right = _match_arity(left, right)
-        cls = {"ratio": Ratio, "prod": Product, "sum": Sum}[head]
-        return cls(left, right)
-    raise ConfigError(f"unknown function head {head!r}")
+def _read(node: ast.expr) -> AnalyticFunction:
+    """The function of a head call; a poly table is its dict argument."""
+    name = node.func.id if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) else None
+    cls = _HEADS.get(name)
+    if cls is None:
+        raise ConfigError(f"expected a function head, got {name or type(node).__name__!r}")
+    want = 2 if issubclass(cls, _Binary) else 1
+    if node.keywords or len(node.args) != want:
+        raise ConfigError(f"{name} takes {want} argument(s)")
+    if want == 2:
+        return cls(*_match_arity(_read(node.args[0]), _read(node.args[1])))
+    if cls is not Polynomial:
+        return cls(*_read_affine(node.args[0]))
+    table = node.args[0]
+    if not isinstance(table, ast.Dict) or not table.keys or None in table.keys:
+        raise ConfigError("poly takes a nonempty {exponents: coefficient} table")
+    alphas = [tuple(int(_text(k, (int,))) for k in (key.elts if isinstance(key, ast.Tuple)
+                                                     else [key])) for key in table.keys]
+    coeffs: dict[tuple[int, ...], complex] = {}
+    for alpha, value in zip(alphas, table.values):
+        coeffs[alpha] = coeffs.get(alpha, 0) + _number(value)
+    return Polynomial(coeffs, len(alphas[0]))
 
 
-def _parse_poly(sc: _Scanner) -> Polynomial:
-    sc.expect("{")
-    table: dict[tuple[int, ...], complex] = {}
-    arity = None
-    while True:
-        if sc.peek() == "}":
-            break
-        if sc.peek() == "(":
-            sc.expect("(")
-            inner = sc.until_balanced(stops="")
-            sc.expect(")")
-            try:
-                alpha = tuple(int(t) for t in inner.split(",") if t.strip() != "")
-            except ValueError as exc:
-                raise ConfigError(f"bad poly exponent tuple ({inner})") from exc
+def _read_affine(node: ast.expr) -> tuple[_Affine, int]:
+    """c . z + d and its arity, from a +/- chain of zN, number*zN and number
+    terms, walked without recursion; each term is added to its sum in order."""
+    coeffs, const, stack = {}, 0j, [(node, False)]
+    while stack:
+        node, negative = _unsigned(*stack.pop())
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+            stack += [(node.right, negative ^ isinstance(node.op, ast.Sub)), (node.left, negative)]
+        elif isinstance(node, ast.Name):
+            j = _variable(node)
+            coeffs[j] = coeffs.get(j, 0) + (-1.0 if negative else 1.0)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+              and isinstance(node.right, ast.Name)):
+            j = _variable(node.right)
+            coeffs[j] = coeffs.get(j, 0) + _number(node.left, negative)
         else:
-            tok = sc.until_balanced(stops=",:").strip()
-            try:
-                alpha = (int(tok),)
-            except ValueError as exc:
-                raise ConfigError(f"bad poly exponent {tok!r}") from exc
-        sc.expect(":")
-        coeff = _parse_number(sc.until_balanced(stops=","), "poly coefficient")
-        if arity is None:
-            arity = len(alpha)
-        elif len(alpha) != arity:
-            raise ConfigError("inconsistent exponent tuple lengths in poly{...}")
-        table[alpha] = table.get(alpha, 0) + coeff
-        if sc.peek() == ",":
-            sc.expect(",")
-        else:
-            break
-    sc.expect("}")
-    if arity is None:
-        raise ConfigError("empty poly{...} table")
-    return Polynomial(table, arity)
-
-
-_VAR_RE = re.compile(r"^([+-]?)z(\d+)$")
-
-
-def _parse_affine(body: str):
-    if not body.strip():
-        raise ConfigError("empty affine expression")
-    terms = _split_affine(body)
-    coeffs: dict[int, complex] = {}
-    const = 0j
-    max_var = 0
-    for term in terms:
-        t = term.strip()
-        if not t:
-            raise ConfigError(f"empty term in affine expression {body!r}")
-        m = _VAR_RE.match(t)
-        if m:
-            idx = int(m.group(2))
-            if idx < 1:
-                raise ConfigError(f"variables are 1-based, got z{idx}")
-            sgn = -1.0 if m.group(1) == "-" else 1.0
-            coeffs[idx] = coeffs.get(idx, 0) + sgn
-            max_var = max(max_var, idx)
-            continue
-        if "*" in t:
-            coeff_s, _, var_s = t.rpartition("*")
-            mv = _VAR_RE.match(var_s.strip())
-            if not mv or mv.group(1):
-                raise ConfigError(f"bad affine term {term!r}")
-            idx = int(mv.group(2))
-            if idx < 1:
-                raise ConfigError(f"variables are 1-based, got z{idx}")
-            coeffs[idx] = coeffs.get(idx, 0) + _parse_number(coeff_s, f"term {term!r}")
-            max_var = max(max_var, idx)
-        else:
-            const += _parse_number(t, f"term {term!r}")
-    arity = max(max_var, 1)
+            const += _number(node, negative)
+    arity = max(coeffs, default=1)
     return _Affine([coeffs.get(j + 1, 0j) for j in range(arity)], const), arity
 
 
-def _split_affine(body: str) -> list[str]:
-    """Split a +/- chain at top level, keeping the sign with the term."""
-    out = []
-    depth = 0
-    cur = ""
-    for i, ch in enumerate(body):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch in "+-" and depth == 0 and i > 0 and body[i - 1] not in "eE+-*(,":
-            out.append(cur)
-            cur = ch if ch == "-" else ""
-            continue
-        cur += ch
-    out.append(cur)
-    return [t for t in out if t.strip()]
+def _variable(node: ast.Name) -> int:
+    """j of the variable zj, 1 <= j <= 99 (an affine form lists j coefficients)."""
+    j = node.id[1:]
+    if node.id[:1] != "z" or not (j.isdecimal() and len(j) <= 2 and int(j) >= 1):
+        raise ConfigError(f"unknown variable {node.id!r}; variables are z1 .. z99")
+    return int(j)
+
+
+def _unsigned(node: ast.expr, negative: bool = False) -> tuple[ast.expr, bool]:
+    """node without its leading signs, and whether they and `negative` negate it."""
+    while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        negative ^= isinstance(node.op, ast.USub)
+        node = node.operand
+    return node, negative
+
+
+def _text(node: ast.expr, types, negative: bool = False) -> str:
+    """The text of a signed literal of one of `types`: its sign and repr."""
+    node, negative = _unsigned(node, negative)
+    value = node.value if isinstance(node, ast.Constant) else None
+    if type(value) not in types or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"expected a finite {'/'.join(t.__name__ for t in types)} literal")
+    return ("-" if negative else "+") + repr(value)
+
+
+def _number(node: ast.expr, negative: bool = False) -> complex:
+    """The value complex() reads from a signed number's text: a real or an
+    imaginary literal, or the two joined by + or -.  Each sign goes to the
+    part it precedes, so complex("-0.9") keeps a +0.0 imaginary part."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)) and not negative:
+        text = (_text(node.left, (int, float))
+                + _text(node.right, (complex,), isinstance(node.op, ast.Sub)))
+    else:
+        text = _text(node, (int, float, complex), negative)
+    return complex(text)
 
 
 def _match_arity(left: AnalyticFunction, right: AnalyticFunction):

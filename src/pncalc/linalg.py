@@ -227,10 +227,6 @@ class NodeResolvents:
             return (self.q[None, :, :] * inv[:, None, :]) @ self.q.conj().T
         return self.q @ inv @ self.q.conj().T
 
-    def __array__(self, dtype=None, copy=None):
-        stack = self.dense()
-        return stack if dtype is None else stack.astype(dtype, copy=False)
-
     def _back(self, s: np.ndarray) -> np.ndarray:
         """Q S Q^H of a flat matrix S in the basis of Q (its diagonal for
         diagonal T)."""

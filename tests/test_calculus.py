@@ -223,6 +223,32 @@ def test_dunford_rejects_pole_inside():
         calculus.dunford(f, x, c)
 
 
+@pytest.mark.parametrize("spec,route,where", [
+    ("exp(800*z1)", "assembly", "on the eigenvalue grid"),
+    ("exp(800*z1)", "dunford", "on the contour nodes"),
+    ("exp(800*z1)", "quadrature", "on the quadrature nodes"),
+    ("exp(800*z1+z2)", "quadrature", "on the quadrature nodes"),
+    ("ratio(exp(800*z1+z2+z3),poly{(0,0,0):1})", "quadrature", "on the quadrature nodes"),
+    ("exp(800*z1)", "series", "at the series center"),
+    ("ratio(exp(800*z1),poly{0:1})", "series", "at the series center"),
+])
+def test_non_finite_f_is_a_domain_error(spec, route, where):
+    # e^800 overflows: each route refuses on f's values or Taylor
+    # coefficients (the quadrature on its Taylor terms' rows at two factors,
+    # on node-tuple slabs at three), before any N x N array is formed
+    x = np.array([[1, 1], [0, 2]], dtype=complex)
+    f = parse(spec)
+    system = calculus.lift([x] * f.arity)
+    contour = spectra.Contour(center=1.5, radius=1.5, nodes=32)
+    run = {"assembly": lambda: calculus.func_multivariate(f, system),
+           "dunford": lambda: calculus.dunford(f, x, contour),
+           "quadrature": lambda: calculus.dunford_multivariate(f, system, [contour] * f.arity),
+           "series": lambda: calculus.power_series_apply(f, system)}[route]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match=rf"^f = .* is not finite {where}$"):
+        run()
+
+
 def test_dunford_doubling_gate():
     # 16 trapezoid nodes on the unit circle leave 0.88 between the rule and
     # its doubling on an eigenvalue 0.07 inside it; at 0.2, 32 nodes agree
@@ -340,7 +366,7 @@ def test_three_factor_fold_never_forms_the_node_tuple_tensor():
     assert f.taylor_terms([np.ones(2)] * 3, 0) is None
     stacks = _stacks(factors)
     whole = calculus._kron_fold(calculus._node_coeffs(f, stacks),
-                                [np.asarray(rs) for _, _, rs in stacks])
+                                [rs.dense() for _, _, rs in stacks])
     tracemalloc.start()
     try:
         fold = _node_fold(f, stacks)
@@ -595,7 +621,7 @@ def _factor(kind, rng, dim):
 
 def _dense_fold(f, stacks):
     return calculus._kron_fold(calculus._node_coeffs(f, stacks),
-                               [np.asarray(rs) for _, _, rs in stacks])
+                               [rs.dense() for _, _, rs in stacks])
 
 
 @settings(max_examples=40, deadline=None)

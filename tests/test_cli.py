@@ -290,6 +290,18 @@ def test_lift_calc_cap_exit3(tmp_path, mats):
                      "--out", str(tmp_path / "out")]) == 3
 
 
+@pytest.mark.parametrize("command,key", [("funcalc", "matrix"), ("lift-calc", "matrix_1"),
+                                         ("oracle-check", "matrix_1")])
+def test_non_finite_f_exit3(tmp_path, capsys, command, key):
+    linalg.write_cmat(tmp_path / "x.cmat", np.array([[1, 1], [0, 2]], dtype=complex))
+    cfg = write_config(tmp_path, "nf.ini", {"input": {key: tmp_path / "x.cmat"},
+                                            "function": {"spec": "exp(800*z1)"}})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert ("error [precondition]: f = exp(800.0*z1) is not finite on the eigenvalue grid"
+            in capsys.readouterr().err)
+
+
 def test_oracle_check_explicit_pair(tmp_path, mats):
     cfg = write_config(tmp_path, "oc.ini", {
         "input": {"matrix_1": mats[0], "matrix_2": mats[1]},

@@ -1,10 +1,12 @@
 import functools
 import itertools
+import struct
+import warnings
 from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pncalc import functions
@@ -43,9 +45,52 @@ def test_parse_composites_and_arity_padding():
 
 
 def test_parse_rejects_malformed():
-    for bad in ("exp(z1", "poly{0:}", "frob(z1)", "poly{(0,1:1}", "", "exp()"):
+    for bad in ("exp(z1", "poly{0:}", "frob(z1)", "poly{(0,1:1}", "", "exp()", "exp(z1*z2)",
+                "exp(z1**2)", "poly{(1.5,0):1}", "poly{**a}", "poly{0:nan}", "exp(z1) junk",
+                "exp(1e999)", "poly{0:0x" + "f" * 4000 + "}", "exp(z100)",
+                "sum(" * 201 + "exp(z1)" + ",exp(z1))" * 201):
         with pytest.raises(ConfigError):
             parse(bad)
+
+
+_SPEC_TOKENS = ["poly", "exp", "sin", "sum", "ratio", "(", ")", "{", "}", ",", ":", "*", "**",
+                "+", "-", "/", " ", "z1", "z2", "z0", "a", "2", "0.5", "1j", "1e999", "nan",
+                "or ", "if ", "'\\d'", "[", ".", "_"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=24),
+                 st.lists(st.sampled_from(_SPEC_TOKENS), max_size=12).map("".join)))
+@example("poly{**a}")
+@example("2z1")
+@example("exp(2or z1)")
+@example("exp('\\d')")
+def test_any_text_is_a_function_or_a_config_error(spec):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            assert isinstance(parse(spec), functions.AnalyticFunction)
+        except ConfigError:
+            pass
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_spec_is_never_evaluated(tmp_path):
+    target = str(tmp_path / "x")
+    for spec in (f"exp(open({target!r}, 'w'))", f"poly{{0:open({target!r}, 'w')}}",
+                 f"__import__('pathlib').Path({target!r}).touch()",
+                 f"sum(exp(z1), __import__('os').mkdir({target!r}))"):
+        with pytest.raises(ConfigError):
+            parse(spec)
+    assert not (tmp_path / "x").exists()
+
+
+def test_signs_fold_into_literals():
+    # as complex("-0.9") reads them: the sign goes to the part it precedes
+    const = parse("exp(-z1)").affine.const
+    assert struct.pack("<dd", const.real, const.imag) == struct.pack("<dd", 0.0, 0.0)
+    coeff = parse("exp(-0.9*z1)").affine.coeffs[0]
+    assert struct.pack("<dd", coeff.real, coeff.imag) == struct.pack("<dd", -0.9, 0.0)
 
 
 def test_spec_round_trip_preserves_values():
@@ -372,3 +417,29 @@ def test_exp_taylor_terms_split_a_wide_axis_into_runs():
         assert np.max(np.abs(got - want)) <= 1e-14 * (1.0 + np.max(np.abs(want))), idx
     # one run per axis: one term, its scalar f at the axes' means
     assert len(f.taylor_terms([np.array([0.0, 3.0]), np.array([1.0])], 3)) == 1
+
+
+def _tree_bits(f, zero_sign=False):
+    """f's classes, arities, exponent tuples and coefficient bit patterns;
+    with `zero_sign` False a -0.0 part counts as +0.0 (x + 0.0)."""
+    def bits(c):
+        c = complex(c) if zero_sign else complex(c) + 0.0
+        return struct.pack("<dd", c.real, c.imag)
+    head = (type(f).__name__, f.arity)
+    if isinstance(f, functions.Polynomial):
+        return head + tuple((a, bits(c)) for a, c in sorted(f.table.items()))
+    if hasattr(f, "affine"):
+        return head + tuple(map(bits, f.affine.coeffs)) + (bits(f.affine.const),)
+    return head + (_tree_bits(f.left, zero_sign), _tree_bits(f.right, zero_sign))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 3), st.integers(0, 3))
+def test_random_trees_round_trip_through_their_spec(data, arity, depth):
+    # to_spec writes no zero term of an affine form: a drawn -0.0 comes back
+    # as +0.0, and variables past the last one written are padded back;
+    # every other bit of every coefficient comes back as it was
+    f = data.draw(_trees(arity, depth))
+    g = functions._pad_arity(parse(f.to_spec()), f.arity)
+    assert g.to_spec() == f.to_spec()
+    assert _tree_bits(g, zero_sign=True) == _tree_bits(f)

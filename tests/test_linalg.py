@@ -137,7 +137,7 @@ def test_node_contraction_matches_dense_stack(kind):
     rs = linalg.resolvent_at_nodes(x, zs)
     # eigh makes the factor diagonal, Schur triangular
     assert rs.t.ndim == (1 if kind == "hermitian" else 2)
-    dense = np.asarray(rs)
+    dense = rs.dense()
     assert dense.shape == (zs.size, n, n)
     for z, r in zip(zs, dense):
         a = z * np.eye(n) - x
