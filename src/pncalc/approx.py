@@ -23,13 +23,12 @@ the quadrature takes none of that route's decisions (clustering, ztrsen,
 ztrsyl).  One contraction pass over its node resolvents gives the
 reference's cluster projector, the matrix's share of f, and its C_f sup,
 read at every k-th node: the measurement node count is a power-of-two
-multiple of the declared one, so those are the declared nodes bitwise.  A
-truncation's zero-padding to ref_dim only adds the eigenvalue 0, so its
-padded resolvent is blockdiag((zI - X_n)^{-1}, z^{-1} I); the fold reads the
-n x n resolvents on the leading block and z^{-1} on the padding diagonal,
-and never forms the padded resolvents.
+multiple of the declared one, so those are the declared nodes bitwise.
+In the compression convention, f(X_n) is folded at its own size and
+embedded with zeros, f(X_n) (+) 0: the padding eigenvalue 0 of X_n (+) 0,
+whose eps_n is reported, enters no integrand.
 
-The cluster error d = f(X_n) - f(X) (and f(X) itself, for the measurement
+The cluster error d = f(X_n) (+) 0 - f(X) (and f(X) itself, for the measurement
 floor) has its columns in the range of the cluster projectors and its rows
 in their row spaces, so its norm is read from a thin bracket instead of a
 dense SVD on the tensor space.  With Qa an orthonormal basis of the
@@ -39,16 +38,13 @@ same for the row spaces, core = Qa^H d Qb and rho = ||d - Qa core Qb^H||_F
 enclose ||core|| <= ||d|| <= ||core|| + rho for any orthonormal Qa, Qb.
 The report carries the lower end as the error and checks the upper end
 against the bound.  The thin ends are kept when rho <= 1e-10 ||core|| or
-when the whole bracket lies under the measurement floor; otherwise (a
-contour around the padding eigenvalue 0, quadrature leakage out of the
-bases) both ends are the dense ||d||.
+when the whole bracket lies under the measurement floor; otherwise
+(quadrature leakage out of the bases) both ends are the dense ||d||.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import string
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,7 +53,7 @@ from .calculus import (
     _SLAB_ENTRIES,
     _axis_rows,
     _kron_sum,
-    _node_coeffs,
+    _node_fold,
 )
 from .errors import (
     ClusterSeparationError,
@@ -284,8 +280,9 @@ def lowest_cluster_contour(model: OperatorModel, k: int,
     """Circle around the k lowest (by real part) reference eigenvalues.
 
     The radius is the midpoint between the cluster and the rest of the
-    spectrum; the padding eigenvalue 0 is always treated as excluded, so the
-    same contour is valid for every truncation.
+    spectrum, 0 included: 0 is an eigenvalue of the zero-padded X_n (+) 0,
+    the operator whose eps_n the study reports, and with 0 outside the
+    circle f(X_n) (+) 0 is exactly that operator's cluster integral.
     """
     evs = np.array(sorted(model.eigenvalues, key=lambda z: (z.real, z.imag)))
     if not 1 <= k < evs.size:
@@ -337,8 +334,7 @@ def error_constant(f: AnalyticFunction, model: OperatorModel, contour: Contour,
 
     error_constant_multi with one factor.  The truncation resolvents use the
     unpadded n x n blocks (the truncation acts on its own range); the contour
-    must stay clear of every spectrum involved, the padding eigenvalue 0
-    included.
+    must stay clear of the spectra of the reference and of every X_n.
     """
     return error_constant_multi(f, [model], [contour], n_range)
 
@@ -347,11 +343,9 @@ def error_constant_multi(f: AnalyticFunction, models, contours, n_range) -> floa
     """Multivariate constant: prod radii * max|f| * r * worst telescoping product."""
     sups = []
     for m, c in zip(models, contours):
-        family = [(m._factored, None)] + [
-            (tp._factored, tp.eigenvalues) for tp in (compress(m, int(n)) for n in n_range)]
-        sups.append([
-            _resolvent_stacks(fac, c, eigenvalues=evs, label="error constant")[2].sup()
-            for fac, evs in family])
+        family = [m._factored] + [compress(m, int(n))._factored for n in n_range]
+        sups.append([_resolvent_stacks(fac, c, label="error constant")[2].sup()
+                     for fac in family])
     return _error_constant(f, contours, sups)
 
 
@@ -432,94 +426,67 @@ def _relative_change(a: float, b: float) -> float:
     return abs(a - b) / max(a, 1e-12)
 
 
-def _padded_sum(blocks, scalars, dims) -> np.ndarray:
-    """sum over terms t of kron_j blockdiag(blocks[j][t], scalars[j][t] I)
-    at sizes `dims`, without forming the padded blocks.
-
-    The sum splits into disjoint blocks, one per set of factors read on
-    their padding: those factors are identities there, their scalars scale
-    each term, and the others keep their blocks at the unpadded size.  The
-    contracted block of a padded resolvent blockdiag(R_n(z), z^{-1} I) over
-    coefficients c has the scalar sum_k c_k / z_k.
-    """
-    blocks = [np.asarray(b) for b in blocks]
-    sizes = [b.shape[1] for b in blocks]
-    ones = np.ones(len(blocks[0]))
-    out = np.zeros(tuple(dims) * 2, dtype=complex)
-    rows = string.ascii_lowercase[:len(blocks)]
-    for on_pad in itertools.product((False, True), repeat=len(blocks)):
-        kept = [j for j, p in enumerate(on_pad) if not p]
-        scale = math.prod((s for s, p in zip(scalars, on_pad) if p), start=ones)
-        block = (_kron_sum([blocks[kept[0]] * scale[:, None, None]]
-                           + [blocks[j] for j in kept[1:]]) if kept else scale.sum())
-        # the part of `out` on each factor's leading block or padding, viewed
-        # with a padded factor's rows and columns on one axis (its diagonal):
-        # einsum returns that diagonal as a writeable view
-        part = out[tuple(slice(n, None) if p else slice(n) for n, p in zip(sizes, on_pad)) * 2]
-        cols = "".join(c if p else c.upper() for c, p in zip(rows, on_pad))
-        view = np.einsum(f"{rows}{cols}->{rows}" + "".join(filter(str.isupper, cols)), part)
-        view[...] = block.reshape([1 if p else n for n, p in zip(sizes, on_pad)]
-                                  + [sizes[j] for j in kept])
-    return out.reshape(math.prod(dims), -1)
-
-
-def _fold_and_reads(f: AnalyticFunction, stacks, strides, dims=None):
+def _fold_and_reads(f: AnalyticFunction, stacks, strides, rows, dims=None):
     """(fold, projectors, sups) of one matrix per factor: the node fold of f
-    (padded to `dims` when given), each factor's quadrature projector
-    sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th node.
+    at the matrices' own sizes (embedded with zeros into the leading block
+    of the space of sizes `dims` when given), each factor's quadrature
+    projector sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th node.
 
+    `rows` are f's `calculus._axis_rows` on the stacks' nodes and weights.
     Each factor takes one contraction pass, whose rows are the projector's
-    weights and the coefficient rows of `calculus._axis_rows`; the fold is
-    then sum_t kron_j of the contracted blocks, padded by `_padded_sum`.
-    At three or more factors that needs f's Taylor terms, at most as many
-    as a factor has nodes: a ratio, or a spec with more terms, is refused.
+    weights and its coefficient rows; the fold is then sum_t kron_j of the
+    contracted blocks.  Rows None (a ratio, or a spec with more terms than a
+    factor has nodes) fold the dense stacks (`calculus._node_fold`).
     """
-    rows = _axis_rows(f, stacks)
-    if rows is None:
-        raise PreconditionError(
-            f"truncation study of {f.to_spec()} on {len(stacks)} factors needs at most "
-            f"{min(zs.size for zs, _, _ in stacks)} Taylor terms of f (a ratio has none)")
-    reads = [rs.contract([w, *r], k) for r, (_, w, rs), k in zip(rows, stacks, strides)]
+    reads = [rs.contract([w, *r], k)
+             for r, (_, w, rs), k in zip(rows or [()] * len(stacks), stacks, strides)]
     projectors, sups = [sums[0] for sums, _ in reads], [sup for _, sup in reads]
-    blocks = [sums[1:] for sums, _ in reads]
+    fold = (_node_fold(f, stacks, None) if rows is None
+            else _kron_sum([sums[1:] for sums, _ in reads]))
     if dims is None:
-        return _kron_sum(blocks), projectors, sups
-    scalars = [np.array([np.sum(c * (1.0 / zs)) for c in r])
-               for r, (zs, _, _) in zip(rows, stacks)]
-    return _padded_sum(blocks, scalars, dims), projectors, sups
+        return fold, projectors, sups
+    sizes = [len(p) for p in projectors]
+    embedded = np.zeros(tuple(dims) * 2, dtype=complex)
+    embedded[tuple(map(slice, sizes)) * 2] = fold.reshape(sizes * 2)
+    return embedded.reshape(math.prod(dims), -1), projectors, sups
 
 
-def _cluster_basis(projector: np.ndarray, eigenvalues, contour: Contour,
-                   dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the range and the row space of a quadrature
-    cluster projector: its leading singular vectors, one per eigenvalue the
-    contour encloses, padded with zero rows to `dim`."""
-    k = int(np.sum(contour.encloses(eigenvalues)))
-    u, _, vh = np.linalg.svd(projector)
-    pad = ((0, dim - projector.shape[0]), (0, 0))
-    return np.pad(u[:, :k], pad), np.pad(vh[:k].conj().T, pad)
+def _tensor_bases(projectors, stacks, models, contours):
+    """Orthonormal bases of the range and the row space of the Kronecker
+    product of the factors' quadrature cluster projectors, on the space of
+    the models' ref_dim: per factor, its projector's leading singular
+    vectors, one per eigenvalue its contour encloses, padded with zero rows
+    to ref_dim."""
+    bases = []
+    for p, (_, _, rs), m, c in zip(projectors, stacks, models, contours):
+        k = int(np.sum(c.encloses(rs.eigenvalues)))
+        u, _, vh = np.linalg.svd(p)
+        pad = ((0, m.ref_dim - len(p)), (0, 0))
+        bases.append((np.pad(u[:, :k], pad), np.pad(vh[:k].conj().T, pad)))
+    return (functools.reduce(np.kron, b) for b in zip(*bases))
 
 
 def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
                       probes) -> ConvergenceReport:
     """Truncation study of f on the product of the factors' enclosed clusters.
 
-    For every n: the cluster error ||f(X_1n, ..) - f(X_1, ..)|| (the lower end
-    of its thin norm bracket, whose upper end is checked), probe errors,
-    global and cluster-restricted eps_n summed over the factors, and the bound
-    C_f * eps_cluster.  Each reference and each X_n is solved once, at its own
-    size, on its measurement contour.
+    For every n: the cluster error ||f(X_1n, ..) (+) 0 - f(X_1, ..)|| (the
+    lower end of its thin norm bracket, whose upper end is checked), probe
+    errors, global and cluster-restricted eps_n summed over the factors, and
+    the bound C_f * eps_cluster.  f's node rows are taken once, before any
+    factorization (so the quadrature's cost guard refuses before any solve),
+    and each reference and each X_n is solved once, at its own size, on its
+    measurement contour.
     """
     meas = [_meas_contour(c) for c in contours]
     strides = [m.nodes // c.nodes for m, c in zip(meas, contours)]
     f.assert_analytic_on([c.center for c in meas], [c.radius for c in meas])
+    rows = _axis_rows(f, [(c.points(), c.weights()) for c in meas])
     ref_stacks = [_resolvent_stacks(m._factored, c, label=f"factor {j + 1}")
                   for j, (m, c) in enumerate(zip(models, meas))]
-    g_ref, p_cs, ref_sups = _fold_and_reads(f, ref_stacks, strides)
+    g_ref, p_cs, ref_sups = _fold_and_reads(f, ref_stacks, strides, rows)
     sups = [[s] for s in ref_sups]
-    ref_a, ref_b = (functools.reduce(np.kron, b) for b in zip(*[
-        _cluster_basis(p, m.eigenvalues, c, m.ref_dim)
-        for p, m, c in zip(p_cs, models, meas)]))
+    ref_a, ref_b = _tensor_bases(p_cs, ref_stacks, models, meas)
     r0s = [resolvent(m.matrix_ref, z0) for m, z0 in zip(models, z0s)]
     # measurement allowance: comparisons against the bound cannot resolve
     # differences below machine precision of the measured operator
@@ -527,23 +494,20 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
 
     points = []
     for n in n_list:
-        eps_g, eps_c, stacks, spectra_n = 0.0, 0.0, [], []
+        eps_g, eps_c, stacks = 0.0, 0.0, []
         for j, (model, c) in enumerate(zip(models, meas)):
             tp = compress(model, n)
             _check_z0(model, tp, z0s[j])
             diff_op = (tp.x_n_padded - model.matrix_ref) @ r0s[j]
             eps_g += op_norm(diff_op)
             eps_c += op_norm(diff_op @ p_cs[j])
-            stacks.append(_resolvent_stacks(tp._factored, c, eigenvalues=tp.eigenvalues,
+            stacks.append(_resolvent_stacks(tp._factored, c,
                                             label=f"factor {j + 1} truncation n={n}"))
-            # tp.eigenvalues ends with the padding 0, which P_n does not see
-            spectra_n.append(tp.eigenvalues[:-1])
-        d, p_ns, n_sups = _fold_and_reads(f, stacks, strides, [m.ref_dim for m in models])
+        d, p_ns, n_sups = _fold_and_reads(f, stacks, strides, rows,
+                                          [m.ref_dim for m in models])
         for s, sup in zip(sups, n_sups):
             s.append(sup)
-        n_a, n_b = (functools.reduce(np.kron, b) for b in zip(*[
-            _cluster_basis(p, evs, c, m.ref_dim)
-            for p, evs, m, c in zip(p_ns, spectra_n, models, meas)]))
+        n_a, n_b = _tensor_bases(p_ns, stacks, models, meas)
         qa = np.linalg.qr(np.hstack([ref_a, n_a]))[0]
         qb = np.linalg.qr(np.hstack([ref_b, n_b]))[0]
         d -= g_ref
@@ -560,8 +524,8 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
                      stability_check: bool = True) -> ConvergenceReport:
     """Two-level truncation study of f on the cluster enclosed by `contour`.
 
-    For every n: cluster error ||f(X_n) - f(X)|| (contour integral on the
-    cluster), probe errors, global and cluster-restricted eps_n, and the
+    For every n: cluster error ||f(X_n) (+) 0 - f(X)|| (contour integrals on
+    the cluster), probe errors, global and cluster-restricted eps_n, and the
     bound C_f * eps_cluster.  reference_stability reruns the comparable
     points on the half-size reference model.
     """
@@ -603,12 +567,13 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
         probes = default_probes(x.shape[0])
     meas = _meas_contour(contour)
     f.assert_analytic_on([meas.center], [meas.radius])
+    rows = _axis_rows(f, [(meas.points(), meas.weights())])
     sups = []
 
     def integral(m):
         stack = _resolvent_stacks(resolvent_at_nodes(m, ()), meas, require_full=True,
                                   label="perturbation")
-        [g], sup = stack[2].contract([_node_coeffs(f, [stack])], meas.nodes // contour.nodes)
+        g, _, [sup] = _fold_and_reads(f, [stack], [meas.nodes // contour.nodes], rows)
         sups.append(sup)
         return g
 
@@ -632,8 +597,8 @@ def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
                             n_list, probes=None) -> ConvergenceReport:
     """Truncation study of f on the product of r per-factor clusters.
 
-    Error metric: || f_ox(X_1n, .., X_rn) - f_ox(X_1, .., X_r) || via the
-    iterated contour integral restricted to the product cluster; bound
+    Error metric: || f_ox(X_1n, .., X_rn) (+) 0 - f_ox(X_1, .., X_r) || via
+    the iterated contour integral restricted to the product cluster; bound
     C_f * (eps_1 + .. + eps_r) with cluster-restricted per-factor eps.
     prod_j ref_dim_j is capped at KRON_CAP before any factorization, as in
     `calculus.lift`.

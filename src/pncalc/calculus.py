@@ -18,10 +18,9 @@ Three independent routes compute it:
   too.  The order-0 column of f's Taylor terms on the nodes is
   f = sum_t prod_j g_tj(z_j) (`AnalyticFunction.taylor_terms`), so the sum
   over node tuples is sum_t kron_j of one-factor contractions, at any
-  number of factors; at two factors a ratio, or a spec with more terms
-  than a factor has nodes, takes one term per first-factor node, and at
-  three or more it is folded over the node tuples, at most NODE_BUDGET of
-  them;
+  number of factors; a ratio, or a spec with more terms than a factor has
+  nodes, is folded over the node tuples from the dense stacks, at three or
+  more factors at most NODE_BUDGET of them;
 * power_series_apply: a truncated lifted Taylor series about a factor-wise
   center, with a tail bound certified under TAIL_TOL.
 
@@ -33,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -331,10 +330,11 @@ def dunford(f: AnalyticFunction, x, contour: Contour, require_full: bool = True,
     value = rs.contract([w * fz])[0][0]
     if not verify:
         return value
-    zs = contour.points(2 * contour.nodes)
+    fine = replace(contour, nodes=2 * contour.nodes)
+    zs = fine.points()
     fz = np.asarray(f(zs), dtype=complex)
     _finite(f, "on the contour nodes", fz)
-    doubled = rs.at(zs).contract([contour.weights(2 * contour.nodes) * fz])[0][0]
+    doubled = rs.at(zs).contract([fine.weights() * fz])[0][0]
     gap = op_norm(doubled - value)
     if gap > _DOUBLING_TOL * (1.0 + op_norm(doubled)):
         raise QuadratureError(
@@ -361,44 +361,50 @@ def _axis_rows(f: AnalyticFunction, stacks):
     node-tuple coefficients f(z) prod_j w_j are sum_t prod_j c_tj: the node
     fold is then sum_t kron_j (sum_k c_tj[k] R_j(z_k)).
 
-    With several factors the rows are w_j g_tj(z_j), the order-0 column of
-    f's Taylor terms on the nodes (`AnalyticFunction.taylor_terms`).  One
-    factor, and two factors of an f without terms or with more terms than
-    the smallest factor has nodes, take the node coefficients themselves:
-    the second factor takes row k of them and the first the unit row e_k,
-    one term per first-factor node.  None for three or more such factors.
+    One factor takes the node coefficients themselves.  Several take
+    w_j g_tj(z_j), the order-0 column of f's Taylor terms on the nodes
+    (`AnalyticFunction.taylor_terms`), when f has at most as many terms as
+    the smallest factor has nodes; otherwise (a ratio, or a spec with more
+    terms) None, and at three or more factors the node tuples that
+    `_node_fold` then visits are capped at NODE_BUDGET (PreconditionError).
     """
-    if len(stacks) > 1:
-        terms = f.taylor_terms([zs for zs, *_ in stacks], 0)
-        if terms is not None and len(terms) <= min(zs.size for zs, *_ in stacks):
-            rows = [[w * term[j][:, 0] for term in terms] for j, (_, w, *_) in enumerate(stacks)]
-            _finite(f, "on the quadrature nodes", *itertools.chain(*rows))
-            return rows
-        if len(stacks) > 2:
-            return None
-    coeffs = _node_coeffs(f, stacks)
-    return [[coeffs]] if len(stacks) == 1 else [np.eye(len(coeffs)), coeffs]
+    zs = [z for z, *_ in stacks]
+    if len(stacks) == 1:
+        return [[_node_coeffs(f, stacks)]]
+    terms = f.taylor_terms(zs, 0)
+    if terms is not None and len(terms) <= min(z.size for z in zs):
+        rows = [[w * term[j][:, 0] for term in terms] for j, (_, w, *_) in enumerate(stacks)]
+        _finite(f, "on the quadrature nodes", *itertools.chain(*rows))
+        return rows
+    total = math.prod(z.size for z in zs)
+    if len(stacks) > 2 and total > NODE_BUDGET:
+        raise PreconditionError(
+            f"quadrature cost guard: {total} node tuples exceed budget {NODE_BUDGET}")
+    return None
 
 
 def _node_fold(f: AnalyticFunction, stacks, rows) -> np.ndarray:
     """sum over node tuples of f(z) prod_j w_j kron_j R_j(z_j), from one
     (nodes, weights, NodeResolvents) per factor and their `_axis_rows`.
 
-    Each factor takes one contraction pass over its rows, and the fold is
-    the Kronecker sum of the contracted blocks; no node-tuple grid or dense
-    stack is formed.  Rows None (three or more factors of an f without
-    terms, or with more than a factor has nodes) fold the dense stacks over
-    the node tuples, their coefficients taken one first-factor node at a
-    time, so the node-tuple tensor (4 MB at 64^3) and the temporaries of
-    its evaluation are never formed, and f is evaluated elementwise, so
-    each slab has the bits of the whole tensor's slab.
+    With rows, each factor takes one contraction pass over them, and the
+    fold is the Kronecker sum of the contracted blocks; no node-tuple grid
+    or dense stack is formed.  Rows None fold the dense stacks over the
+    node tuples (`_kron_fold`): at two factors with the whole grid of node
+    coefficients, at three or more with one first-factor node's slab at a
+    time, so the node-tuple tensor (4 MB at 64^3) and the temporaries of its
+    evaluation are never formed; f is evaluated elementwise, so each slab
+    has the bits of the whole tensor's slab.
     """
     if rows is not None:
         return _kron_sum([rs.contract(r)[0] for r, (_, _, rs) in zip(rows, stacks)])
+    dense = [rs.dense() for _, _, rs in stacks]
+    if len(stacks) == 2:
+        return _kron_fold(_node_coeffs(f, stacks), dense)
     [(zs, w, first), *rest] = stacks
     slabs = (_node_coeffs(f, [(zs[i:i + 1], w[i:i + 1], first), *rest])[0]
              for i in range(zs.size))
-    return _kron_fold(slabs, [rs.dense() for _, _, rs in stacks])
+    return _kron_fold(slabs, dense)
 
 
 def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
@@ -409,10 +415,10 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
     (`_resolvent_stacks`).  An f with Taylor terms, f = sum_t prod_j
     g_tj(z_j) on the nodes, is folded as sum_t kron_j (sum_k w_k g_tj(z_k)
     R_j(z_k)), one contraction pass per factor, for any number of factors;
-    at two factors a ratio, or an f with more terms than the smallest factor
-    has nodes, takes one term per first-factor node, and at three or more
-    it is folded over the node tuples (`_node_fold`), at most NODE_BUDGET
-    of them (cost guard, decided before any factor is factored).
+    a ratio, or an f with more terms than the smallest factor has nodes, is
+    folded over the node tuples (`_node_fold`), at three or more factors at
+    most NODE_BUDGET of them (cost guard of `_axis_rows`, decided before
+    any factor is factored).
     """
     r = system.rank
     if f.arity != r:
@@ -421,10 +427,6 @@ def dunford_multivariate(f: AnalyticFunction, system: LiftedSystem,
         raise ConfigError(f"need {r} contours, got {len(contours)}")
     f.assert_analytic_on([c.center for c in contours], [c.radius for c in contours])
     rows = _axis_rows(f, [(c.points(), c.weights()) for c in contours])
-    total = math.prod(c.nodes for c in contours)
-    if rows is None and total > NODE_BUDGET:
-        raise PreconditionError(
-            f"quadrature cost guard: {total} node tuples exceed budget {NODE_BUDGET}")
     stacks = [_resolvent_stacks(fac, c, require_full=require_full, label=f"factor {j + 1}")
               for j, (fac, c) in enumerate(zip(system.factorizations, contours))]
     return _node_fold(f, stacks, rows)

@@ -334,8 +334,11 @@ class _Affine:
 
     def to_spec(self):
         parts = []
+        last = len(self.coeffs) - 1
         for j, c in enumerate(self.coeffs):
             if c == 0:
+                if 0 < j == last:  # the parser reads the arity from the last zj
+                    parts.append(f"0.0*z{j + 1}")
                 continue
             if c == 1:
                 parts.append(f"z{j + 1}")

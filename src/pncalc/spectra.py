@@ -76,16 +76,14 @@ class Contour:
         if self.nodes < 16:
             raise ConfigError(f"contour needs at least 16 nodes, got {self.nodes}")
 
-    def points(self, nodes: int | None = None) -> np.ndarray:
-        m = self.nodes if nodes is None else nodes
-        th = 2.0 * np.pi * np.arange(m) / m
+    def points(self) -> np.ndarray:
+        th = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
         return self.center + self.radius * np.exp(1j * th)
 
-    def weights(self, nodes: int | None = None) -> np.ndarray:
+    def weights(self) -> np.ndarray:
         """Weights w_k with (1/2pi i) contour integral g dz ~= sum_k w_k g(z_k)."""
-        m = self.nodes if nodes is None else nodes
-        th = 2.0 * np.pi * np.arange(m) / m
-        return self.radius * np.exp(1j * th) / m
+        th = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
+        return self.radius * np.exp(1j * th) / self.nodes
 
     def encloses(self, values) -> np.ndarray:
         return np.abs(np.asarray(values, dtype=complex) - self.center) < self.radius
@@ -191,7 +189,7 @@ def _distances(values, points) -> np.ndarray:
     return np.hypot(d.real, d.imag)
 
 
-def _resolvent_stacks(factored: NodeResolvents, contour: Contour, eigenvalues=None,
+def _resolvent_stacks(factored: NodeResolvents, contour: Contour,
                       require_full: bool = False, label: str = "quadrature"):
     """(nodes, weights, resolvents) on the contour's nodes, from the same
     certified Schur form (or eigh) of a matrix that its decomposition reads,
@@ -200,12 +198,10 @@ def _resolvent_stacks(factored: NodeResolvents, contour: Contour, eigenvalues=No
     The spectrum is screened before any solve: trapezoid leakage grows as
     an eigenvalue nears the circle (Trefethen & Weideman 2014), so one
     within CIRCLE_GUARD * radius of it is refused, and with `require_full`
-    so is one outside it.  The screen reads the factorization's spectrum,
-    or `eigenvalues` (a truncation's, with its padding 0) when supplied.
+    so is one outside it.  The screen reads the factorization's own spectrum.
     """
     zs = contour.points()
-    if eigenvalues is None:
-        eigenvalues = factored.eigenvalues
+    eigenvalues = factored.eigenvalues
     dist = contour.circle_distance(eigenvalues)
     if dist.size and float(np.min(dist)) < CIRCLE_GUARD * contour.radius:
         raise ContourTooCloseError(

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -149,34 +150,44 @@ def test_level_experiment_harmonic():
 @pytest.mark.parametrize("kind", ["harmonic", "anharmonic_x4", "complex_harmonic"])
 @pytest.mark.parametrize("ref_dim", [32, 64])
 def test_truncation_integral_matches_padded_dunford(kind, ref_dim):
-    # the stack of X_n, read with z^-1 I on the padding, folds to the
-    # ref_dim-sized integral
+    # the fold of X_n at its own size, embedded with zeros, is f(X_n) (+) 0:
+    # the integral of the unpadded X_n on the leading block
     m = approx.build_model(kind, ref_dim)
-    f = parse("exp(-z1)")
     cluster = approx._meas_contour(approx.lowest_cluster_contour(m, 3))
     around_zero = approx._meas_contour(spectra.Contour(0.0, 2.0))
-    for n in (3, 8, 16):
+    for f, n in itertools.product([parse("exp(-z1)"), parse("ratio(exp(-z1),poly{0:20,1:-1})")],
+                                  (3, 8, 16)):
         tp = approx.compress(m, n)
         for contour in (cluster, around_zero):
-            stack = spectra._resolvent_stacks(tp._factored, contour, eigenvalues=tp.eigenvalues)
-            got = approx._fold_and_reads(f, [stack], [1], [ref_dim])[0]
-            want = calculus.dunford(f, tp.x_n_padded, contour, require_full=False)
+            stack = spectra._resolvent_stacks(tp._factored, contour)
+            rows = calculus._axis_rows(f, [stack])
+            got = approx._fold_and_reads(f, [stack], [1], rows, [ref_dim])[0]
+            want = embedded(calculus.dunford(f, tp.x_n, contour, require_full=False),
+                            [n], [ref_dim])
             assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
-        # the padding eigenvalue 0 is enclosed: its block is f(0) I
-        pad = got[n:, n:]
-        assert np.allclose(pad, np.eye(ref_dim - n), rtol=0.0, atol=1e-12)
-        assert np.max(np.abs(got[:n, n:])) == 0.0 and np.max(np.abs(got[n:, :n])) == 0.0
+        # the padding eigenvalue 0 of X_n (+) 0 is enclosed, but enters no
+        # integrand: its rows and columns are exactly 0
+        assert np.max(np.abs(got[n:, :])) == 0.0 and np.max(np.abs(got[:, n:])) == 0.0
+
+
+def embedded(a, sizes, dims):
+    """a, an operator on the tensor space of `sizes`, embedded with zeros
+    into the leading block of the tensor space of `dims`."""
+    out = np.zeros(tuple(dims) * 2, dtype=complex)
+    out[tuple(slice(n) for n in sizes) * 2] = a.reshape(list(sizes) * 2)
+    return out.reshape(int(np.prod(dims)), -1)
 
 
 def test_padded_fold_matches_padded_dunford_multivariate():
-    # two factors, each read on its leading block or on its padding diagonal
+    # two factors: the fold of the unpadded X_n, embedded with zeros, whether
+    # f folds per term or, without usable terms, over the node tuples
     models = [approx.build_model("harmonic", 16), approx.build_model("complex_harmonic", 16)]
     contours = [approx._meas_contour(c) for c in (
         approx.lowest_cluster_contour(models[0], 2), spectra.Contour(0.0, 2.0))]
     dense = "poly{" + ",".join(f"({i},{j}):{0.1 * (i + 2 * j + 1)}"
                                for i in range(6) for j in range(6 - i)) + "}"
     # an exp has one Taylor term; a ratio has none, and a product of two
-    # 21-monomial polynomials 441 on 256 nodes: both take one term per node
+    # 21-monomial polynomials 441 on 256 nodes: both fold the dense stacks
     for spec, terms in (("exp(-z1-2*z2)", 1),
                         ("ratio(exp(-z1-2*z2),poly{(0,0):6,(1,0):-1,(0,1):0.5})", None),
                         (f"prod({dense},{dense})", 441)):
@@ -185,23 +196,40 @@ def test_padded_fold_matches_padded_dunford_multivariate():
         assert (got_terms if terms is None else len(got_terms)) == terms, spec
         for n in (3, 5):
             points = [approx.compress(m, n) for m in models]
-            stacks = [spectra._resolvent_stacks(tp._factored, c, eigenvalues=tp.eigenvalues)
+            stacks = [spectra._resolvent_stacks(tp._factored, c)
                       for tp, c in zip(points, contours)]
-            got = approx._fold_and_reads(f, stacks, [1, 1], [16, 16])[0]
-            system = calculus.lift([tp.x_n_padded for tp in points])
-            want = calculus.dunford_multivariate(f, system, contours, require_full=False)
+            rows = calculus._axis_rows(f, stacks)
+            assert (rows is None) == (terms != 1), spec
+            got = approx._fold_and_reads(f, stacks, [1, 1], rows, [16, 16])[0]
+            system = calculus.lift([tp.x_n for tp in points])
+            want = embedded(calculus.dunford_multivariate(f, system, contours,
+                                                          require_full=False), [n, n], [16, 16])
             assert linalg.op_norm(got - want) <= 1e-12 * (1.0 + linalg.op_norm(want)), spec
 
 
-def test_level_experiment_refuses_contour_on_padding_eigenvalue():
+def test_level_experiment_runs_contour_next_to_padding_eigenvalue():
     # the circle passes 0.05 from 0, inside the guard band 0.05 * 2.05, while
-    # every eigenvalue of the reference and of X_n stays clear of it
-    m = approx.build_model("harmonic", 32)
+    # every eigenvalue of the reference and of X_n stays clear of it: 0 is
+    # in no integrand, and each row compares f(X_n) (+) 0 with f(X)
+    m = approx.build_model("anharmonic_x4", 32)
     contour = spectra.Contour(2.0, 2.05, 64)
     lams = np.sort_complex(m.eigenvalues)
     assert np.min(contour.circle_distance(lams)) > spectra.CIRCLE_GUARD * contour.radius
-    with pytest.raises(PreconditionError, match="quadrature circle"):
-        approx.level_experiment(m, parse("exp(-z1)"), -1.0, contour, [2, 4])
+    f = parse("exp(-z1)")
+    n_list = [2, 4, 8, 16]
+    probes = approx.default_probes(32)
+    rep = approx.level_experiment(m, f, -1.0, contour, n_list, probes=probes,
+                                  stability_check=False)
+    meas = approx._meas_contour(contour)
+    g_ref = calculus.dunford(f, m.matrix_ref, meas, require_full=False)
+    floor = approx._MEAS_FLOOR * (1.0 + linalg.op_norm(g_ref))
+    for row, n in zip(rep.rows, n_list):
+        g_n = calculus.dunford(f, approx.compress(m, n).x_n, meas, require_full=False)
+        d = embedded(g_n, [n], [32]) - g_ref
+        want = linalg.op_norm(d)
+        assert want > floor and abs(row.func_error_norm - want) <= 1e-10 * want
+        for got, u in zip(row.probe_errors, probes):
+            assert abs(got - np.linalg.norm(d @ u)) <= 1e-12 * (1.0 + want)
 
 
 def test_level_experiment_solves_truncations_at_their_own_size(monkeypatch):
@@ -425,14 +453,20 @@ def test_three_factor_study_passes_level_two(tmp_path):
     assert errors[0] > errors[-1] > 0.0
 
 
-def test_study_refuses_a_ratio_on_three_factors():
-    # a ratio has no Taylor terms, so its contracted blocks cannot be padded
+def test_study_refuses_a_ratio_on_three_factors(monkeypatch):
+    # a ratio has no Taylor terms, so three factors fold over the node
+    # tuples, 256^3 of them on the measurement contours: the quadrature's cost
+    # guard refuses that from f and the contours alone, before any factorization
+    calls = count_factorizations(monkeypatch)
+    for name in ("_resolvent_stacks", "resolvent", "resolvent_at_nodes"):
+        monkeypatch.setattr(approx, name, _refuse)
     f = parse("ratio(poly{(0,0,0):1},poly{(0,0,0):20,(1,0,0):1,(0,1,1):1})")
-    x = np.diag([0.5, -0.5]).astype(complex)
-    stacks = [spectra._resolvent_stacks(linalg.resolvent_at_nodes(x, ()),
-                                        spectra.Contour(0.0, 1.0, 16))] * 3
-    with pytest.raises(PreconditionError, match="on 3 factors needs at most 16 Taylor terms"):
-        approx._fold_and_reads(f, stacks, [1, 1, 1])
+    models = [approx.build_model("harmonic", 16)] * 3
+    contours = [spectra.Contour(1.0, 1.5, 16)] * 3
+    with pytest.raises(PreconditionError, match=r"^quadrature cost guard: 16777216 node "
+                       r"tuples exceed budget 300000$"):
+        approx.multivariate_experiment(models, f, [-1.0] * 3, contours, [2])
+    assert calls == [] and "_factored" not in vars(models[0])
 
 
 def _refuse(*args, **kwargs):
@@ -526,23 +560,24 @@ def test_thin_bracket_takes_no_tensor_sized_svd(monkeypatch):
                                          [2, 3, 4, 6, 8, 12, 16])
     assert rep.level2_pass and big and max(big) < 1024
 
-    # a contour around the padding eigenvalue 0 puts f(0) on the padding
-    # block: those rows fall back to the dense norm
-    models = [approx.build_model("harmonic", 16), approx.build_model("harmonic", 16)]
+    # a contour around the padding eigenvalue 0 of X_n (+) 0: that eigenvalue
+    # enters no integrand, so these rows keep the thin bracket too
+    models = [approx.build_model("complex_harmonic", 16), approx.build_model("harmonic", 16)]
     contours = [spectra.Contour(0.5, 2.0), approx.lowest_cluster_contour(models[1], 2)]
     big.clear()
     n_list = [2, 4]
     rep = approx.multivariate_experiment(models, f, [-1.0, -1.0], contours, n_list)
-    assert big.count(256) == len(n_list)
+    assert big and max(big) < 256
     floor, dense = _dense_errors(models, f, contours, n_list)
     for row, want in zip(rep.rows, dense):
-        assert row.func_error_norm == row.func_error_upper > floor
+        assert floor < row.func_error_norm <= row.func_error_upper
+        assert row.func_error_upper - row.func_error_norm <= 1e-10 * row.func_error_norm
         assert abs(row.func_error_norm - want) <= 1e-12 * want
 
 
 def _dense_errors(models, f, contours, n_list):
-    """The measurement floor and each ||f(X_n) - f(X)||: dense SVDs of node
-    folds of explicitly padded stacks blockdiag((zI - X_n)^{-1}, z^{-1} I)."""
+    """The measurement floor and each ||f(X_n) (+) 0 - f(X)||: dense SVDs of
+    node folds of the stacks of X_n, explicitly embedded with zeros."""
     meas = [approx._meas_contour(c) for c in contours]
     ref = [(zs, w, rs.dense()) for zs, w, rs in
            (spectra._resolvent_stacks(m._factored, c) for m, c in zip(models, meas))]
@@ -552,10 +587,9 @@ def _dense_errors(models, f, contours, n_list):
         stacks = []
         for m, c in zip(models, meas):
             tp = approx.compress(m, n)
-            zs, w, rs = spectra._resolvent_stacks(tp._factored, c, eigenvalues=tp.eigenvalues)
+            zs, w, rs = spectra._resolvent_stacks(tp._factored, c)
             padded = np.zeros((zs.size, m.ref_dim, m.ref_dim), dtype=complex)
             padded[:, :n, :n] = rs.dense()
-            padded[:, np.arange(n, m.ref_dim), np.arange(n, m.ref_dim)] = (1.0 / zs)[:, None]
             stacks.append((zs, w, padded))
         errors.append(linalg.op_norm(_dense_fold(f, stacks) - g_ref))
     return approx._MEAS_FLOOR * (1.0 + linalg.op_norm(g_ref)), errors
@@ -677,7 +711,8 @@ def test_one_factor_study_holds_one_chunk_of_resolvents():
     tracemalloc.start()
     try:
         stack = spectra._resolvent_stacks(linalg.resolvent_at_nodes(m.matrix_ref, ()), meas)
-        approx._fold_and_reads(f, [stack], [meas.nodes // contour.nodes], [128])
+        rows = calculus._axis_rows(f, [stack])
+        approx._fold_and_reads(f, [stack], [meas.nodes // contour.nodes], rows, [128])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -59,17 +59,32 @@ def test_hooks_run_over_real_jobs(monkeypatch, tmp_path, capsys):
     (tmp_path / "dec.ini").write_text(f"[input]\nmatrix = {tmp_path / 'x.cmat'}\n")
     (tmp_path / "oc.ini").write_text(
         "[function]\nspec = exp(z1+z2)\n\n[random]\ncount = 1\ndim = 3\nseed = 5\n")
+    # the truncation studies of the converge workload's jobs, at ref_dim 32
+    (tmp_path / "cv.ini").write_text(
+        "[model]\nkind = harmonic\nref_dim = 32\n\n[function]\nspec = exp(-z1)\n\n"
+        "[experiment]\nz0 = -1.25\nn_list = 4, 8\nprobes = 2\nstability = true\n")
+    (tmp_path / "cm.ini").write_text(
+        "[model_1]\nkind = harmonic\nref_dim = 32\n\n[model_2]\nkind = harmonic\n"
+        "ref_dim = 32\n\n[function]\nspec = exp(-z1-0.9*z2)\n\n"
+        "[experiment]\nz0_1 = -1.25\nz0_2 = -1.25\nn_list = 4, 8\n")
+    jobs = (("decompose", "dec.ini"), ("oracle-check", "oc.ini"),
+            ("converge", "cv.ini"), ("converge-multi", "cm.ini"))
     rec = spans.Recorder()
     uninstall = instrument.install(rec)
     try:
         codes = [cli.main([command, "--config", str(tmp_path / cfg),
                            "--out", str(tmp_path / command)])
-                 for command, cfg in (("decompose", "dec.ini"), ("oracle-check", "oc.ini"))]
+                 for command, cfg in jobs]
     finally:
         uninstall()
-    assert codes == [0, 0]
+    assert codes == [0] * len(jobs)
     assert rec.counts["spectra.decompose.calls"] >= 1
     assert rec.counts["linalg.resolvent_at_nodes.calls"] >= 1
+    # the stability rerun is a second level_experiment call
+    assert rec.counts["approx.level_experiment.calls"] == 2
+    assert rec.counts["approx.multivariate_experiment.calls"] == 1
+    assert rec.counts["approx.lowest_cluster_contour.calls"] == 3
+    assert rec.counts["approx.build_model.calls"] >= 3
     assert rec._stack == [] and all(s.end >= s.start for s in rec.spans)
     for module, saved in zip(modules, before):
         assert [k for k, v in saved.items() if callable(v) and vars(module)[k] is not v] == []

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from pncalc import approx, calculus, functions, linalg, spectra, synth
+from test_approx import embedded
 from test_linalg import count_factorizations
 from pncalc.errors import (
     ConfigError,
@@ -642,17 +643,18 @@ def test_separable_fold_matches_the_node_tuple_fold(data, r, seed):
 @settings(max_examples=15, deadline=None)
 @given(_separable_specs(2), st.sampled_from((3, 5)))
 def test_separable_padded_fold_matches_the_padded_dense_fold(spec, n):
-    # each factor is read on its leading n x n block and on its padding
+    # the n x n blocks fold at their own size and are embedded with zeros
     f = parse(spec)
     models = [approx.build_model("harmonic", 16), approx.build_model("complex_harmonic", 16)]
     contours = [approx._meas_contour(c) for c in (
         approx.lowest_cluster_contour(models[0], 2), spectra.Contour(0.0, 2.0))]
     points = [approx.compress(m, n) for m in models]
-    stacks = [spectra._resolvent_stacks(tp._factored, c, eigenvalues=tp.eigenvalues)
-              for tp, c in zip(points, contours)]
-    fold, projectors, sups = approx._fold_and_reads(f, stacks, [4, 4], [16, 16])
-    system = calculus.lift([tp.x_n_padded for tp in points])
-    want = calculus.dunford_multivariate(f, system, contours, require_full=False)
+    stacks = [spectra._resolvent_stacks(tp._factored, c) for tp, c in zip(points, contours)]
+    rows = calculus._axis_rows(f, stacks)
+    fold, projectors, sups = approx._fold_and_reads(f, stacks, [4, 4], rows, [16, 16])
+    system = calculus.lift([tp.x_n for tp in points])
+    want = embedded(calculus.dunford_multivariate(f, system, contours, require_full=False),
+                    [n, n], [16, 16])
     assert linalg.op_norm(fold - want) <= 1e-12 * (1.0 + linalg.op_norm(want))
     # the term rows leave the projector and the sup of the same pass unchanged
     for (_, w, rs), p, sup in zip(stacks, projectors, sups):

@@ -100,6 +100,9 @@ def test_spec_round_trip_preserves_values():
         "prod(sin(z1),cos(z2))",
         "ratio(poly{(1,0):1},poly{(0,0):4,(0,1):1})",
         "sum(exp(z1+z2),poly{(1,1):-2})",
+        # a zero last coefficient is written, so the arity comes back
+        "exp(z1+0*z2)",
+        "exp(0*z2)",  # exp(0.0) at arity 2
     ]
     rng = np.random.default_rng(7)
     for s in specs:
@@ -436,10 +439,10 @@ def _tree_bits(f, zero_sign=False):
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(1, 3), st.integers(0, 3))
 def test_random_trees_round_trip_through_their_spec(data, arity, depth):
-    # to_spec writes no zero term of an affine form: a drawn -0.0 comes back
-    # as +0.0, and variables past the last one written are padded back;
-    # every other bit of every coefficient comes back as it was
+    # to_spec writes no zero term of an affine form but the last variable's,
+    # as 0.0: a drawn -0.0 comes back as +0.0, and every other bit of every
+    # coefficient, and the arity, come back as they were
     f = data.draw(_trees(arity, depth))
-    g = functions._pad_arity(parse(f.to_spec()), f.arity)
+    g = parse(f.to_spec())
     assert g.to_spec() == f.to_spec()
     assert _tree_bits(g, zero_sign=True) == _tree_bits(f)
