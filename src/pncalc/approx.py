@@ -5,18 +5,21 @@ ref_dim + guard and then truncated, so matrix_ref agrees exactly with the
 corresponding compression of the infinite operator (the guard absorbs the
 band coupling: width 2 for p^2 + x^2 and p^2 + i x^2, width 4 for x^4).
 
-Convergence of truncations X_n -> X is measured two ways against a fixed
-spectral cluster enclosed by a contour:
+One study measures an approximating sequence X_k -> X against a fixed
+spectral cluster enclosed by a contour.  Truncations X_n (+) 0 (the
+compressions of X, embedded with zeros) and bounded perturbations X + d E
+are two such sequences; both run through it, two ways:
 
-* level 1 (strong): probe-vector errors || (f(X_n) - f(X)) u ||,
-* level 2 (norm): || f(X_n) - f(X) || on the cluster, checked against the
-  explicit bound C_f * eps_n with eps_n = || (X_n - X) (z0 I - X)^{-1} ||
-  (cluster-restricted eps for the bound, global eps reported alongside).
+* level 1 (strong): probe-vector errors || (f(X_k) - f(X)) u ||,
+* level 2 (norm): || f(X_k) - f(X) || on the cluster, checked against the
+  explicit bound C_f * eps_k with eps_k = || D_k (z0 I - X)^{-1} || for the
+  displacement D_k = X_k - X (cluster-restricted eps for the bound, global
+  eps reported alongside).
 
 Both f(.) evaluations run through the contour integral restricted to the
 enclosed cluster, which is what makes the comparison meaningful for
 truncations that destroy the spectrum far above the cluster.  Every matrix
-of a study (each reference and each X_n) is factored once, at its own size:
+of a study (each reference and each X_k) is factored once, at its own size:
 its spectrum and its quadrature on the measurement contour read the same
 certified Schur form (eigh for Hermitian matrices) as the spectral route;
 the quadrature takes none of that route's decisions (clustering, ztrsen,
@@ -28,11 +31,11 @@ In the compression convention, f(X_n) is folded at its own size and
 embedded with zeros, f(X_n) (+) 0: the padding eigenvalue 0 of X_n (+) 0,
 whose eps_n is reported, enters no integrand.
 
-The cluster error d = f(X_n) (+) 0 - f(X) (and f(X) itself, for the measurement
+The cluster error d = f(X_k) - f(X) (and f(X) itself, for the measurement
 floor) has its columns in the range of the cluster projectors and its rows
 in their row spaces, so its norm is read from a thin bracket instead of a
 dense SVD on the tensor space.  With Qa an orthonormal basis of the
-reference's and the truncation's projector ranges (Kronecker products of the
+reference's and X_k's projector ranges (Kronecker products of the
 factors' leading singular vectors, one per enclosed eigenvalue) and Qb the
 same for the row spaces, core = Qa^H d Qb and rho = ||d - Qa core Qb^H||_F
 enclose ||core|| <= ||d|| <= ||core|| + rho for any orthonormal Qa, Qb.
@@ -226,19 +229,19 @@ def build_model(kind: str, ref_dim: int, guard: int | None = None,
     return OperatorModel(kind, ref_dim, 0, m)
 
 
-def _norm_at_most(a: np.ndarray, tol: float, m: np.ndarray, power: int = 1) -> bool:
-    """op_norm(a) <= tol * max(op_norm(m), 1) ** power.
+def _norm_at_most(a: np.ndarray, tol: float, m: np.ndarray) -> bool:
+    """op_norm(a) <= tol * max(op_norm(m), 1).
 
     Decided from the certified bounds of `linalg._norm_bounds` when they
     can decide it, and from the SVDs of a and m otherwise.
     """
     a_low, a_high = _norm_bounds(a)
     m_low, m_high = (max(b, 1.0) for b in _norm_bounds(m))
-    if a_high <= tol * m_low ** power:
+    if a_high <= tol * m_low:
         return True
-    if a_low > tol * m_high ** power:
+    if a_low > tol * m_high:
         return False
-    return op_norm(a) <= tol * max(op_norm(m), 1.0) ** power
+    return op_norm(a) <= tol * max(op_norm(m), 1.0)
 
 
 def compress(model: OperatorModel, n: int) -> TruncationPoint:
@@ -261,18 +264,18 @@ def resolvent_error(model: OperatorModel, point: TruncationPoint | int,
     """
     if isinstance(point, (int, np.integer)):
         point = compress(model, int(point))
-    _check_z0(model, point, z0)
+    _check_z0(model.eigenvalues, z0, "the reference")
+    _check_z0(point.eigenvalues, z0, "the truncation")
     ref = model.matrix_ref
     return op_norm((point.x_n_padded - ref) @ resolvent(ref, z0))
 
 
-def _check_z0(model: OperatorModel, point: TruncationPoint, z0: complex) -> None:
-    """The precondition of eps_n (see resolvent_error)."""
-    for label, evs in (("reference", model.eigenvalues), ("truncation", point.eigenvalues)):
-        d = float(np.min(np.abs(evs - complex(z0))))
-        if d < 1.0 - 1e-9:
-            raise PreconditionError(
-                f"z0={z0} is at distance {d:.3f} < 1 from the {label} spectrum")
+def _check_z0(eigenvalues: np.ndarray, z0: complex, label: str) -> None:
+    """The precondition of eps_n (see resolvent_error) on one spectrum."""
+    d = float(np.min(np.abs(eigenvalues - complex(z0))))
+    if d < 1.0 - 1e-9:
+        raise PreconditionError(
+            f"z0={z0} is at distance {d:.3f} < 1 from the spectrum of {label}")
 
 
 def lowest_cluster_contour(model: OperatorModel, k: int,
@@ -426,10 +429,10 @@ def _relative_change(a: float, b: float) -> float:
     return abs(a - b) / max(a, 1e-12)
 
 
-def _fold_and_reads(f: AnalyticFunction, stacks, strides, rows, dims=None):
+def _fold_and_reads(f: AnalyticFunction, stacks, strides, rows, dims):
     """(fold, projectors, sups) of one matrix per factor: the node fold of f
     at the matrices' own sizes (embedded with zeros into the leading block
-    of the space of sizes `dims` when given), each factor's quadrature
+    of the space of sizes `dims` when they are smaller), each factor's quadrature
     projector sum_k w_k R(z_k), and its sup ||R(z)|| at every stride-th node.
 
     `rows` are f's `calculus._axis_rows` on the stacks' nodes and weights.
@@ -443,9 +446,9 @@ def _fold_and_reads(f: AnalyticFunction, stacks, strides, rows, dims=None):
     projectors, sups = [sums[0] for sums, _ in reads], [sup for _, sup in reads]
     fold = (_node_fold(f, stacks, None) if rows is None
             else _kron_sum([sums[1:] for sums, _ in reads]))
-    if dims is None:
-        return fold, projectors, sups
     sizes = [len(p) for p in projectors]
+    if sizes == list(dims):
+        return fold, projectors, sups
     embedded = np.zeros(tuple(dims) * 2, dtype=complex)
     embedded[tuple(map(slice, sizes)) * 2] = fold.reshape(sizes * 2)
     return embedded.reshape(math.prod(dims), -1), projectors, sups
@@ -466,25 +469,43 @@ def _tensor_bases(projectors, stacks, models, contours):
     return (functools.reduce(np.kron, b) for b in zip(*bases))
 
 
-def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
-                      probes) -> ConvergenceReport:
-    """Truncation study of f on the product of the factors' enclosed clusters.
+def _compressions(models, n_list):
+    """Study points of a truncation study: per n, each factor's X_n and its
+    displacement X_n (+) 0 - X."""
+    for n in n_list:
+        tps = [compress(m, n) for m in models]
+        yield n, [(tp.x_n, tp.x_n_padded - m.matrix_ref) for m, tp in zip(models, tps)]
 
-    For every n: the cluster error ||f(X_1n, ..) (+) 0 - f(X_1, ..)|| (the
-    lower end of its thin norm bracket, whose upper end is checked), probe
-    errors, global and cluster-restricted eps_n summed over the factors, and
-    the bound C_f * eps_cluster.  f's node rows are taken once, before any
-    factorization (so the quadrature's cost guard refuses before any solve),
-    and each reference and each X_n is solved once, at its own size, on its
-    measurement contour.
+
+def _study(models, f: AnalyticFunction, z0s, contours, points,
+           probes) -> ConvergenceReport:
+    """Two-level study of f on the product of the factors' enclosed clusters,
+    along an approximating sequence X_k -> X.
+
+    `points` yields (label, [(X_kj, D_kj) per factor]), with the displacement
+    D_kj = X_kj (+) 0 - X_j.  X_kj is factored and folded once, at its own
+    size, and embedded with zeros when smaller than ref_dim.  Per point: the
+    cluster error ||f(X_k1, ..) (+) 0 - f(X_1, ..)|| (the lower end of its
+    thin norm bracket, whose upper end is checked), probe errors, global and
+    cluster-restricted eps_k = sum_j ||D_kj (z0_j I - X_j)^{-1}||, and the
+    bound C_f * eps_cluster.  f's node rows are taken before any
+    factorization, so the quadrature's cost guard refuses before any solve.
+    z0_j keeps distance >= 1 from the spectra of X_j and of every X_kj (+) 0.
     """
+    if not len(models) == len(z0s) == len(contours) == f.arity:
+        raise ConfigError(f"need one z0 and one contour per variable of f ({f.arity}), "
+                          f"got {len(models)} models, {len(z0s)} z0s, {len(contours)} contours")
     meas = [_meas_contour(c) for c in contours]
     strides = [m.nodes // c.nodes for m, c in zip(meas, contours)]
     f.assert_analytic_on([c.center for c in meas], [c.radius for c in meas])
     rows = _axis_rows(f, [(c.points(), c.weights()) for c in meas])
-    ref_stacks = [_resolvent_stacks(m._factored, c, label=f"factor {j + 1}")
-                  for j, (m, c) in enumerate(zip(models, meas))]
-    g_ref, p_cs, ref_sups = _fold_and_reads(f, ref_stacks, strides, rows)
+    names = [f"factor {j + 1} ({m.kind})" for j, m in enumerate(models)]
+    for m, z0, name in zip(models, z0s, names):
+        _check_z0(m.eigenvalues, z0, name)
+    dims = [m.ref_dim for m in models]
+    ref_stacks = [_resolvent_stacks(m._factored, c, label=name)
+                  for m, c, name in zip(models, meas, names)]
+    g_ref, p_cs, ref_sups = _fold_and_reads(f, ref_stacks, strides, rows, dims)
     sups = [[s] for s in ref_sups]
     ref_a, ref_b = _tensor_bases(p_cs, ref_stacks, models, meas)
     r0s = [resolvent(m.matrix_ref, z0) for m, z0 in zip(models, z0s)]
@@ -492,30 +513,31 @@ def _truncation_study(models, f: AnalyticFunction, z0s, contours, n_list,
     # differences below machine precision of the measured operator
     floor = _MEAS_FLOOR * (1.0 + _norm_bracket(g_ref, ref_a, ref_b)[0])
 
-    points = []
-    for n in n_list:
+    measured = []
+    for label, factors in points:
         eps_g, eps_c, stacks = 0.0, 0.0, []
-        for j, (model, c) in enumerate(zip(models, meas)):
-            tp = compress(model, n)
-            _check_z0(model, tp, z0s[j])
-            diff_op = (tp.x_n_padded - model.matrix_ref) @ r0s[j]
+        for j, ((x_k, d_k), model, c) in enumerate(zip(factors, models, meas)):
+            where = f"{names[j]} at point {label}"
+            factored = resolvent_at_nodes(x_k, ())
+            evs = factored.eigenvalues
+            _check_z0(evs if len(x_k) == model.ref_dim else np.append(evs, 0.0),
+                      z0s[j], where)
+            diff_op = d_k @ r0s[j]
             eps_g += op_norm(diff_op)
             eps_c += op_norm(diff_op @ p_cs[j])
-            stacks.append(_resolvent_stacks(tp._factored, c,
-                                            label=f"factor {j + 1} truncation n={n}"))
-        d, p_ns, n_sups = _fold_and_reads(f, stacks, strides, rows,
-                                          [m.ref_dim for m in models])
-        for s, sup in zip(sups, n_sups):
+            stacks.append(_resolvent_stacks(factored, c, label=where))
+        d, p_ks, k_sups = _fold_and_reads(f, stacks, strides, rows, dims)
+        for s, sup in zip(sups, k_sups):
             s.append(sup)
-        n_a, n_b = _tensor_bases(p_ns, stacks, models, meas)
-        qa = np.linalg.qr(np.hstack([ref_a, n_a]))[0]
-        qb = np.linalg.qr(np.hstack([ref_b, n_b]))[0]
+        k_a, k_b = _tensor_bases(p_ks, stacks, models, meas)
+        qa = np.linalg.qr(np.hstack([ref_a, k_a]))[0]
+        qb = np.linalg.qr(np.hstack([ref_b, k_b]))[0]
         d -= g_ref
-        points.append((n, eps_g, eps_c, *_norm_bracket(d, qa, qb, floor),
-                       _probe_errors(d, probes)))
+        measured.append((label, eps_g, eps_c, *_norm_bracket(d, qa, qb, floor),
+                         _probe_errors(d, probes)))
         del d  # the next point's fold is the only N x N array beside g_ref
     c_f = _error_constant(f, contours, sups)
-    return _report("+".join(m.kind for m in models), f, z0s[0], c_f, floor, points,
+    return _report("+".join(m.kind for m in models), f, z0s[0], c_f, floor, measured,
                    len(probes))
 
 
@@ -532,7 +554,7 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
     n_list = [int(n) for n in n_list]
     if probes is None:
         probes = default_probes(model.ref_dim)
-    report = _truncation_study([model], f, [z0], [contour], n_list, probes)
+    report = _study([model], f, [z0], [contour], _compressions([model], n_list), probes)
 
     if stability_check and model.kind in _OSCILLATORS and model.ref_dim // 2 >= _MIN_REF_DIM:
         half = build_model(model.kind, model.ref_dim // 2, model.guard)
@@ -556,41 +578,20 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
                             contour: Contour, probes=None) -> ConvergenceReport:
     """Bounded-family analog of level_experiment: X_d = X + d E, ||E|| ~ 1.
 
-    The contour must enclose the whole spectrum of X and every X_d, so the
-    integral computes f itself and the level-2 bound is checked globally
-    with eps(d) = ||d E (z0 I - X)^{-1}||.  X and each X_d are solved once,
-    on the measurement contour, which also gives their C_f sups.
+    The same study, along X + d E instead of X_n (+) 0: the errors are
+    restricted to the cluster that `contour` encloses (all of f when it
+    encloses the whole spectrum) and checked against C_f * eps_cluster.
+    eps(d) = ||d E (z0 I - X)^{-1}|| is read from d E itself, free of the
+    cancellation in (X + d E) - X.  z0 keeps distance >= 1 from the spectra
+    of X and of every X_d.
     """
     x = as_matrix(x, square=True)
     e_mat = as_matrix(e_mat, square=True)
     if probes is None:
-        probes = default_probes(x.shape[0])
-    meas = _meas_contour(contour)
-    f.assert_analytic_on([meas.center], [meas.radius])
-    rows = _axis_rows(f, [(meas.points(), meas.weights())])
-    sups = []
-
-    def integral(m):
-        stack = _resolvent_stacks(resolvent_at_nodes(m, ()), meas, require_full=True,
-                                  label="perturbation")
-        g, _, [sup] = _fold_and_reads(f, [stack], [meas.nodes // contour.nodes], rows)
-        sups.append(sup)
-        return g
-
-    g_ref = integral(x)
-    r0 = resolvent(x, z0)
-    floor = _MEAS_FLOOR * (1.0 + op_norm(g_ref))
-    points = []
-    for delta in deltas:
-        delta = float(delta)
-        eps = op_norm(delta * e_mat @ r0)
-        d = integral(x + delta * e_mat) - g_ref
-        # the contour encloses the whole spectrum: d has full range, so the
-        # thin bracket cannot win and its norm is dense
-        norm = op_norm(d)
-        points.append((delta, eps, eps, norm, norm, _probe_errors(d, probes)))
-    c_f = _error_constant(f, [contour], [sups])
-    return _report("perturbation", f, z0, c_f, floor, points, len(probes))
+        probes = default_probes(len(x))
+    points = ((d, [(x + d * e_mat, d * e_mat)]) for d in map(float, deltas))
+    return _study([OperatorModel("perturbation", len(x), 0, x)], f, [z0], [contour],
+                  points, probes)
 
 
 def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
@@ -603,9 +604,6 @@ def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
     prod_j ref_dim_j is capped at KRON_CAP before any factorization, as in
     `calculus.lift`.
     """
-    if not len(models) == len(z0s) == len(contours) == f.arity:
-        raise ConfigError(f"need one z0 and one contour per variable of f ({f.arity}), "
-                          f"got {len(models)} models, {len(z0s)} z0s, {len(contours)} contours")
     tensor_dim = math.prod(m.ref_dim for m in models)
     if tensor_dim > KRON_CAP:
         raise DimensionCapError(
@@ -613,7 +611,7 @@ def multivariate_experiment(models, f: AnalyticFunction, z0s, contours,
     n_list = [int(n) for n in n_list]
     if probes is None:
         probes = default_probes(tensor_dim)
-    return _truncation_study(models, f, z0s, contours, n_list, probes)
+    return _study(models, f, z0s, contours, _compressions(models, n_list), probes)
 
 
 @dataclass
