@@ -574,6 +574,15 @@ def level_experiment(model: OperatorModel, f: AnalyticFunction, z0: complex,
     return report
 
 
+def _perturbed_pair(x, p, name: str):
+    """X and its perturbation p, as square matrices of one shape."""
+    x = as_matrix(x, square=True)
+    p = as_matrix(p, square=True)
+    if p.shape != x.shape:
+        raise ConfigError(f"perturbation {name} has shape {p.shape}, X has shape {x.shape}")
+    return x, p
+
+
 def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
                             contour: Contour, probes=None) -> ConvergenceReport:
     """Bounded-family analog of level_experiment: X_d = X + d E, ||E|| ~ 1.
@@ -585,8 +594,7 @@ def perturbation_experiment(x, e_mat, deltas, f: AnalyticFunction, z0: complex,
     cancellation in (X + d E) - X.  z0 keeps distance >= 1 from the spectra
     of X and of every X_d.
     """
-    x = as_matrix(x, square=True)
-    e_mat = as_matrix(e_mat, square=True)
+    x, e_mat = _perturbed_pair(x, e_mat, "E")
     if probes is None:
         probes = default_probes(len(x))
     points = ((d, [(x + d * e_mat, d * e_mat)]) for d in map(float, deltas))
@@ -641,8 +649,7 @@ def regularization_sweep(x, k_mat, eps_list, z0: complex,
     ||(R_eps - R) u|| <= M ||eps K R u|| with M = sup ||R_eps||; the sweep
     checks it and the strict decrease of every probe error.
     """
-    x = as_matrix(x, square=True)
-    k_mat = as_matrix(k_mat, square=True)
+    x, k_mat = _perturbed_pair(x, k_mat, "K")
     if not _norm_at_most(k_mat, 10.0, x):
         raise PreconditionError("perturbation K is not modestly bounded next to X")
     eps_list = sorted((float(e) for e in eps_list), reverse=True)

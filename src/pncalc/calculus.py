@@ -469,7 +469,9 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
                        center=None) -> np.ndarray:
     """Truncated lifted Taylor series sum_alpha a_alpha prod_j (X~_j - c_j)^alpha_j.
 
-    The center defaults to the factor-wise mean of the component eigenvalues.
+    The center defaults to c_j = trace(X_j) / n_j, the mean eigenvalue of
+    each factor counted with multiplicity, so the route reads only the
+    factors: it builds no factorization or decomposition.
     An f with at most cap + 1 Taylor terms, a_alpha = sum_t prod_j
     a_tj[alpha_j] (`AnalyticFunction.taylor_terms`), is evaluated in
     factored form, sum_t kron_j p_tj(X_j) with p_tj(X_j) =
@@ -491,7 +493,7 @@ def power_series_apply(f: AnalyticFunction, system: LiftedSystem,
     if f.arity != r:
         raise ConfigError(f"function arity {f.arity} does not match system rank {r}")
     if center is None:
-        center = [complex(np.mean(dec.eigenvalues)) for dec in system.decompositions]
+        center = [complex(np.trace(x)) / x.shape[0] for x in system.factors]
     center = [complex(c) for c in center]
     if len(center) != r:
         raise ConfigError(f"need {r} center coordinates, got {len(center)}")

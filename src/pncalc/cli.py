@@ -26,15 +26,32 @@ from .errors import ConfigError, PreconditionError, ToleranceError
 
 _REQUIRED = object()
 
+# the [params] decomposition tolerances of decompose, funcalc and lift-calc;
+# cluster_tol -1 means decompose's own default
+_TOLERANCES = {
+    "cluster_tol": ("float", -1.0),
+    "tol_dec": ("float", 1e-8),
+    "tol_nil": ("float", 1e-8),
+}
+# the [input] keys of lift-calc and oracle-check, one per factor, in order
+_MATRIX_KEYS = ("matrix_1", "matrix_2", "matrix_3")
+
+
+def _model_section(ref_dim: int) -> dict:
+    """Schema of a [model] section, with its ref_dim default."""
+    return {
+        "kind": ("choice:" + "|".join(approx.MODEL_KINDS), _REQUIRED),
+        "ref_dim": ("int", ref_dim),
+        "guard": ("int", -1),
+        "path": ("path", ""),
+    }
+
+
 # schema entry: (type, default); _REQUIRED default means the key must appear.
 SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
     "decompose": {
         "input": {"matrix": ("path", _REQUIRED)},
-        "params": {
-            "cluster_tol": ("float", -1.0),
-            "tol_dec": ("float", 1e-8),
-            "tol_nil": ("float", 1e-8),
-        },
+        "params": {**_TOLERANCES},
     },
     "funcalc": {
         "input": {"matrix": ("path", _REQUIRED)},
@@ -44,33 +61,15 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
             "radius": ("float", -1.0),
             "nodes": ("int", 128),
         },
-        "params": {
-            "cluster_tol": ("float", -1.0),
-            "tol_dec": ("float", 1e-8),
-            "tol_nil": ("float", 1e-8),
-            "tol": ("float", 1e-8),
-        },
+        "params": {**_TOLERANCES, "tol": ("float", 1e-8)},
     },
     "lift-calc": {
-        "input": {
-            "matrix_1": ("path", _REQUIRED),
-            "matrix_2": ("path", ""),
-            "matrix_3": ("path", ""),
-        },
+        "input": {k: ("path", _REQUIRED if k == "matrix_1" else "") for k in _MATRIX_KEYS},
         "function": {"spec": ("str", _REQUIRED)},
-        "params": {
-            "cap": ("int", linalg.KRON_CAP),
-            "cluster_tol": ("float", -1.0),
-            "tol_dec": ("float", 1e-8),
-            "tol_nil": ("float", 1e-8),
-        },
+        "params": {"cap": ("int", linalg.KRON_CAP), **_TOLERANCES},
     },
     "oracle-check": {
-        "input": {
-            "matrix_1": ("path", ""),
-            "matrix_2": ("path", ""),
-            "matrix_3": ("path", ""),
-        },
+        "input": dict.fromkeys(_MATRIX_KEYS, ("path", "")),
         "function": {"spec": ("str", _REQUIRED)},
         "random": {
             "count": ("int", 20),
@@ -86,12 +85,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         },
     },
     "converge": {
-        "model": {
-            "kind": ("choice:" + "|".join(approx.MODEL_KINDS), _REQUIRED),
-            "ref_dim": ("int", 64),
-            "guard": ("int", -1),
-            "path": ("path", ""),
-        },
+        "model": _model_section(64),
         "function": {"spec": ("str", _REQUIRED)},
         "experiment": {
             "z0": ("complex", complex(-1.0)),
@@ -103,18 +97,8 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         },
     },
     "converge-multi": {
-        "model_1": {
-            "kind": ("choice:" + "|".join(approx.MODEL_KINDS), _REQUIRED),
-            "ref_dim": ("int", 32),
-            "guard": ("int", -1),
-            "path": ("path", ""),
-        },
-        "model_2": {
-            "kind": ("choice:" + "|".join(approx.MODEL_KINDS), _REQUIRED),
-            "ref_dim": ("int", 32),
-            "guard": ("int", -1),
-            "path": ("path", ""),
-        },
+        "model_1": _model_section(32),
+        "model_2": _model_section(32),
         "function": {"spec": ("str", _REQUIRED)},
         "experiment": {
             "z0_1": ("complex", complex(-1.0)),
@@ -127,12 +111,7 @@ SCHEMAS: dict[str, dict[str, dict[str, tuple]]] = {
         },
     },
     "regularize": {
-        "model": {
-            "kind": ("choice:" + "|".join(approx.MODEL_KINDS), _REQUIRED),
-            "ref_dim": ("int", 64),
-            "guard": ("int", -1),
-            "path": ("path", ""),
-        },
+        "model": _model_section(64),
         "perturbation": {
             "kind": ("choice:decaying_diag|file", "decaying_diag"),
             "path": ("path", ""),
@@ -270,6 +249,12 @@ def _maybe(value: float) -> float | None:
     return None if value < 0 else value
 
 
+def _tolerances(params: dict) -> dict:
+    """`decompose`/`lift` keyword arguments from a [params] tolerance block."""
+    return {"cluster_tol": _maybe(params["cluster_tol"]),
+            "tol_dec": params["tol_dec"], "tol_nil": params["tol_nil"]}
+
+
 def _read_matrix(path: str) -> np.ndarray:
     if not path:
         raise ConfigError("cli: missing input matrix path")
@@ -277,6 +262,15 @@ def _read_matrix(path: str) -> np.ndarray:
         return linalg.read_cmat(path)
     except OSError as exc:
         raise ConfigError(f"cli: cannot read matrix file {path}: {exc}") from None
+
+
+def _read_factors(section: dict, arity: int) -> list[np.ndarray]:
+    """The matrices of the [input] files given, in key order, one per
+    variable of f."""
+    paths = [section[k] for k in _MATRIX_KEYS if section[k]]
+    if len(paths) != arity:
+        raise ConfigError(f"cli: function arity {arity} != {len(paths)} input matrices")
+    return [_read_matrix(p) for p in paths]
 
 
 def _enclosing_contour(factored: linalg.NodeResolvents, nodes: int) -> spectra.Contour:
@@ -294,16 +288,18 @@ def _build_model(section: dict) -> approx.OperatorModel:
                               path=path)
 
 
+def _emit_report(out_dir: str, name: str, write, report) -> None:
+    """Emit the one artifact write(path, report, sha) writes, then the manifest."""
+    writer = ArtifactWriter(out_dir)
+    writer.emit(name, lambda p, sha: write(p, report, sha))
+    writer.finalize()
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_decompose(cfg: dict, out_dir: str, seed: int | None) -> int:
     x = _read_matrix(cfg["input"]["matrix"])
-    dec = spectra.decompose(
-        x,
-        cluster_tol=_maybe(cfg["params"]["cluster_tol"]),
-        tol_dec=cfg["params"]["tol_dec"],
-        tol_nil=cfg["params"]["tol_nil"],
-    )
+    dec = spectra.decompose(x, **_tolerances(cfg["params"]))
     writer = ArtifactWriter(out_dir)
     writer.emit("decomposition.txt", lambda p, sha: spectra.write_decomposition(p, dec, sha))
     rows = [["invariant", "measured", "bound", "ok"]] + [
@@ -323,13 +319,7 @@ def cmd_funcalc(cfg: dict, out_dir: str, seed: int | None) -> int:
         raise ConfigError("cli: funcalc needs an arity-1 function")
     # the one factorization of x: the decomposition and the quadrature read it
     factored = linalg.resolvent_at_nodes(x, ())
-    dec = spectra.decompose(
-        x,
-        cluster_tol=_maybe(cfg["params"]["cluster_tol"]),
-        tol_dec=cfg["params"]["tol_dec"],
-        tol_nil=cfg["params"]["tol_nil"],
-        factored=factored,
-    )
+    dec = spectra.decompose(x, factored=factored, **_tolerances(cfg["params"]))
     spectral = calculus.func_univariate(f, dec)
     nodes = cfg["contour"]["nodes"]
     if cfg["contour"]["center"] == "auto" or cfg["contour"]["radius"] < 0:
@@ -357,20 +347,9 @@ def cmd_funcalc(cfg: dict, out_dir: str, seed: int | None) -> int:
 
 
 def cmd_lift_calc(cfg: dict, out_dir: str, seed: int | None) -> int:
-    paths = [cfg["input"][k] for k in ("matrix_1", "matrix_2", "matrix_3")
-             if cfg["input"][k]]
-    factors = [_read_matrix(p) for p in paths]
     f = functions.parse_function(cfg["function"]["spec"])
-    if f.arity != len(factors):
-        raise ConfigError(
-            f"cli: function arity {f.arity} != {len(factors)} input matrices")
-    system = calculus.lift(
-        factors,
-        cap=cfg["params"]["cap"],
-        cluster_tol=_maybe(cfg["params"]["cluster_tol"]),
-        tol_dec=cfg["params"]["tol_dec"],
-        tol_nil=cfg["params"]["tol_nil"],
-    )
+    system = calculus.lift(_read_factors(cfg["input"], f.arity), cap=cfg["params"]["cap"],
+                           **_tolerances(cfg["params"]))
     result = calculus.func_multivariate(f, system)
     writer = ArtifactWriter(out_dir)
     for name, m in (("value", result.value), ("s0", result.s0),
@@ -410,14 +389,9 @@ def cmd_oracle_check(cfg: dict, out_dir: str, seed: int | None) -> int:
     f = functions.parse_function(cfg["function"]["spec"])
     nodes = cfg["params"]["nodes"]
     tol = cfg["params"]["tol"]
-    paths = [cfg["input"][k] for k in ("matrix_1", "matrix_2", "matrix_3")
-             if cfg["input"][k]]
     cases: list[tuple[str, list[np.ndarray]]] = []
-    if paths:
-        if len(paths) != f.arity:
-            raise ConfigError(
-                f"cli: function arity {f.arity} != {len(paths)} input matrices")
-        cases.append(("input", [_read_matrix(p) for p in paths]))
+    if any(cfg["input"].values()):
+        cases.append(("input", _read_factors(cfg["input"], f.arity)))
     else:
         rng_seed = seed if seed is not None else cfg["random"]["seed"]
         rng = np.random.default_rng(rng_seed)
@@ -442,9 +416,7 @@ def cmd_oracle_check(cfg: dict, out_dir: str, seed: int | None) -> int:
                      str(ok).lower()])
         worst = max(worst, d_sd, d_ss, d_ds)
         all_ok = all_ok and ok
-    writer = ArtifactWriter(out_dir)
-    writer.emit("oracle_report.csv", lambda p, sha: linalg._write_csv(p, rows, sha))
-    writer.finalize()
+    _emit_report(out_dir, "oracle_report.csv", linalg._write_csv, rows)
     print(f"oracle-check: {len(cases)} case(s), max discrepancy {worst:.3e}")
     if not all_ok:
         raise ToleranceError("cli: oracle routes disagree beyond tolerance")
@@ -464,9 +436,7 @@ def cmd_converge(cfg: dict, out_dir: str, seed: int | None) -> int:
                                      probes=probes,
                                      stability_check=exp["stability"])
     name = f"{cfg['model']['kind']}_{_slug(cfg['function']['spec'])}_level.csv"
-    writer = ArtifactWriter(out_dir)
-    writer.emit(name, lambda p, sha: approx.write_convergence_csv(p, report, sha))
-    writer.finalize()
+    _emit_report(out_dir, name, approx.write_convergence_csv, report)
     print(f"converge: {len(report.rows)} truncation(s), level1 pass "
           f"{str(report.level1_pass).lower()}, level2 pass "
           f"{str(report.level2_pass).lower()}, "
@@ -475,26 +445,20 @@ def cmd_converge(cfg: dict, out_dir: str, seed: int | None) -> int:
 
 
 def cmd_converge_multi(cfg: dict, out_dir: str, seed: int | None) -> int:
-    models = [_build_model(cfg["model_1"]), _build_model(cfg["model_2"])]
+    models = [_build_model(cfg[k]) for k in ("model_1", "model_2")]
     f = functions.parse_function(cfg["function"]["spec"])
     if f.arity != 2:
         raise ConfigError("cli: converge-multi needs an arity-2 function")
     exp = cfg["experiment"]
-    contours = [
-        approx.lowest_cluster_contour(models[0], exp["cluster_size_1"],
-                                      nodes=exp["nodes"]),
-        approx.lowest_cluster_contour(models[1], exp["cluster_size_2"],
-                                      nodes=exp["nodes"]),
-    ]
+    contours = [approx.lowest_cluster_contour(m, exp[f"cluster_size_{j}"], nodes=exp["nodes"])
+                for j, m in enumerate(models, 1)]
     probes = approx.default_probes(models[0].ref_dim * models[1].ref_dim,
                                    exp["probes"])
     report = approx.multivariate_experiment(models, f, [exp["z0_1"], exp["z0_2"]],
                                             contours, exp["n_list"], probes=probes)
-    name = (f"{cfg['model_1']['kind']}+{cfg['model_2']['kind']}_"
+    name = (f"{'+'.join(m.kind for m in models)}_"
             f"{_slug(cfg['function']['spec'])}_multi.csv")
-    writer = ArtifactWriter(out_dir)
-    writer.emit(name, lambda p, sha: approx.write_convergence_csv(p, report, sha))
-    writer.finalize()
+    _emit_report(out_dir, name, approx.write_convergence_csv, report)
     print(f"converge-multi: {len(report.rows)} pair(s), level1 pass "
           f"{str(report.level1_pass).lower()}, level2 pass "
           f"{str(report.level2_pass).lower()}")
@@ -509,16 +473,12 @@ def cmd_regularize(cfg: dict, out_dir: str, seed: int | None) -> int:
         k_mat = np.diag(pert["scale"] / np.arange(1.0, x.shape[0] + 1.0)).astype(complex)
     else:
         k_mat = pert["scale"] * _read_matrix(pert["path"])
-        if k_mat.shape != x.shape:
-            raise ConfigError("cli: perturbation matrix shape mismatch")
     exp = cfg["experiment"]
     probes = approx.default_probes(x.shape[0], exp["probes"])
     report = approx.regularization_sweep(x, k_mat, exp["eps_list"], exp["z0"],
                                          probes=probes)
     name = f"{cfg['model']['kind']}_regularize.csv"
-    writer = ArtifactWriter(out_dir)
-    writer.emit(name, lambda p, sha: approx.write_regularization_csv(p, report, sha))
-    writer.finalize()
+    _emit_report(out_dir, name, approx.write_regularization_csv, report)
     print(f"regularize: {len(report.rows)} epsilon value(s), strictly decreasing "
           f"{str(report.strictly_decreasing).lower()}, bound pass "
           f"{str(report.bound_pass).lower()}")

@@ -514,6 +514,18 @@ def test_every_study_refuses_f_of_the_wrong_arity():
                                        [1e-2], f, -1.0, contour)
 
 
+def test_perturbation_of_another_shape_is_refused():
+    # both studies read X and its perturbation through one shape check,
+    # before any broadcast or factorization
+    with pytest.raises(ConfigError, match=r"^perturbation E has shape \(3, 3\), "
+                       r"X has shape \(4, 4\)$"):
+        approx.perturbation_experiment(np.eye(4), np.eye(3), [1e-2], parse("exp(-z1)"),
+                                       -1.0, spectra.Contour(1.0, 0.5, 64))
+    with pytest.raises(ConfigError, match=r"^perturbation K has shape \(3, 3\), "
+                       r"X has shape \(4, 4\)$"):
+        approx.regularization_sweep(np.diag([1.0, 2.0, 3.0, 4.0]), 0.1 * np.eye(3), [1e-2], -1.0)
+
+
 def test_multivariate_experiment_additive_bound():
     m1 = approx.build_model("harmonic", 16)
     m2 = approx.build_model("harmonic", 16)

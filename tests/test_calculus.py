@@ -334,12 +334,26 @@ def test_power_series_certifies_product_beyond_unit_radius():
     x1 = np.array([[-1.0, 1.0], [0.0, 1.5]], dtype=complex)
     x2 = np.array([[0.5, 1.0], [0.0, -0.5]], dtype=complex)
     system = calculus.lift([x1, x2])
-    center = [complex(np.mean(d.eigenvalues)) for d in system.decompositions]
-    assert linalg.op_norm(x1 - center[0] * np.eye(2)) > 1.0
+    assert linalg.op_norm(x1 - np.trace(x1) / 2 * np.eye(2)) > 1.0
     f = parse("prod(exp(z1),poly{(0,0):1,(0,1):1})")
     series = calculus.power_series_apply(f, system)
     expect = np.kron(expm(x1), np.eye(2) + x2)
     assert np.linalg.norm(series - expect, 2) <= 1e-10 * np.linalg.norm(expect, 2)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3, 4])
+def test_power_series_reads_only_the_factors(seed, monkeypatch):
+    # the spectral route's clustering fails on these factors; the series is
+    # centered at trace(X) / n and builds no factorization or decomposition
+    calls = count_factorizations(monkeypatch)
+    monkeypatch.setattr(calculus, "decompose", lambda *a, **k: pytest.fail("decomposed"))
+    x = synth.random_jordan_matrix(np.random.default_rng(seed), 5, max_index=3, cond=4.0)[0]
+    system = calculus.lift([x])
+    series = calculus.power_series_apply(parse("exp(0.5*z1)"), system)
+    expect = expm(0.5 * x)
+    assert np.linalg.norm(series - expect, 2) <= 1e-12 * np.linalg.norm(expect, 2)
+    assert calls == []
+    assert "factorizations" not in vars(system) and "decompositions" not in vars(system)
 
 
 def test_dunford_multivariate_broadcasts_constant_and_one_variable_specs():

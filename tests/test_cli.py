@@ -500,6 +500,39 @@ def test_converge_columns_pinned(tmp_path):
             pytest.approx(e, rel=1e-12) for e in rec_eps]
 
 
+@pytest.mark.parametrize("command", ["lift-calc", "oracle-check"])
+def test_factor_count_must_match_arity_exit2(tmp_path, mats, capsys, command):
+    cfg = write_config(tmp_path, "in.ini", {"input": {"matrix_1": mats[0]},
+                                            "function": {"spec": "exp(z1+z2)"}})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "function arity 2 != 1 input matrices" in capsys.readouterr().err
+
+
+def test_converge_multi_names_both_model_kinds(tmp_path):
+    cfg = write_config(tmp_path, "cm.ini", {
+        "model_1": {"kind": "harmonic", "ref_dim": 16},
+        "model_2": {"kind": "complex_harmonic", "ref_dim": 16},
+        "function": {"spec": "exp(-z1-z2)"},
+        "experiment": {"n_list": "2, 3", "cluster_size_1": 2,
+                       "cluster_size_2": 2, "probes": 2},
+    })
+    out = tmp_path / "out"
+    assert cli.main(["converge-multi", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["harmonic+complex_harmonic_exp-z1-z2_multi.csv",
+                                       "manifest.csv"]
+
+
+def test_regularize_refuses_k_of_another_shape_exit2(tmp_path, capsys):
+    linalg.write_cmat(tmp_path / "k.cmat", np.eye(8, dtype=complex))
+    cfg = write_config(tmp_path, "rg.ini", {
+        "model": {"kind": "harmonic", "ref_dim": 16},
+        "perturbation": {"kind": "file", "path": tmp_path / "k.cmat"},
+    })
+    assert cli.main(["regularize", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert ("error [config]: perturbation K has shape (8, 8), X has shape (16, 16)"
+            in capsys.readouterr().err)
+
+
 def test_regularize_runs(tmp_path):
     cfg = write_config(tmp_path, "rg.ini", {
         "model": {"kind": "complex_harmonic", "ref_dim": 32},
